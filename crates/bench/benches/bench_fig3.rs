@@ -7,19 +7,19 @@ use std::hint::black_box;
 
 fn bench_fig3(c: &mut Criterion) {
     let grid = city_map(CityName::Boston, 256, 256);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
     let base_cost = CostModel::i3_software();
     let racod_cost = CostModel::racod();
 
     let mut group = c.benchmark_group("fig3_city_planning");
     group.bench_function("software_baseline_4t", |b| {
-        b.iter(|| black_box(plan_software_2d(&sc, 4, None, &base_cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::software(4, None), &base_cost).cycles))
     });
     group.bench_function("racod_1_unit", |b| {
-        b.iter(|| black_box(plan_racod_2d(&sc, 1, &racod_cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::racod(1), &racod_cost).cycles))
     });
     group.bench_function("racod_32_units", |b| {
-        b.iter(|| black_box(plan_racod_2d(&sc, 32, &racod_cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::racod(32), &racod_cost).cycles))
     });
     group.finish();
 }

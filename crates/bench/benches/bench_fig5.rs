@@ -12,10 +12,10 @@ fn bench_fig5(c: &mut Criterion) {
 
     let mut group = c.benchmark_group("fig5_drone_planning");
     group.bench_function("software_baseline_4t", |b| {
-        b.iter(|| black_box(plan_software_3d(&sc, 4, None, &base_cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::software(4, None), &base_cost).cycles))
     });
     group.bench_function("racod_32_units", |b| {
-        b.iter(|| black_box(plan_racod_3d(&sc, 32, &racod_cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::racod(32), &racod_cost).cycles))
     });
     group.finish();
 }

@@ -10,16 +10,16 @@ use std::sync::Arc;
 
 fn bench_platforms(c: &mut Criterion) {
     let grid = city_map(CityName::Boston, 256, 256);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
 
     let mut group = c.benchmark_group("fig13_platforms");
     group.bench_function("model_bm_32t", |b| {
         let cost = CostModel::xeon_software();
-        b.iter(|| black_box(plan_software_2d(&sc, 32, None, &cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::software(32, None), &cost).cycles))
     });
     group.bench_function("model_rasexp_32t", |b| {
         let cost = CostModel::xeon_software();
-        b.iter(|| black_box(plan_software_2d(&sc, 32, Some(32), &cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::software(32, Some(32)), &cost).cycles))
     });
     group.bench_function("model_pase_32t", |b| {
         let cost = CostModel::xeon_software();
@@ -27,7 +27,7 @@ fn bench_platforms(c: &mut Criterion) {
     });
     group.bench_function("model_racod_32u", |b| {
         let cost = CostModel::racod();
-        b.iter(|| black_box(plan_racod_2d(&sc, 32, &cost).cycles))
+        b.iter(|| black_box(plan(&sc, Backend::racod(32), &cost).cycles))
     });
     group.finish();
 

@@ -28,8 +28,8 @@ fn bench_predictor(c: &mut Criterion) {
     c.bench_function("rasexp_planning_r32", |b| {
         let grid = city_map(CityName::Boston, 256, 256);
         let space = GridSpace2::eight_connected(256, 256);
-        let start = racod::sim::planner::free_near_2d(&grid, 8, 8);
-        let goal = racod::sim::planner::free_near_2d(&grid, 248, 248);
+        let start = racod::sim::planner::free_near::<D2>(&grid, Cell2::new(8, 8));
+        let goal = racod::sim::planner::free_near::<D2>(&grid, Cell2::new(248, 248));
         b.iter(|| {
             let mut oracle =
                 RunaheadOracle::new(&space, RunaheadConfig::with_runahead(32), |c: Cell2| {

@@ -29,8 +29,8 @@ fn bench_search(c: &mut Criterion) {
     c.bench_function("astar_city_point_robot", |b| {
         let grid = city_map(CityName::Shanghai, 256, 256);
         let space = GridSpace2::eight_connected(256, 256);
-        let s = racod::sim::planner::free_near_2d(&grid, 8, 8);
-        let g = racod::sim::planner::free_near_2d(&grid, 248, 248);
+        let s = racod::sim::planner::free_near::<D2>(&grid, Cell2::new(8, 8));
+        let g = racod::sim::planner::free_near::<D2>(&grid, Cell2::new(248, 248));
         b.iter(|| {
             let mut oracle = FnOracle::new(|c: Cell2| grid.get(c) == Some(false));
             black_box(astar(&space, s, g, &AstarConfig::default(), &mut oracle).found())

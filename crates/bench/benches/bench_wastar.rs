@@ -20,11 +20,11 @@ fn bench_wastar(c: &mut Criterion) {
                 continue;
             }
             let sc = Scenario2::new(&grid)
-                .with_free_endpoints(10, 10, 245, 245)
+                .with_free_endpoints((10, 10), (245, 245))
                 .with_space(GridSpace2::eight_connected(256, 256).with_heuristic(h))
                 .with_astar(AstarConfig { weight: eps, ..Default::default() });
             group.bench_with_input(BenchmarkId::new(name, format!("eps{eps}")), &sc, |b, sc| {
-                b.iter(|| black_box(plan_software_2d(sc, 4, None, &base_cost).cycles))
+                b.iter(|| black_box(plan(sc, Backend::software(4, None), &base_cost).cycles))
             });
         }
     }

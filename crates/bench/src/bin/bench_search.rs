@@ -32,7 +32,8 @@ use racod::search::{
     astar_in, astar_reference, canonical_cost_2d, pase_in, AltSpace2, LandmarkPack2, PaseConfig,
     Replanner, SearchScratch,
 };
-use racod::sim::planner::free_near_2d;
+use racod::sim::planner::free_near;
+use racod::sim::D2;
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -96,8 +97,8 @@ fn plan_pairs(grid: &BitGrid2, space: &GridSpace2, n: usize) -> Vec<(Cell2, Cell
         let x = (seed >> 33).rem_euclid(size - 96);
         seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
         let y = (seed >> 33).rem_euclid(size - 80);
-        let s = free_near_2d(grid, x, y);
-        let g = free_near_2d(grid, x + 64, y + 48);
+        let s = free_near::<D2>(grid, Cell2::new(x, y));
+        let g = free_near::<D2>(grid, Cell2::new(x + 64, y + 48));
         let mut oracle = FnOracle::new(|c: Cell2| grid.get(c) == Some(false));
         let probe = astar(space, s, g, &AstarConfig::default(), &mut oracle);
         if probe.found() {

@@ -18,7 +18,7 @@ use racod_codacc::{AreaPowerModel, CodaccPool, CodaccTiming, PartitionOrder};
 use racod_geom::{Cell2, Obb2, Rotation2, Vec2};
 use racod_grid::gen::{city_map, CityName};
 use racod_rasexp::{LastDirectionPredictor, PatternPredictor};
-use racod_sim::planner::{plan_racod_2d, Scenario2};
+use racod_sim::planner::{plan, Backend, Scenario2};
 use racod_sim::CostModel;
 use std::fmt;
 
@@ -162,8 +162,8 @@ pub fn ablations(scale: Scale) -> Ablations {
     // 3. Misspeculation energy on a representative RACOD run.
     let pairs = random_pairs(&grid, 1, 0xAB1A);
     let (s, g) = pairs[0];
-    let sc = Scenario2::new(&grid).with_free_endpoints(s.x, s.y, g.x, g.y);
-    let out = plan_racod_2d(&sc, 32, &CostModel::racod());
+    let sc = Scenario2::new(&grid).with_free_endpoints(s, g);
+    let out = plan(&sc, Backend::racod(32), &CostModel::racod());
     let model = AreaPowerModel::default();
     // Energy = wasted checks x (avg check cycles x per-cycle energy of one
     // CODAcc). Power fraction = wasted energy / (chip power x run time).

@@ -10,7 +10,7 @@
 use super::{geomean, random_pairs, Scale};
 use racod_grid::gen::{city_map, CityName};
 use racod_search::{AstarConfig, Heuristic2};
-use racod_sim::planner::{plan_racod_2d, plan_software_2d, Scenario2};
+use racod_sim::planner::{plan, Backend, Scenario2};
 use racod_sim::CostModel;
 use std::fmt;
 
@@ -105,16 +105,16 @@ pub fn fig10(scale: Scale) -> Fig10 {
         let mut baselines = Vec::new();
         for &(s, g) in &pairs {
             let sc = Scenario2::new(&grid)
-                .with_free_endpoints(s.x, s.y, g.x, g.y)
+                .with_free_endpoints(s, g)
                 .with_space(
                     racod_search::GridSpace2::eight_connected(size, size).with_heuristic(heuristic),
                 )
                 .with_astar(AstarConfig { weight, ..Default::default() });
-            let base = plan_software_2d(&sc, 4, None, &base_cost);
+            let base = plan(&sc, Backend::software(4, None), &base_cost);
             if !base.result.found() {
                 continue;
             }
-            let racod = plan_racod_2d(&sc, 32, &racod_cost);
+            let racod = plan(&sc, Backend::racod(32), &racod_cost);
             speedups.push(base.cycles as f64 / racod.cycles.max(1) as f64);
             coverages.push(racod.stats.coverage());
             baselines.push(base.cycles as f64);

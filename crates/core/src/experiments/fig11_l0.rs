@@ -8,7 +8,7 @@
 use super::{random_pairs, Scale};
 use racod_grid::gen::{city_map, CityName};
 use racod_mem::CacheConfig;
-use racod_sim::planner::{plan_racod_2d_ext, Scenario2};
+use racod_sim::planner::{plan, Backend, Scenario2};
 use racod_sim::CostModel;
 use std::fmt;
 
@@ -44,14 +44,16 @@ pub fn fig11(scale: Scale) -> Fig11 {
         let mut hits = 0u64;
         let mut accesses = 0u64;
         for &(s, g) in &pairs {
-            let sc = Scenario2::new(&grid).with_free_endpoints(s.x, s.y, g.x, g.y);
-            let out = plan_racod_2d_ext(
+            let sc = Scenario2::new(&grid).with_free_endpoints(s, g);
+            let out = plan(
                 &sc,
-                8,
+                Backend::Racod {
+                    units: 8,
+                    runahead: true,
+                    latency: Default::default(),
+                    l0: CacheConfig::l0_sized(bytes),
+                },
                 &cost,
-                Default::default(),
-                CacheConfig::l0_sized(bytes),
-                true,
             );
             if let Some(l0) = out.l0_stats {
                 hits += l0.hits;

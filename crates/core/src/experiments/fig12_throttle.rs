@@ -12,7 +12,8 @@ use racod_grid::gen::random_map;
 use racod_grid::Occupancy2;
 use racod_rasexp::{RunaheadConfig, RunaheadOracle};
 use racod_search::{astar, AstarConfig, GridSpace2};
-use racod_sim::planner::free_near_2d;
+use racod_sim::planner::free_near;
+use racod_sim::D2;
 use std::fmt;
 
 /// The obstacle densities swept.
@@ -75,8 +76,8 @@ pub fn fig12(scale: Scale) -> Fig12 {
     for &density in &DENSITIES {
         let grid = random_map(0xF1612 ^ (density * 100.0) as u64, size, size, density);
         let space = GridSpace2::eight_connected(size, size);
-        let start = free_near_2d(&grid, 2, 2);
-        let goal = free_near_2d(&grid, size as i64 - 3, size as i64 - 3);
+        let start = free_near::<D2>(&grid, Cell2::new(2, 2));
+        let goal = free_near::<D2>(&grid, Cell2::new(size as i64 - 3, size as i64 - 3));
         for &threshold in &THRESHOLDS {
             let cfg =
                 RunaheadConfig { max_depth: 32, contexts: 32, stability_threshold: threshold };

@@ -10,7 +10,7 @@
 use super::{geomean, random_pairs, Scale};
 use racod_grid::gen::{city_map, CityName};
 use racod_sim::pase_model::plan_pase_2d;
-use racod_sim::planner::{plan_racod_2d, plan_software_2d, Scenario2};
+use racod_sim::planner::{plan, Backend, Scenario2};
 use racod_sim::CostModel;
 use std::fmt;
 
@@ -88,19 +88,19 @@ pub fn fig13(scale: Scale) -> Fig13 {
         let mut ras = vec![Vec::new(); threads.len()];
         for (grid, pairs) in &scenarios {
             for &(s, g) in pairs {
-                let sc = Scenario2::new(grid).with_free_endpoints(s.x, s.y, g.x, g.y);
-                let single = plan_software_2d(&sc, 1, None, cost);
+                let sc = Scenario2::new(grid).with_free_endpoints(s, g);
+                let software =
+                    |threads, runahead| plan(&sc, Backend::software(threads, runahead), cost);
+                let single = software(1, None);
                 if !single.result.found() {
                     continue;
                 }
                 let base = single.cycles as f64;
                 for (i, &t) in threads.iter().enumerate() {
-                    bm[i].push(base / plan_software_2d(&sc, t, None, cost).cycles.max(1) as f64);
+                    bm[i].push(base / software(t, None).cycles.max(1) as f64);
                     pase[i].push(base / plan_pase_2d(&sc, t, cost).cycles.max(1) as f64);
-                    ras[i].push(
-                        base / plan_software_2d(&sc, t, Some(rasexp_depth(t)), cost).cycles.max(1)
-                            as f64,
-                    );
+                    let ras_t = software(t, Some(rasexp_depth(t)));
+                    ras[i].push(base / ras_t.cycles.max(1) as f64);
                 }
             }
         }
@@ -128,21 +128,21 @@ pub fn fig13(scale: Scale) -> Fig13 {
     let mut racod = Vec::new();
     for (grid, pairs) in &scenarios {
         for &(s, g) in pairs {
-            let sc = Scenario2::new(grid).with_free_endpoints(s.x, s.y, g.x, g.y);
-            let base = plan_software_2d(&sc, 4, None, &CostModel::i3_software());
+            let sc = Scenario2::new(grid).with_free_endpoints(s, g);
+            let software = |threads, runahead, cost: &CostModel| {
+                plan(&sc, Backend::software(threads, runahead), cost)
+            };
+            let base = software(4, None, &CostModel::i3_software());
             if !base.result.found() {
                 continue;
             }
             let b = base.cycles as f64;
             i3_base.push(1.0);
-            xeon_ras.push(
-                b / plan_software_2d(&sc, 32, Some(32), &CostModel::xeon_software()).cycles.max(1)
-                    as f64,
-            );
-            gpu_ras.push(
-                b / plan_software_2d(&sc, 128, Some(64), &CostModel::gpu()).cycles.max(1) as f64,
-            );
-            racod.push(b / plan_racod_2d(&sc, 32, &CostModel::racod()).cycles.max(1) as f64);
+            let xeon = software(32, Some(32), &CostModel::xeon_software());
+            xeon_ras.push(b / xeon.cycles.max(1) as f64);
+            let gpu = software(128, Some(64), &CostModel::gpu());
+            gpu_ras.push(b / gpu.cycles.max(1) as f64);
+            racod.push(b / plan(&sc, Backend::racod(32), &CostModel::racod()).cycles.max(1) as f64);
         }
     }
     let cross = vec![

@@ -8,10 +8,9 @@
 //! and up to 41.4x with 32, similar normalized speedups across maps, and a
 //! baseline collision-detection share of 67.3%.
 
-use super::{geomean, random_pairs, Scale};
+use super::{geomean, random_pairs, Scale, UnitSweep};
 use racod_grid::gen::{city_map, CityName};
-use racod_sim::planner::{plan_racod_2d, plan_racod_2d_ext, plan_software_2d, Scenario2};
-use racod_sim::CostModel;
+use racod_sim::Scenario2;
 use std::fmt;
 
 /// One city's speedup series.
@@ -80,57 +79,25 @@ impl fmt::Display for Fig3 {
 /// Runs the Figure 3 experiment.
 pub fn fig3(scale: Scale) -> Fig3 {
     let size = scale.map_size();
-    let base_cost = CostModel::i3_software();
-    let racod_cost = CostModel::racod();
     let mut cities = Vec::new();
     let mut collision_shares = Vec::new();
 
     for city in CityName::ALL {
         let grid = city_map(city, size, size);
-        let pairs = random_pairs(&grid, scale.pairs_2d(), 0xF163 ^ pair_seed(city));
-        let mut per_unit: Vec<Vec<f64>> = vec![Vec::new(); scale.unit_sweep().len()];
-        let mut no_ras: Vec<f64> = Vec::new();
-        let mut solved = 0usize;
-
-        for (s, g) in pairs {
-            let sc = Scenario2::new(&grid).with_free_endpoints(s.x, s.y, g.x, g.y);
-            let base = plan_software_2d(&sc, 4, None, &base_cost);
-            if !base.result.found() {
-                continue;
-            }
-            solved += 1;
-            collision_shares
-                .push(base.timing.stall_cycles as f64 / base.timing.cycles.max(1) as f64);
-            for (i, &units) in scale.unit_sweep().iter().enumerate() {
-                let racod = plan_racod_2d(&sc, units, &racod_cost);
-                debug_assert_eq!(racod.result.path, base.result.path);
-                per_unit[i].push(base.cycles as f64 / racod.cycles.max(1) as f64);
-            }
-            let one = plan_racod_2d_ext(
-                &sc,
-                1,
-                &racod_cost,
-                Default::default(),
-                racod_mem::CacheConfig::l0_default(),
-                false,
-            );
-            no_ras.push(base.cycles as f64 / one.cycles.max(1) as f64);
+        let mut sweep = UnitSweep::new(scale);
+        for (s, g) in random_pairs(&grid, scale.pairs_2d(), 0xF163 ^ pair_seed(city)) {
+            sweep.add(&Scenario2::new(&grid).with_free_endpoints(s, g));
         }
-
-        if solved == 0 {
+        if sweep.solved() == 0 {
             continue;
         }
         cities.push(CitySeries {
             city,
-            speedups: scale
-                .unit_sweep()
-                .iter()
-                .zip(&per_unit)
-                .map(|(&u, v)| (u, geomean(v)))
-                .collect(),
-            one_unit_no_rasexp: geomean(&no_ras),
-            pairs: solved,
+            speedups: sweep.speedups(),
+            one_unit_no_rasexp: sweep.one_unit_no_rasexp(),
+            pairs: sweep.solved(),
         });
+        collision_shares.extend(sweep.shares);
     }
 
     Fig3 {

@@ -8,7 +8,8 @@ use racod_grid::gen::{city_map, CityName};
 use racod_grid::BitGrid2;
 use racod_rasexp::{Provenance, RunaheadConfig, RunaheadOracle};
 use racod_search::{astar, AstarConfig, GridSpace2, SearchSpace};
-use racod_sim::planner::free_near_2d;
+use racod_sim::planner::free_near;
+use racod_sim::D2;
 use racod_viz::{class_histogram, render_ascii, render_ppm, CellClass};
 use std::collections::HashSet;
 use std::fmt;
@@ -72,8 +73,8 @@ pub fn fig4(scale: Scale) -> Fig4 {
     let size = scale.map_size().min(256); // a rendering stays viewable
     let grid = city_map(CityName::Boston, size, size);
     let space = GridSpace2::eight_connected(size, size);
-    let start = free_near_2d(&grid, 8, 8);
-    let goal = free_near_2d(&grid, size as i64 - 8, size as i64 - 8);
+    let start = free_near::<D2>(&grid, Cell2::new(8, 8));
+    let goal = free_near::<D2>(&grid, Cell2::new(size as i64 - 8, size as i64 - 8));
 
     let mut oracle = RunaheadOracle::new(&space, RunaheadConfig::with_runahead(32), |c: Cell2| {
         racod_grid::Occupancy2::occupied(&grid, c) == Some(false)

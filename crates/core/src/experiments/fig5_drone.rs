@@ -5,11 +5,9 @@
 //! synthetic 3D campus generator (see DESIGN.md). The paper reports 1.24x
 //! with one CODAcc, 34.3x with 32, and a baseline collision share of 54%.
 
-use super::{geomean, Scale};
-use racod_geom::Cell3;
+use super::{Scale, UnitSweep};
 use racod_grid::gen::campus_3d;
-use racod_sim::planner::{plan_racod_3d, plan_racod_3d_ext, plan_software_3d, Scenario3};
-use racod_sim::CostModel;
+use racod_sim::Scenario3;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use std::fmt;
@@ -46,17 +44,11 @@ impl fmt::Display for Fig5 {
 pub fn fig5(scale: Scale) -> Fig5 {
     let (sx, sy, sz) = scale.map_size_3d();
     let grid = campus_3d(0xD205, sx, sy, sz);
-    let base_cost = CostModel::i3_software();
-    let racod_cost = CostModel::racod();
     let mut rng = SmallRng::seed_from_u64(0xF165);
-
-    let mut per_unit: Vec<Vec<f64>> = vec![Vec::new(); scale.unit_sweep().len()];
-    let mut no_ras = Vec::new();
-    let mut shares = Vec::new();
-    let mut solved = 0usize;
+    let mut sweep = UnitSweep::new(scale);
     let mut attempts = 0;
 
-    while solved < scale.pairs_3d() && attempts < scale.pairs_3d() * 6 {
+    while sweep.solved() < scale.pairs_3d() && attempts < scale.pairs_3d() * 6 {
         attempts += 1;
         // Endpoints at flight altitude, far apart in the horizontal plane.
         let s = (
@@ -69,29 +61,15 @@ pub fn fig5(scale: Scale) -> Fig5 {
             rng.gen_range(2..sy as i64 - 2),
             rng.gen_range(sz as i64 / 3..sz as i64 - 3),
         );
-        let sc = Scenario3::new(&grid).with_free_endpoints(s, g);
-        let _ = Cell3::new(0, 0, 0);
-        let base = plan_software_3d(&sc, 4, None, &base_cost);
-        if !base.result.found() {
-            continue;
-        }
-        solved += 1;
-        shares.push(base.timing.stall_cycles as f64 / base.timing.cycles.max(1) as f64);
-        for (i, &units) in scale.unit_sweep().iter().enumerate() {
-            let racod = plan_racod_3d(&sc, units, &racod_cost);
-            debug_assert_eq!(racod.result.path, base.result.path);
-            per_unit[i].push(base.cycles as f64 / racod.cycles.max(1) as f64);
-        }
-        let one = plan_racod_3d_ext(&sc, 1, &racod_cost, Default::default(), false);
-        no_ras.push(base.cycles as f64 / one.cycles.max(1) as f64);
+        sweep.add(&Scenario3::new(&grid).with_free_endpoints(s, g));
     }
 
-    assert!(solved > 0, "no 3D scenario was solvable — campus generator broken?");
+    assert!(sweep.solved() > 0, "no 3D scenario was solvable — campus generator broken?");
     Fig5 {
-        speedups: scale.unit_sweep().iter().zip(&per_unit).map(|(&u, v)| (u, geomean(v))).collect(),
-        one_unit_no_rasexp: geomean(&no_ras),
-        baseline_collision_share: shares.iter().sum::<f64>() / shares.len() as f64,
-        pairs: solved,
+        speedups: sweep.speedups(),
+        one_unit_no_rasexp: sweep.one_unit_no_rasexp(),
+        baseline_collision_share: sweep.shares.iter().sum::<f64>() / sweep.shares.len() as f64,
+        pairs: sweep.solved(),
     }
 }
 

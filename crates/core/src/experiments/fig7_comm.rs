@@ -9,9 +9,7 @@
 use super::{geomean, random_pairs, Scale};
 use racod_arm::{arm_environment, time_rrt_run, ArmModel, ArmPlatform, RrtConfig};
 use racod_grid::gen::{campus_3d, city_map, CityName};
-use racod_sim::planner::{
-    plan_racod_2d, plan_racod_3d, plan_software_2d, plan_software_3d, Scenario2, Scenario3,
-};
+use racod_sim::planner::{plan, Backend, Scenario2, Scenario3};
 use racod_sim::CostModel;
 use std::fmt;
 
@@ -65,14 +63,14 @@ pub fn fig7(scale: Scale) -> Fig7 {
         for &units in &[1usize, 32] {
             let mut per_lat = [Vec::new(), Vec::new(), Vec::new()];
             for &(s, g) in &pairs {
-                let sc = Scenario2::new(&grid).with_free_endpoints(s.x, s.y, g.x, g.y);
-                let base = plan_software_2d(&sc, 4, None, &base_cost);
+                let sc = Scenario2::new(&grid).with_free_endpoints(s, g);
+                let base = plan(&sc, Backend::software(4, None), &base_cost);
                 if !base.result.found() {
                     continue;
                 }
                 for (i, &lat) in LATENCIES.iter().enumerate() {
                     let cost = CostModel::racod().with_comm_latency(lat);
-                    let r = plan_racod_2d(&sc, units, &cost);
+                    let r = plan(&sc, Backend::racod(units), &cost);
                     per_lat[i].push(base.cycles as f64 / r.cycles.max(1) as f64);
                 }
             }
@@ -92,14 +90,14 @@ pub fn fig7(scale: Scale) -> Fig7 {
             (3, 3, sz as i64 / 2),
             (sx as i64 - 4, sy as i64 - 4, sz as i64 / 2),
         );
-        let base = plan_software_3d(&sc, 4, None, &CostModel::i3_software());
+        let base = plan(&sc, Backend::software(4, None), &CostModel::i3_software());
         if base.result.found() {
             let mut rows = Vec::new();
             for &units in &[1usize, 32] {
                 let mut lat_speedups = [0.0f64; 3];
                 for (i, &lat) in LATENCIES.iter().enumerate() {
                     let cost = CostModel::racod().with_comm_latency(lat);
-                    let r = plan_racod_3d(&sc, units, &cost);
+                    let r = plan(&sc, Backend::racod(units), &cost);
                     lat_speedups[i] = base.cycles as f64 / r.cycles.max(1) as f64;
                 }
                 rows.push((units, lat_speedups));

@@ -10,10 +10,10 @@
 use super::Scale;
 use racod_geom::{Cell2, Cell3};
 use racod_grid::gen::{campus_3d, city_map, CityName};
-use racod_grid::{Occupancy2, Occupancy3};
 use racod_rasexp::{RunaheadConfig, RunaheadOracle, VldpPredictor};
-use racod_search::{astar, AstarConfig, FnOracle, GridSpace2, GridSpace3, SearchSpace};
-use racod_sim::planner::{free_near_2d, free_near_3d};
+use racod_search::{astar, AstarConfig, FnOracle, SearchSpace};
+use racod_sim::planner::free_near;
+use racod_sim::{Dim, Scenario, D2, D3};
 use std::fmt;
 
 /// The runahead depths swept (the paper's x-axis).
@@ -89,91 +89,56 @@ impl fmt::Display for Fig8 {
 
 /// Runs the Figure 8 experiment on a 2D city and the 3D campus.
 pub fn fig8(scale: Scale) -> Fig8 {
-    let mut series = Vec::new();
+    let size = scale.map_size();
+    let city = city_map(CityName::Boston, size, size);
+    let far = size as i64 - 8;
+    let (sx, sy, sz) = scale.map_size_3d();
+    let campus = campus_3d(0xD205, sx, sy, sz);
+    let (far_x, far_y, mid) = (sx as i64 - 4, sy as i64 - 4, sz as i64 / 2);
+    Fig8 {
+        series: vec![
+            series::<D2>("city-2d", &city, Cell2::new(8, 8), Cell2::new(far, far)),
+            series::<D3>("drone-3d", &campus, Cell3::new(3, 3, mid), Cell3::new(far_x, far_y, mid)),
+        ],
+    }
+}
 
-    // --- 2D city ---
-    {
-        let size = scale.map_size();
-        let grid = city_map(CityName::Boston, size, size);
-        let space = GridSpace2::eight_connected(size, size);
-        let start = free_near_2d(&grid, 8, 8);
-        let goal = free_near_2d(&grid, size as i64 - 8, size as i64 - 8);
+/// One workload's rows: a point robot from the free cell nearest `start`
+/// to the one nearest `goal`, over the dimension's default search space.
+fn series<D: Dim>(
+    label: &'static str,
+    grid: &D::Grid,
+    start: D::Cell,
+    goal: D::Cell,
+) -> PredictionSeries {
+    let space = Scenario::<D>::new(grid).space;
+    let (start, goal) = (free_near::<D>(grid, start), free_near::<D>(grid, goal));
+    let is_free = |c| D::is_free_cell(grid, c);
 
-        let mut semantic = Vec::new();
-        for &r in &RUNAHEADS {
-            let mut oracle =
-                RunaheadOracle::new(&space, RunaheadConfig::with_runahead(r), |c: Cell2| {
-                    grid.occupied(c) == Some(false)
-                });
-            let _ = astar(&space, start, goal, &AstarConfig::default(), &mut oracle);
-            semantic.push((r, oracle.stats().accuracy(), oracle.stats().coverage()));
-        }
-
-        // Hardware predictor: replay the demand stream of a baseline run
-        // through VLDP. Each *state* maps to a distinct virtual address
-        // (dense index x 64) — VLDP must predict exact future states, as in
-        // the paper's repurposing, not merely nearby words.
-        let mut trace: Vec<u64> = Vec::new();
-        {
-            let mut oracle = FnOracle::new(|c: Cell2| {
-                if let Some(i) = space.index(c) {
-                    trace.push(i as u64 * 64);
-                }
-                grid.occupied(c) == Some(false)
-            });
-            let _ = astar(&space, start, goal, &AstarConfig::default(), &mut oracle);
-        }
-        let mut vldp = VldpPredictor::new(8);
-        for &a in &trace {
-            vldp.access(a);
-        }
-        series.push(PredictionSeries {
-            label: "city-2d",
-            semantic,
-            hardware: (vldp.stats().accuracy(), vldp.stats().coverage()),
-        });
+    let mut semantic = Vec::new();
+    for &r in &RUNAHEADS {
+        let mut oracle = RunaheadOracle::new(&space, RunaheadConfig::with_runahead(r), is_free);
+        let _ = astar(&space, start, goal, &AstarConfig::default(), &mut oracle);
+        semantic.push((r, oracle.stats().accuracy(), oracle.stats().coverage()));
     }
 
-    // --- 3D campus ---
-    {
-        let (sx, sy, sz) = scale.map_size_3d();
-        let grid = campus_3d(0xD205, sx, sy, sz);
-        let space = GridSpace3::twenty_six_connected(sx, sy, sz);
-        let start = free_near_3d(&grid, 3, 3, sz as i64 / 2);
-        let goal = free_near_3d(&grid, sx as i64 - 4, sy as i64 - 4, sz as i64 / 2);
-
-        let mut semantic = Vec::new();
-        for &r in &RUNAHEADS {
-            let mut oracle =
-                RunaheadOracle::new(&space, RunaheadConfig::with_runahead(r), |c: Cell3| {
-                    grid.occupied(c) == Some(false)
-                });
-            let _ = astar(&space, start, goal, &AstarConfig::default(), &mut oracle);
-            semantic.push((r, oracle.stats().accuracy(), oracle.stats().coverage()));
+    // Hardware predictor: replay the demand stream of a baseline run
+    // through VLDP. Each *state* maps to a distinct virtual address
+    // (dense index x 64) — VLDP must predict exact future states, as in
+    // the paper's repurposing, not merely nearby words.
+    let mut vldp = VldpPredictor::new(8);
+    let mut oracle = FnOracle::new(|c| {
+        if let Some(i) = space.index(c) {
+            vldp.access(i as u64 * 64);
         }
-
-        let mut trace: Vec<u64> = Vec::new();
-        {
-            let mut oracle = FnOracle::new(|c: Cell3| {
-                if let Some(i) = space.index(c) {
-                    trace.push(i as u64 * 64);
-                }
-                grid.occupied(c) == Some(false)
-            });
-            let _ = astar(&space, start, goal, &AstarConfig::default(), &mut oracle);
-        }
-        let mut vldp = VldpPredictor::new(8);
-        for &a in &trace {
-            vldp.access(a);
-        }
-        series.push(PredictionSeries {
-            label: "drone-3d",
-            semantic,
-            hardware: (vldp.stats().accuracy(), vldp.stats().coverage()),
-        });
+        is_free(c)
+    });
+    let _ = astar(&space, start, goal, &AstarConfig::default(), &mut oracle);
+    PredictionSeries {
+        label,
+        semantic,
+        hardware: (vldp.stats().accuracy(), vldp.stats().coverage()),
     }
-
-    Fig8 { series }
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 
 use super::{random_pairs, Scale};
 use racod_grid::gen::{city_map, CityName};
-use racod_sim::planner::{plan_racod_2d, Scenario2};
+use racod_sim::planner::{plan, Backend, Scenario2};
 use racod_sim::CostModel;
 use std::fmt;
 
@@ -72,8 +72,8 @@ pub fn fig9(scale: Scale) -> Fig9 {
         let mut spec = Vec::new();
         let mut util = Vec::new();
         for &(s, g) in &pairs {
-            let sc = Scenario2::new(&grid).with_free_endpoints(s.x, s.y, g.x, g.y);
-            let out = plan_racod_2d(&sc, units, &cost);
+            let sc = Scenario2::new(&grid).with_free_endpoints(s, g);
+            let out = plan(&sc, Backend::racod(units), &cost);
             if !out.result.found() {
                 continue;
             }

@@ -40,6 +40,8 @@ pub use table2_codacc::table2;
 use racod_geom::Cell2;
 use racod_grid::gen::random_free_cell;
 use racod_grid::{BitGrid2, Occupancy2};
+use racod_mem::CacheConfig;
+use racod_sim::{plan, Backend, CostModel, Dim, Scenario};
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
@@ -102,6 +104,67 @@ pub fn geomean(values: &[f64]) -> f64 {
     assert!(!values.is_empty(), "geomean of nothing");
     let log_sum: f64 = values.iter().map(|v| v.ln()).sum();
     (log_sum / values.len() as f64).exp()
+}
+
+/// Figures 3 and 5's measurement of one scenario after another, once for
+/// both robots: RACOD at every swept unit count, and one CODAcc without
+/// RASExp (the §5.2 "pure hardware acceleration" point), each as a speedup
+/// over the 4-thread software baseline on the Core i3 model.
+#[derive(Debug)]
+pub(crate) struct UnitSweep {
+    units: &'static [usize],
+    per_unit: Vec<Vec<f64>>,
+    no_ras: Vec<f64>,
+    /// Each solved scenario's baseline collision-stall share.
+    pub shares: Vec<f64>,
+}
+
+impl UnitSweep {
+    /// An empty sweep over `scale`'s unit counts.
+    pub fn new(scale: Scale) -> Self {
+        let units = scale.unit_sweep();
+        UnitSweep { units, per_unit: vec![Vec::new(); units.len()], no_ras: vec![], shares: vec![] }
+    }
+
+    /// Measures `sc`, unless the baseline finds no path.
+    pub fn add<D: Dim>(&mut self, sc: &Scenario<'_, D>) {
+        let racod_cost = CostModel::racod();
+        let software = Backend::software(4, None);
+        let base = plan(sc, software, &CostModel::i3_software());
+        if !base.result.found() {
+            return;
+        }
+        let speedup = |backend| {
+            let racod = plan(sc, backend, &racod_cost);
+            debug_assert_eq!(racod.result.path, base.result.path);
+            base.cycles as f64 / racod.cycles.max(1) as f64
+        };
+        for (series, &units) in self.per_unit.iter_mut().zip(self.units) {
+            series.push(speedup(Backend::racod(units)));
+        }
+        self.no_ras.push(speedup(Backend::Racod {
+            units: 1,
+            runahead: false,
+            latency: Default::default(),
+            l0: CacheConfig::l0_default(),
+        }));
+        self.shares.push(base.timing.stall_cycles as f64 / base.timing.cycles.max(1) as f64);
+    }
+
+    /// Scenarios measured so far.
+    pub fn solved(&self) -> usize {
+        self.no_ras.len()
+    }
+
+    /// `(units, geomean speedup)` per swept unit count.
+    pub fn speedups(&self) -> Vec<(usize, f64)> {
+        self.units.iter().zip(&self.per_unit).map(|(&u, v)| (u, geomean(v))).collect()
+    }
+
+    /// Geomean speedup of one CODAcc without RASExp.
+    pub fn one_unit_no_rasexp(&self) -> f64 {
+        geomean(&self.no_ras)
+    }
 }
 
 /// Draws `n` random start/goal pairs of free cells at least a quarter of

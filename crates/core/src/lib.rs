@@ -25,11 +25,11 @@
 //!
 //! // A city-like environment and a car-shaped robot.
 //! let grid = city_map(CityName::Boston, 256, 256);
-//! let scenario = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+//! let scenario = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
 //!
 //! // The software baseline vs RACOD with 8 CODAcc units.
-//! let base = plan_software_2d(&scenario, 4, None, &CostModel::i3_software());
-//! let racod = plan_racod_2d(&scenario, 8, &CostModel::racod());
+//! let base = plan(&scenario, Backend::software(4, None), &CostModel::i3_software());
+//! let racod = plan(&scenario, Backend::racod(8), &CostModel::racod());
 //!
 //! assert_eq!(base.result.path, racod.result.path); // same answer...
 //! assert!(racod.cycles < base.cycles);             // ...much sooner
@@ -75,11 +75,9 @@ pub mod prelude {
     pub use racod_grid::{BitGrid2, BitGrid3, Occupancy2, Occupancy3};
     pub use racod_rasexp::{RunaheadConfig, RunaheadOracle};
     pub use racod_search::{astar, AstarConfig, FnOracle, GridSpace2, GridSpace3, Heuristic2};
-    pub use racod_sim::planner::{
-        plan_racod_2d, plan_racod_3d, plan_software_2d, plan_software_3d,
-    };
     pub use racod_sim::{
-        CostModel, Footprint2, Footprint3, RotKey, Scenario2, Scenario3, TemplateCache2,
-        TemplateCache3, TemplateChecker2, TemplateChecker3, TemplateStats,
+        plan, plan_in, Backend, CostModel, Dim, Footprint2, Footprint3, RotKey, Scenario,
+        Scenario2, Scenario3, TemplateCache, TemplateCache2, TemplateCache3, TemplateChecker,
+        TemplateChecker2, TemplateChecker3, TemplateStats, D2, D3,
     };
 }

@@ -34,6 +34,24 @@ pub fn mix64(mut z: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// FNV-1a over a byte slice: the workspace's standard content hash (frame
+/// and trace-record checksums, shard routing, artifact integrity).
+pub fn fnv1a(bytes: &[u8]) -> u64 {
+    fnv1a_with(0xcbf2_9ce4_8422_2325, bytes)
+}
+
+/// FNV-1a continued from `seed` — the state after hashing earlier bytes —
+/// so a value can be hashed piecewise without concatenating it.
+pub fn fnv1a_with(seed: u64, bytes: &[u8]) -> u64 {
+    bytes.iter().fold(seed, |h, &b| (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3))
+}
+
+/// Folds a 64-bit hash onto itself so both halves contribute to a 32-bit
+/// checksum.
+pub fn fold32(h: u64) -> u32 {
+    (h ^ (h >> 32)) as u32
+}
+
 /// Named instrumentation points across the planning stack.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum FaultSite {
@@ -310,6 +328,17 @@ impl FaultPlanBuilder {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn fnv1a_matches_the_published_vectors() {
+        // Frame and trace-record checksums are this function's output on
+        // the wire and on disk; the reference vectors pin it.
+        assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
+        assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
+        assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+        assert_eq!(fnv1a_with(fnv1a(b"foo"), b"bar"), fnv1a(b"foobar"));
+        assert_eq!(fold32(0x0000_0001_0000_0003), 2);
+    }
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     #[test]

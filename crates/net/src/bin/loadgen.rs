@@ -12,11 +12,8 @@
 //!   with per-request deadlines — measures behavior under overload, where
 //!   admission control and deadline expiry must shed load. Local only.
 //!
-//! Usage: `cargo run --release -p racod-net --bin loadgen -- [--requests N]
-//! [--clients N | --rate R] [--workers N] [--queue N] [--units N] [--seed S]
-//! [--deadline D] [--cancel-rate F] [--overshoot-budget D] [--platform P]
-//! [--speculate on|off] [--alt on|off] [--remote HOST:PORT] [--churn N]
-//! [--trace-out PATH] [--fault-seed S]`
+//! Usage: `cargo run --release -p racod-net --bin loadgen -- --help` lists
+//! every flag with examples.
 //!
 //! `--trace-out PATH` (local only) records the run as a replayable binary
 //! trace: every admitted request, rejection, churn batch, and outcome.
@@ -65,9 +62,8 @@
 //! print the same digest — that is the wire layer's bit-identity contract,
 //! and CI's `net-smoke` job asserts it.
 
-use racod_fault::{mix64, FaultPlan};
+use racod_fault::{fnv1a, mix64, FaultPlan};
 use racod_net::digest::{plan_cost_digest, plan_digest};
-use racod_net::wire::fnv1a;
 use racod_net::{plan_with_retry, standard_world, ClientConfig, MapPool, NetClient, WireResult};
 use racod_server::{
     submit_with_retry, AltConfig, BreakerConfig, Outcome, PlanRequest, PlanServer, Platform,
@@ -162,9 +158,35 @@ fn parsed<T: std::str::FromStr>(name: &str, v: &str) -> T {
     })
 }
 
+const USAGE: &str = "\
+loadgen — drive a mixed-map planning workload and report throughput/latency
+
+usage: loadgen [--requests N] [--clients N | --rate R] [--workers N] [--queue N]
+               [--units N] [--seed S] [--map-size N] [--platform racod|threads]
+               [--deadline D] [--cancel-rate F] [--overshoot-budget D]
+               [--speculate on|off] [--alt on|off] [--churn N]
+               [--remote HOST:PORT] [--trace-out PATH] [--fault-seed S]
+
+  closed loop (default): --clients N submitters, one request in flight each
+  open loop:             --rate R requests/second with per-request deadlines (local only)
+  durations D:           5ms, 250us, 1s; a bare number is milliseconds
+
+examples:
+  loadgen --requests 300
+  loadgen --rate 400 --requests 300
+  loadgen --platform threads --churn 20
+  loadgen --requests 100 --map-size 64 --clients 4 --remote 127.0.0.1:7460
+
+Every run prints `plan digest` and `cost digest`; a local and a --remote run
+over the same seed and world must agree on both. Exit 2 on a bad argument.";
+
 fn parse_args() -> Options {
     let mut o = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let mut i = 0;
     while i < args.len() {
         let take = |name: &str| -> Option<String> {

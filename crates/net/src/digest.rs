@@ -18,12 +18,10 @@
 //! [`plan_cost_digest`] over its live outcomes, and the two must match
 //! bit-for-bit. The loadgen report prints both digests per run.
 
-use racod_fault::mix64;
+use racod_fault::{fnv1a, mix64};
 use racod_search::canonical_cost_2d;
 use racod_server::trace::PlanRecord;
 use racod_server::{OutcomeKind, PlanRequest, Planned, PlannedPath, Workload};
-
-use crate::wire::fnv1a;
 
 /// Folds the request identity (map + endpoints) every digest starts from.
 fn request_seed(map: &str, workload: &Workload) -> u64 {

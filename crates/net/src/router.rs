@@ -38,8 +38,7 @@
 use crate::client::ClientConfig;
 use crate::conn::{ConnConfig, ConnError, FramedConn, Recv};
 use crate::proto::{Health, Message, MetricsFrame, ShardStat, ShardState, WireResult};
-use crate::wire::fnv1a;
-use racod_fault::mix64;
+use racod_fault::{fnv1a, mix64};
 use racod_server::{
     BreakerConfig, CircuitBreaker, MapId, Outcome, PlanRequest, PlanResponse, Rejected, Route,
     ServerMetrics,

@@ -14,22 +14,13 @@
 //! allocating, so a forged length can never make the decoder allocate
 //! more than the frame it was handed (see [`ByteReader::vec_len`]).
 
+use racod_fault::{fnv1a, fold32};
 use std::fmt;
-
-/// FNV-1a over a byte slice (the workspace's standard content hash).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
 
 /// The 32-bit payload checksum carried in every frame header: FNV-1a
 /// folded onto itself so both halves of the hash contribute.
 pub fn frame_checksum(payload: &[u8]) -> u32 {
-    let h = fnv1a(payload);
-    (h ^ (h >> 32)) as u32
+    fold32(fnv1a(payload))
 }
 
 /// Why a frame or payload failed to decode. Every malformed input maps to

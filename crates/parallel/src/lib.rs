@@ -32,5 +32,5 @@
 mod pool;
 mod status;
 
-pub use pool::{ParallelConfig, ParallelPlanner, ParallelRun, WorkerPool};
+pub use pool::{ParallelConfig, ParallelPlanner, ParallelRun, ThreadCensus, WorkerPool};
 pub use status::{StatusTable, WaitOutcome};

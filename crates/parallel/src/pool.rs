@@ -8,7 +8,7 @@ use racod_search::{
     SearchResult, SearchScratch, SearchSpace, Termination,
 };
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -139,9 +139,41 @@ pub struct WorkerPool<S> {
     threads: usize,
     tx: Sender<Job<S>>,
     workers: Vec<JoinHandle<()>>,
+    census: Arc<ThreadCensus>,
     /// Lifetime count of check closures that panicked (each one poisoned
     /// its episode). A pool-health signal for serving layers.
     check_panics: Arc<AtomicU64>,
+}
+
+/// One pool's own thread accounting: how many OS threads it has ever
+/// spawned and how many of them have run to completion. Shared with the
+/// workers, so it can be read after the pool is gone — `live() == 0` then
+/// means `Drop` joined every thread the pool started.
+#[derive(Debug, Default)]
+pub struct ThreadCensus {
+    spawned: AtomicUsize,
+    exited: AtomicUsize,
+}
+
+impl ThreadCensus {
+    /// Threads this pool has spawned over its lifetime.
+    pub fn spawned(&self) -> usize {
+        self.spawned.load(Ordering::Acquire)
+    }
+
+    /// Spawned threads that have not yet finished.
+    pub fn live(&self) -> usize {
+        self.spawned() - self.exited.load(Ordering::Acquire)
+    }
+}
+
+/// Marks its worker thread as exited however the thread body ends.
+struct ExitMark(Arc<ThreadCensus>);
+
+impl Drop for ExitMark {
+    fn drop(&mut self) {
+        self.0.exited.fetch_add(1, Ordering::Release);
+    }
 }
 
 impl<S: Copy + Send + 'static> WorkerPool<S> {
@@ -154,13 +186,17 @@ impl<S: Copy + Send + 'static> WorkerPool<S> {
         assert!(threads > 0, "at least one worker thread");
         let (tx, rx) = unbounded::<Job<S>>();
         let check_panics = Arc::new(AtomicU64::new(0));
+        let census = Arc::new(ThreadCensus::default());
         let workers = (0..threads)
             .map(|i| {
                 let rx: Receiver<Job<S>> = rx.clone();
                 let check_panics = check_panics.clone();
+                census.spawned.fetch_add(1, Ordering::Release);
+                let exit = ExitMark(census.clone());
                 std::thread::Builder::new()
                     .name(format!("racod-check-{i}"))
                     .spawn(move || {
+                        let _exit = exit;
                         let mut verdicts: Vec<bool> = Vec::new();
                         while let Ok(job) = rx.recv() {
                             match job {
@@ -211,7 +247,14 @@ impl<S: Copy + Send + 'static> WorkerPool<S> {
                     .expect("spawn check worker")
             })
             .collect();
-        WorkerPool { threads, tx, workers, check_panics }
+        WorkerPool { threads, tx, workers, census, check_panics }
+    }
+
+    /// The pool's thread accounting: `spawned()` stays at
+    /// [`WorkerPool::threads`] however many plans run on it. Clone the
+    /// `Arc` to keep reading after the pool is dropped.
+    pub fn census(&self) -> &Arc<ThreadCensus> {
+        &self.census
     }
 
     /// Number of worker threads.
@@ -291,7 +334,7 @@ where
     /// hanging the planner. Verdicts — and therefore plans — are
     /// bit-identical to the per-state path.
     ///
-    /// [batch]: ../racod_sim/struct.TemplateChecker2.html
+    /// [batch]: ../racod_sim/struct.TemplateChecker.html
     ///
     /// # Panics
     ///

@@ -31,7 +31,7 @@ fn assert_same_run<S: PartialEq + std::fmt::Debug>(
 #[test]
 fn parallel_2d_matches_single_threaded_astar() {
     let grid = Arc::new(city_map(CityName::Boston, 96, 96));
-    let sc = Scenario2::new(&grid).with_free_endpoints(8, 8, 88, 80);
+    let sc = Scenario2::new(&grid).with_free_endpoints((8, 8), (88, 80));
     let (goal, fp) = (sc.goal, sc.footprint);
     let checker = |g: Arc<BitGrid2>| {
         move |c: Cell2| software_check_2d(g.as_ref(), &fp.obb_at(c, goal)).verdict.is_free()
@@ -87,7 +87,7 @@ fn batched_planner_matches_per_state_planner() {
     // same path, cost bits, and expansion count as the per-state planner
     // and the single-threaded reference, with and without speculation.
     let grid = Arc::new(city_map(CityName::Boston, 96, 96));
-    let sc = Scenario2::new(&grid).with_free_endpoints(8, 8, 88, 80);
+    let sc = Scenario2::new(&grid).with_free_endpoints((8, 8), (88, 80));
     let (goal, fp) = (sc.goal, sc.footprint);
     let checker = |g: Arc<BitGrid2>| {
         move |c: Cell2| software_check_2d(g.as_ref(), &fp.obb_at(c, goal)).verdict.is_free()

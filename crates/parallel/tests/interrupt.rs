@@ -8,12 +8,6 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Reads the process thread count from /proc (Linux); `None` elsewhere.
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status.lines().find_map(|l| l.strip_prefix("Threads:")).and_then(|v| v.trim().parse().ok())
-}
-
 #[test]
 fn expired_deadline_frees_planner_within_poll_budget() {
     // A doomed request (expired deadline) over a large map must stop after
@@ -77,36 +71,31 @@ fn persistent_pool_keeps_thread_count_constant_across_100_plans() {
     let planner =
         ParallelPlanner::new(ParallelConfig::rasexp(4, 8), move |c: Cell2| g.get(c) == Some(false));
     let space = GridSpace2::eight_connected(64, 64);
-    // Warm-up plan, then measure.
+    // The pool's own census, not the process-wide thread count: sibling
+    // tests in this binary spawn and drop pools of their own meanwhile.
+    let census = planner.pool().census().clone();
     let reference = planner.plan(&space, Cell2::new(1, 1), Cell2::new(62, 62));
-    let before = os_thread_count();
     for _ in 0..100 {
         let run = planner.plan(&space, Cell2::new(1, 1), Cell2::new(62, 62));
         assert_eq!(run.result.path, reference.result.path);
     }
-    let after = os_thread_count();
-    if let (Some(before), Some(after)) = (before, after) {
-        assert_eq!(
-            before, after,
-            "plan() must not spawn OS threads per request ({before} -> {after})"
-        );
-    }
+    assert_eq!(census.spawned(), 4, "plan() must not spawn OS threads per request");
+    assert_eq!(census.live(), 4);
     assert_eq!(planner.pool().threads(), 4);
 }
 
 #[test]
 fn dropping_the_planner_joins_its_workers() {
-    let before = os_thread_count();
-    {
+    let census = {
         let planner = ParallelPlanner::new(ParallelConfig::baseline(3), |_c: Cell2| true);
         let space = GridSpace2::eight_connected(16, 16);
         let run = planner.plan(&space, Cell2::new(0, 0), Cell2::new(15, 15));
         assert!(run.result.found());
-    }
-    let after = os_thread_count();
-    if let (Some(before), Some(after)) = (before, after) {
-        assert_eq!(before, after, "workers must be joined on drop");
-    }
+        assert_eq!(planner.pool().census().live(), 3);
+        planner.pool().census().clone()
+    };
+    assert_eq!(census.spawned(), 3);
+    assert_eq!(census.live(), 0, "every spawned worker must be joined on drop");
 }
 
 #[test]

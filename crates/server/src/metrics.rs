@@ -204,6 +204,9 @@ pub struct ServerMetrics {
     /// the persistent `Threads` pools (contained; the search aborts with a
     /// poisoned verdict instead of hanging).
     pub check_pool_panics: AtomicU64,
+    /// OS threads spawned into the persistent `Threads` check pools; flat
+    /// once every thread count in use has its pool.
+    pub check_threads_spawned: AtomicU64,
     /// Cached map artifacts whose integrity checksum failed verification;
     /// the artifact was discarded and rebuilt, and the affected request
     /// planned without the reachability prefilter.
@@ -288,7 +291,7 @@ pub struct ServerMetrics {
 }
 
 /// Number of counters exposed by [`ServerMetrics::counters`].
-const COUNTERS: usize = 47;
+const COUNTERS: usize = 48;
 
 impl ServerMetrics {
     /// Fresh zeroed metrics.
@@ -320,6 +323,7 @@ impl ServerMetrics {
             ("breaker_probes", &self.breaker_probes),
             ("breaker_recovered", &self.breaker_recovered),
             ("check_pool_panics", &self.check_pool_panics),
+            ("check_threads_spawned", &self.check_threads_spawned),
             ("map_corruptions_detected", &self.map_corruptions_detected),
             ("affinity_hits", &self.affinity_hits),
             ("affinity_misses", &self.affinity_misses),

@@ -29,7 +29,7 @@
 use crate::request::MapId;
 use crate::speculate::SpecMemo2;
 use parking_lot::{Mutex, RwLock};
-use racod_fault::{FaultPlan, FaultSite};
+use racod_fault::{fnv1a, fnv1a_with, FaultPlan, FaultSite};
 use racod_geom::Cell2;
 use racod_grid::inflate::inflate_chebyshev;
 use racod_grid::{BitGrid2, BitGrid3, GridDelta2, Occupancy2, Occupancy3};
@@ -99,10 +99,10 @@ impl Artifacts2 {
     }
 
     fn content_checksum(inflated: &BitGrid2, dims: (u32, u32)) -> u64 {
-        let mut h = fnv1a(0xcbf2_9ce4_8422_2325, &dims.0.to_le_bytes());
-        h = fnv1a(h, &dims.1.to_le_bytes());
+        let mut h = fnv1a(&dims.0.to_le_bytes());
+        h = fnv1a_with(h, &dims.1.to_le_bytes());
         for w in inflated.words() {
-            h = fnv1a(h, &w.to_le_bytes());
+            h = fnv1a_with(h, &w.to_le_bytes());
         }
         h
     }
@@ -191,15 +191,7 @@ pub enum AltFetch {
 
 /// Stable per-map token for fault-injection decisions (FNV-1a of the id).
 fn id_token(id: &MapId) -> u64 {
-    fnv1a(0xcbf2_9ce4_8422_2325, id.as_str().as_bytes())
-}
-
-fn fnv1a(mut h: u64, bytes: &[u8]) -> u64 {
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x100_0000_01b3);
-    }
-    h
+    fnv1a(id.as_str().as_bytes())
 }
 
 fn first_free_cell(grid: &BitGrid2) -> Option<Cell2> {

@@ -76,7 +76,7 @@ pub enum Workload {
 /// Which execution backend serves the request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Platform {
-    /// Timed software model (`plan_software_*`): `threads` contexts,
+    /// Timed software model (`Backend::Software`): `threads` contexts,
     /// optional RASExp runahead depth.
     SimSoftware {
         /// Execution contexts in the timing model.

@@ -40,6 +40,7 @@
 use crate::metrics::ServerMetrics;
 use crate::request::{Outcome, PlanRequest, Planned, PlannedPath, Platform, Priority, Workload};
 use crossbeam::channel::{bounded, Receiver, Sender};
+use racod_fault::{fnv1a, fold32};
 use racod_geom::{Cell2, Cell3};
 use racod_grid::GridDelta2;
 use racod_search::{canonical_cost_2d, AstarConfig};
@@ -64,20 +65,10 @@ const NO_DURATION_US: u64 = u64::MAX;
 /// Sentinel for an absent `u32` option (mirrors the wire codec).
 const NO_U32: u32 = u32::MAX;
 
-/// FNV-1a over a byte slice (the workspace's standard content hash).
-pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 /// The 32-bit per-record checksum: FNV-1a folded onto itself so both
 /// halves of the hash contribute (same construction as the wire frames).
 pub fn record_checksum(payload: &[u8]) -> u32 {
-    let h = fnv1a(payload);
-    (h ^ (h >> 32)) as u32
+    fold32(fnv1a(payload))
 }
 
 /// The build identifier stamped into trace headers and the `/metrics`

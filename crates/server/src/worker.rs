@@ -25,20 +25,18 @@ use crate::metrics::ServerMetrics;
 use crate::request::{MapId, Outcome, Planned, PlannedPath, Platform, TimeoutStage, Workload};
 use crate::scheduler::Admitted;
 use crossbeam::channel::Receiver;
-use racod_codacc::{template_check_2d, template_check_3d, CodaccPool};
+use racod_codacc::CodaccPool;
 use racod_fault::{mix64, FaultPlan, FaultSite};
-use racod_geom::{Cell2, Cell3, FootprintTemplate2, FootprintTemplate3};
+use racod_geom::{Cell2, Cell3};
 use racod_parallel::{ParallelConfig, ParallelPlanner, WorkerPool};
 use racod_search::{
-    AltSpace2, GridSpace2, GridSpace3, Interrupt, InterruptReason, SearchScratch, SearchStats,
-    Termination,
+    Interrupt, InterruptReason, SearchResult, SearchScratch, SearchStats, Termination,
 };
-use racod_sim::oracle::CheckProbe;
-use racod_sim::planner::{
-    plan_racod_2d_pooled_in, plan_racod_3d_pooled_in, plan_software_2d_in, plan_software_3d_in,
-    Scenario2, Scenario3,
+use racod_sim::oracle::{CheckProbe, CheckProbeSlot};
+use racod_sim::{
+    plan_in, Backend, CostModel, Dim, Footprint2, Footprint3, RotKey, Scenario, Scenario2,
+    Scenario3, TemplateSource, TemplateStats, D2, D3,
 };
-use racod_sim::{CostModel, RotKey, TemplateStats};
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -95,33 +93,54 @@ pub struct WorkerContext {
 /// A batch of same-map requests handed to one worker.
 pub type Batch = Vec<Admitted>;
 
-/// Warm execution state owned by one worker: per-`(map, units)` CODAcc
-/// pools whose L0/L1 caches hold lines of that map's grid, plus persistent
+/// What one worker keeps warm per planning dimension: persistent
 /// per-thread-count collision-check thread pools for [`Platform::Threads`]
-/// (map-agnostic — the check closure travels with each planning episode),
-/// so no OS threads are spawned per request.
+/// (map-agnostic — the check closure travels with each planning episode, so
+/// no OS threads are spawned per request) and the epoch-stamped search
+/// arena reused across every request — after the first plan on the largest
+/// map, the steady-state search allocates nothing.
+struct WarmDim<D: Dim> {
+    check_pools: HashMap<usize, Arc<WorkerPool<D::Cell>>>,
+    scratch: SearchScratch<D::Cell>,
+}
+
+impl<D: Dim> WarmDim<D> {
+    fn new() -> Self {
+        WarmDim { check_pools: HashMap::new(), scratch: SearchScratch::new() }
+    }
+
+    /// The persistent check pool for `threads` workers, spawning it on
+    /// first use. A panicking check only poisons its own episode, so pools
+    /// stay reusable across requests.
+    fn check_pool(&mut self, threads: usize, metrics: &ServerMetrics) -> Arc<WorkerPool<D::Cell>> {
+        let threads = threads.max(1);
+        self.check_pools
+            .entry(threads)
+            .or_insert_with(|| {
+                let pool = WorkerPool::new(threads);
+                metrics
+                    .check_threads_spawned
+                    .fetch_add(pool.census().spawned() as u64, Ordering::Relaxed);
+                Arc::new(pool)
+            })
+            .clone()
+    }
+}
+
+/// Warm execution state owned by one worker: per-`(map, units)` CODAcc
+/// pools whose L0/L1 caches hold lines of that map's grid, plus the
+/// per-dimension pools and arenas. A panicking request discards the whole
+/// `WarmState` with the dying loop, so a poisoned arena never leaks into a
+/// later search.
 struct WarmState {
     pools: HashMap<(MapId, usize), CodaccPool>,
-    check_pools2: HashMap<usize, Arc<WorkerPool<Cell2>>>,
-    check_pools3: HashMap<usize, Arc<WorkerPool<Cell3>>>,
-    /// Epoch-stamped search arenas reused across every request this worker
-    /// serves: after the first plan on the largest map, the steady-state
-    /// search allocates nothing. A panicking request discards the whole
-    /// `WarmState` with the dying loop, so a poisoned arena never leaks
-    /// into a later search.
-    scratch2: SearchScratch<Cell2>,
-    scratch3: SearchScratch<Cell3>,
+    d2: WarmDim<D2>,
+    d3: WarmDim<D3>,
 }
 
 impl WarmState {
     fn new() -> Self {
-        WarmState {
-            pools: HashMap::new(),
-            check_pools2: HashMap::new(),
-            check_pools3: HashMap::new(),
-            scratch2: SearchScratch::new(),
-            scratch3: SearchScratch::new(),
-        }
+        WarmState { pools: HashMap::new(), d2: WarmDim::new(), d3: WarmDim::new() }
     }
 
     /// Takes the pool for `(map, units)` out of the cache (re-inserted
@@ -137,23 +156,29 @@ impl WarmState {
     fn put_back(&mut self, map: &MapId, units: usize, pool: CodaccPool) {
         self.pools.insert((map.clone(), units), pool);
     }
+}
 
-    /// The persistent 2D check pool for `threads` workers, spawning it on
-    /// first use. A panicking check only poisons its own episode, so pools
-    /// stay reusable across requests.
-    fn check_pool2(&mut self, threads: usize) -> Arc<WorkerPool<Cell2>> {
-        self.check_pools2
-            .entry(threads.max(1))
-            .or_insert_with(|| Arc::new(WorkerPool::new(threads.max(1))))
-            .clone()
+/// Where a planning dimension's warm state and response path live.
+trait Served: Dim {
+    fn warm(warm: &mut WarmState) -> &mut WarmDim<Self>;
+    fn path(path: Option<Vec<Self::Cell>>) -> PlannedPath;
+}
+
+impl Served for D2 {
+    fn warm(warm: &mut WarmState) -> &mut WarmDim<D2> {
+        &mut warm.d2
     }
+    fn path(path: Option<Vec<Cell2>>) -> PlannedPath {
+        PlannedPath::P2(path)
+    }
+}
 
-    /// The persistent 3D check pool for `threads` workers.
-    fn check_pool3(&mut self, threads: usize) -> Arc<WorkerPool<Cell3>> {
-        self.check_pools3
-            .entry(threads.max(1))
-            .or_insert_with(|| Arc::new(WorkerPool::new(threads.max(1))))
-            .clone()
+impl Served for D3 {
+    fn warm(warm: &mut WarmState) -> &mut WarmDim<D3> {
+        &mut warm.d3
+    }
+    fn path(path: Option<Vec<Cell3>>) -> PlannedPath {
+        PlannedPath::P3(path)
     }
 }
 
@@ -464,15 +489,7 @@ fn execute(
                 if let Some(art) = art {
                     if entry.version2() == v0 && art.definitely_disconnected(*start, *goal) {
                         return (
-                            Planned {
-                                path: PlannedPath::P2(None),
-                                cost: f64::INFINITY,
-                                expansions: 0,
-                                sim_cycles: 0,
-                                queue_wait: Default::default(),
-                                service_time: Default::default(),
-                                warm_start: false,
-                            },
+                            planned(PlannedPath::P2(None), f64::INFINITY, 0, 0, false),
                             Termination::Exhausted,
                         );
                     }
@@ -500,153 +517,21 @@ fn execute(
                 };
                 let mut sc = Scenario2::new(&grid)
                     .with_astar(astar.clone())
-                    .with_template_cache(entry.template_cache2());
-                sc.footprint = *footprint;
-                sc.start = *start;
-                sc.goal = *goal;
-                if let Some(pack) = &alt_pack {
-                    sc = sc.with_landmarks(pack.clone());
-                }
-                // The mid-check fault site instruments the *accelerated*
-                // checker paths (RACOD's timed oracle, the Threads pool
-                // closure); the plain software path stays trusted so
-                // breaker fallbacks demonstrably work while faults are
-                // armed.
-                if matches!(platform, Platform::Racod { .. }) {
-                    if let Some(p) = check_probe.clone() {
-                        sc = sc.with_check_probe(p);
+                    .with_template_cache(entry.template_cache2())
+                    .with_footprint(*footprint);
+                (sc.start, sc.goal, sc.alt) = (*start, *goal, alt_pack);
+                sc.check_probe = CheckProbeSlot(check_probe.clone());
+                // Only the real-threads arm consults the speculation memo.
+                let consulted = speculation
+                    && replans < MAX_INFLIGHT_REPLANS
+                    && matches!(platform, Platform::Threads { .. });
+                let memo = consulted.then(|| {
+                    let memo = entry.spec_memo2();
+                    move |fp: &Footprint2, key, s| {
+                        memo.lookup(fp, key, s).map(|c| c.verdict.is_free())
                     }
-                }
-                let consult_memo = speculation && replans < MAX_INFLIGHT_REPLANS;
-                let out = match platform {
-                    Platform::SimSoftware { threads, runahead } => {
-                        let out = plan_software_2d_in(
-                            &sc,
-                            threads,
-                            runahead,
-                            &CostModel::i3_software(),
-                            &mut warm.scratch2,
-                        );
-                        record_tstats(metrics, out.tstats);
-                        record_sstats(metrics, &out.result.stats);
-                        metrics
-                            .alt_expansions_saved
-                            .fetch_add(out.alt_tightened, Ordering::Relaxed);
-                        planned2(out, false)
-                    }
-                    Platform::Racod { units } => {
-                        let (mut pool, was_warm) = warm.take(&sc_map_id(entry), units);
-                        let out = plan_racod_2d_pooled_in(
-                            &sc,
-                            &mut pool,
-                            &CostModel::racod(),
-                            &mut warm.scratch2,
-                        );
-                        warm.put_back(&sc_map_id(entry), units, pool);
-                        record_tstats(metrics, out.tstats);
-                        record_sstats(metrics, &out.result.stats);
-                        metrics
-                            .alt_expansions_saved
-                            .fetch_add(out.alt_tightened, Ordering::Relaxed);
-                        planned2(out, was_warm)
-                    }
-                    Platform::Threads { threads, runahead } => {
-                        let grid = grid.clone();
-                        let fp = *footprint;
-                        let goal_c = *goal;
-                        let cache = entry.template_cache2();
-                        let hits = Arc::new(AtomicU64::new(0));
-                        let misses = Arc::new(AtomicU64::new(0));
-                        let (h, m) = (hits.clone(), misses.clone());
-                        let probe = check_probe.clone();
-                        let pool = warm.check_pool2(threads);
-                        let pool_panics_before = pool.check_panics();
-                        let memo = consult_memo.then(|| entry.spec_memo2());
-                        let mtr = metrics.clone();
-                        // The check threads come from the worker's
-                        // persistent pool; only the episode-specific
-                        // closure is new per request. Chunks of the demand
-                        // wavefront arrive whole, so one template lookup
-                        // amortizes over each same-orientation run, and
-                        // speculatively prechecked verdicts (bit-identical
-                        // by construction) short-circuit the native kernel.
-                        let planner = ParallelPlanner::with_pool_batched(
-                            ParallelConfig { threads, runahead },
-                            move |states: &[Cell2], out: &mut Vec<bool>| {
-                                let mut last: Option<(RotKey, Arc<FootprintTemplate2>)> = None;
-                                for &s in states {
-                                    if let Some(p) = &probe {
-                                        p();
-                                    }
-                                    let key = fp.rot_key(s, goal_c);
-                                    if let Some(memo) = &memo {
-                                        if let Some(c) = memo.lookup(&fp, key, s) {
-                                            mtr.speculation_hits.fetch_add(1, Ordering::Relaxed);
-                                            out.push(c.verdict.is_free());
-                                            continue;
-                                        }
-                                    }
-                                    let tpl = match &last {
-                                        Some((k, t)) if *k == key => t.clone(),
-                                        _ => {
-                                            let (t, hit) = cache.get(&fp, key);
-                                            if hit { &h } else { &m }
-                                                .fetch_add(1, Ordering::Relaxed);
-                                            last = Some((key, t.clone()));
-                                            t
-                                        }
-                                    };
-                                    out.push(
-                                        template_check_2d(grid.as_ref(), s, &tpl).verdict.is_free(),
-                                    );
-                                }
-                            },
-                            pool.clone(),
-                        );
-                        let space = AltSpace2::new(
-                            GridSpace2::eight_connected(
-                                racod_grid::Occupancy2::width(sc.grid),
-                                racod_grid::Occupancy2::height(sc.grid),
-                            ),
-                            alt_pack.as_deref(),
-                        );
-                        let run = planner.plan_config_in(
-                            &space,
-                            *start,
-                            *goal,
-                            &astar,
-                            &mut warm.scratch2,
-                        );
-                        metrics
-                            .alt_expansions_saved
-                            .fetch_add(space.tightened(), Ordering::Relaxed);
-                        metrics.check_pool_panics.fetch_add(
-                            pool.check_panics().saturating_sub(pool_panics_before),
-                            Ordering::Relaxed,
-                        );
-                        record_tstats(
-                            metrics,
-                            TemplateStats {
-                                hits: hits.load(Ordering::Relaxed),
-                                misses: misses.load(Ordering::Relaxed),
-                            },
-                        );
-                        record_sstats(metrics, &run.result.stats);
-                        (
-                            Planned {
-                                path: PlannedPath::P2(run.result.path),
-                                cost: run.result.cost,
-                                expansions: run.result.stats.expansions,
-                                sim_cycles: 0,
-                                queue_wait: Default::default(),
-                                service_time: Default::default(),
-                                warm_start: false,
-                            },
-                            run.result.termination,
-                        )
-                    }
-                };
-                let consulted = consult_memo && matches!(platform, Platform::Threads { .. });
+                });
+                let out = run_platform(sc, &grid, platform, memo, &entry.id, warm, metrics);
                 if !consulted || entry.version2() == v0 {
                     return out;
                 }
@@ -670,116 +555,113 @@ fn execute(
         }
         Workload::Plan3 { start, goal, footprint } => {
             let grid = entry.grid3().expect("dimension checked at admission");
-            let mut sc = Scenario3::new(&grid).with_template_cache(entry.template_cache3());
-            sc.astar = astar.clone();
-            sc.footprint = *footprint;
-            sc.start = *start;
-            sc.goal = *goal;
-            if matches!(platform, Platform::Racod { .. }) {
-                if let Some(p) = check_probe.clone() {
-                    sc = sc.with_check_probe(p);
-                }
-            }
-            match platform {
-                Platform::SimSoftware { threads, runahead } => {
-                    let out = plan_software_3d_in(
-                        &sc,
-                        threads,
-                        runahead,
-                        &CostModel::i3_software(),
-                        &mut warm.scratch3,
-                    );
-                    record_tstats(metrics, out.tstats);
-                    record_sstats(metrics, &out.result.stats);
-                    planned3(out, false)
-                }
-                Platform::Racod { units } => {
-                    let (mut pool, was_warm) = warm.take(&sc_map_id(entry), units);
-                    let out = plan_racod_3d_pooled_in(
-                        &sc,
-                        &mut pool,
-                        &CostModel::racod(),
-                        &mut warm.scratch3,
-                    );
-                    warm.put_back(&sc_map_id(entry), units, pool);
-                    record_tstats(metrics, out.tstats);
-                    record_sstats(metrics, &out.result.stats);
-                    planned3(out, was_warm)
-                }
-                Platform::Threads { threads, runahead } => {
-                    let grid = grid.clone();
-                    let fp = *footprint;
-                    let goal_c = *goal;
-                    let cache = entry.template_cache3();
-                    let hits = Arc::new(AtomicU64::new(0));
-                    let misses = Arc::new(AtomicU64::new(0));
-                    let (h, m) = (hits.clone(), misses.clone());
-                    let probe = check_probe.clone();
-                    let pool = warm.check_pool3(threads);
-                    let pool_panics_before = pool.check_panics();
-                    // Batched like the 2D arm (template lookups amortize
-                    // over same-orientation runs); 3D is not speculated, so
-                    // there is no memo consult.
-                    let planner = ParallelPlanner::with_pool_batched(
-                        ParallelConfig { threads, runahead },
-                        move |states: &[Cell3], out: &mut Vec<bool>| {
-                            let mut last: Option<(RotKey, Arc<FootprintTemplate3>)> = None;
-                            for &s in states {
-                                if let Some(p) = &probe {
-                                    p();
-                                }
-                                let key = fp.rot_key(s, goal_c);
-                                let tpl = match &last {
-                                    Some((k, t)) if *k == key => t.clone(),
-                                    _ => {
-                                        let (t, hit) = cache.get(&fp, key);
-                                        if hit { &h } else { &m }.fetch_add(1, Ordering::Relaxed);
-                                        last = Some((key, t.clone()));
-                                        t
-                                    }
-                                };
-                                out.push(
-                                    template_check_3d(grid.as_ref(), s, &tpl).verdict.is_free(),
-                                );
-                            }
-                        },
-                        pool.clone(),
-                    );
-                    let space = GridSpace3::twenty_six_connected(
-                        racod_grid::Occupancy3::size_x(sc.grid),
-                        racod_grid::Occupancy3::size_y(sc.grid),
-                        racod_grid::Occupancy3::size_z(sc.grid),
-                    );
-                    let run =
-                        planner.plan_config_in(&space, *start, *goal, &astar, &mut warm.scratch3);
-                    metrics.check_pool_panics.fetch_add(
-                        pool.check_panics().saturating_sub(pool_panics_before),
-                        Ordering::Relaxed,
-                    );
-                    record_tstats(
-                        metrics,
-                        TemplateStats {
-                            hits: hits.load(Ordering::Relaxed),
-                            misses: misses.load(Ordering::Relaxed),
-                        },
-                    );
-                    record_sstats(metrics, &run.result.stats);
-                    (
-                        Planned {
-                            path: PlannedPath::P3(run.result.path),
-                            cost: run.result.cost,
-                            expansions: run.result.stats.expansions,
-                            sim_cycles: 0,
-                            queue_wait: Default::default(),
-                            service_time: Default::default(),
-                            warm_start: false,
-                        },
-                        run.result.termination,
-                    )
-                }
-            }
+            let mut sc = Scenario3::new(&grid)
+                .with_astar(astar)
+                .with_template_cache(entry.template_cache3())
+                .with_footprint(*footprint);
+            (sc.start, sc.goal) = (*start, *goal);
+            sc.check_probe = CheckProbeSlot(check_probe);
+            // 3D plans are not speculated: there is no memo to consult.
+            let memo = None::<fn(&Footprint3, RotKey, Cell3) -> Option<bool>>;
+            run_platform(sc, &grid, platform, memo, &entry.id, warm, metrics)
         }
     }
+}
+
+/// Plans `sc` (whose `grid` borrows from `grid`) on `platform`, once for
+/// both dimensions. `sc.check_probe` carries the mid-check fault site;
+/// `memo` answers from the speculation memo, when there is one to consult.
+fn run_platform<D, M>(
+    mut sc: Scenario<'_, D>,
+    grid: &Arc<D::Grid>,
+    platform: Platform,
+    memo: Option<M>,
+    map: &MapId,
+    warm: &mut WarmState,
+    metrics: &Arc<ServerMetrics>,
+) -> (Planned, Termination)
+where
+    D: Served,
+    M: Fn(&D::Footprint, RotKey, D::Cell) -> Option<bool> + Send + Sync + 'static,
+{
+    let (out, was_warm) = match platform {
+        Platform::SimSoftware { threads, runahead } => {
+            // The mid-check fault site instruments the *accelerated*
+            // checker paths (RACOD's timed oracle, the Threads pool
+            // closure); the plain software path stays trusted so breaker
+            // fallbacks demonstrably work while faults are armed.
+            sc.check_probe = CheckProbeSlot::default();
+            let backend = Backend::software(threads, runahead);
+            let scratch = &mut D::warm(warm).scratch;
+            (plan_in(&sc, backend, &CostModel::i3_software(), scratch), false)
+        }
+        Platform::Racod { units } => {
+            let (mut pool, was_warm) = warm.take(map, units);
+            let backend = Backend::RacodPooled(&mut pool);
+            let out = plan_in(&sc, backend, &CostModel::racod(), &mut D::warm(warm).scratch);
+            warm.put_back(map, units, pool);
+            (out, was_warm)
+        }
+        Platform::Threads { threads, runahead } => {
+            let (grid, fp, goal) = (grid.clone(), sc.footprint, sc.goal);
+            let cache = sc.tcache.clone().unwrap_or_default();
+            let probe = sc.check_probe.0.take();
+            let lookups = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
+            let counted = lookups.clone();
+            let mtr = metrics.clone();
+            let pool = D::warm(warm).check_pool(threads, metrics);
+            let pool_panics_before = pool.check_panics();
+            // The check threads come from the worker's persistent pool;
+            // only the episode-specific closure is new per request. Chunks
+            // of the demand wavefront arrive whole, so one template lookup
+            // amortizes over each same-orientation run, and speculatively
+            // prechecked verdicts (bit-identical by construction)
+            // short-circuit the native kernel.
+            let planner = ParallelPlanner::with_pool_batched(
+                ParallelConfig { threads, runahead },
+                move |states: &[D::Cell], out: &mut Vec<bool>| {
+                    let mut tpls = TemplateSource::new(fp, goal, &cache);
+                    for &s in states {
+                        if let Some(p) = &probe {
+                            p();
+                        }
+                        let key = D::rot_key(&fp, s, goal);
+                        if let Some(free) = memo.as_ref().and_then(|m| m(&fp, key, s)) {
+                            mtr.speculation_hits.fetch_add(1, Ordering::Relaxed);
+                            out.push(free);
+                            continue;
+                        }
+                        out.push(D::kernel(&grid, s, tpls.template_for(key)).verdict.is_free());
+                    }
+                    // Cache traffic only: a last-key memo hit is not a
+                    // lookup on this arm's `/metrics` counters.
+                    let TemplateStats { hits, misses } = tpls.lookups();
+                    counted.0.fetch_add(hits, Ordering::Relaxed);
+                    counted.1.fetch_add(misses, Ordering::Relaxed);
+                },
+                pool.clone(),
+            );
+            let space = D::guided(&sc.space, sc.alt.as_deref());
+            let scratch = &mut D::warm(warm).scratch;
+            let run = planner.plan_config_in(&space, sc.start, sc.goal, &sc.astar, scratch);
+            metrics.alt_expansions_saved.fetch_add(D::tightened(&space), Ordering::Relaxed);
+            metrics.check_pool_panics.fetch_add(
+                pool.check_panics().saturating_sub(pool_panics_before),
+                Ordering::Relaxed,
+            );
+            record_tstats(
+                metrics,
+                TemplateStats {
+                    hits: lookups.0.load(Ordering::Relaxed),
+                    misses: lookups.1.load(Ordering::Relaxed),
+                },
+            );
+            return finish::<D>(run.result, 0, false, metrics);
+        }
+    };
+    record_tstats(metrics, out.tstats);
+    metrics.alt_expansions_saved.fetch_add(out.alt_tightened, Ordering::Relaxed);
+    finish::<D>(out.result, out.cycles, was_warm, metrics)
 }
 
 /// Marker payload for the `PoisonWorker` chaos workload: the per-request
@@ -810,7 +692,7 @@ const MAX_INFLIGHT_REPLANS: u32 = 2;
 fn plan2_survives_deltas(
     deltas: &[racod_grid::GridDelta2],
     path: Option<&[Cell2]>,
-    footprint: racod_sim::Footprint2,
+    footprint: Footprint2,
 ) -> bool {
     if !deltas.iter().all(|d| d.is_appear_only()) {
         return false;
@@ -823,10 +705,6 @@ fn plan2_survives_deltas(
         .iter()
         .flat_map(|d| d.cells())
         .all(|c| path.iter().all(|p| (c.x - p.x).abs().max((c.y - p.y).abs()) > r))
-}
-
-fn sc_map_id(entry: &crate::registry::MapEntry) -> MapId {
-    entry.id.clone()
 }
 
 fn record_tstats(metrics: &ServerMetrics, t: TemplateStats) {
@@ -844,34 +722,34 @@ fn record_sstats(metrics: &ServerMetrics, s: &SearchStats) {
     metrics.peak_open.fetch_max(s.peak_open, Ordering::Relaxed);
 }
 
-fn planned2(out: racod_sim::PlanOutcome<Cell2>, warm: bool) -> (Planned, Termination) {
-    let termination = out.result.termination;
-    (
-        Planned {
-            path: PlannedPath::P2(out.result.path),
-            cost: out.result.cost,
-            expansions: out.result.stats.expansions,
-            sim_cycles: out.cycles,
-            queue_wait: Default::default(),
-            service_time: Default::default(),
-            warm_start: warm,
-        },
-        termination,
-    )
+fn planned(
+    path: PlannedPath,
+    cost: f64,
+    expansions: u64,
+    sim_cycles: u64,
+    warm_start: bool,
+) -> Planned {
+    Planned {
+        path,
+        cost,
+        expansions,
+        sim_cycles,
+        queue_wait: Default::default(),
+        service_time: Default::default(),
+        warm_start,
+    }
 }
 
-fn planned3(out: racod_sim::PlanOutcome<Cell3>, warm: bool) -> (Planned, Termination) {
-    let termination = out.result.termination;
+fn finish<D: Served>(
+    result: SearchResult<D::Cell>,
+    sim_cycles: u64,
+    warm_start: bool,
+    metrics: &ServerMetrics,
+) -> (Planned, Termination) {
+    record_sstats(metrics, &result.stats);
+    let expansions = result.stats.expansions;
     (
-        Planned {
-            path: PlannedPath::P3(out.result.path),
-            cost: out.result.cost,
-            expansions: out.result.stats.expansions,
-            sim_cycles: out.cycles,
-            queue_wait: Default::default(),
-            service_time: Default::default(),
-            warm_start: warm,
-        },
-        termination,
+        planned(D::path(result.path), result.cost, expansions, sim_cycles, warm_start),
+        result.termination,
     )
 }

@@ -12,7 +12,7 @@ use racod_server::{
     AltConfig, AltFetch, MapRegistry, Outcome, PlanRequest, PlanServer, Planned, PlannedPath,
     ServerConfig,
 };
-use racod_sim::planner::{plan_software_2d, Scenario2};
+use racod_sim::planner::{plan, Backend, Scenario2};
 use racod_sim::CostModel;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -29,15 +29,15 @@ fn serve_one(server: &PlanServer, req: PlanRequest) -> Planned {
 /// The octile-guided reference: a direct planner call against `grid` with
 /// the same endpoints and footprint the service request carries.
 fn reference_canonical(sc: &Scenario2<'_>) -> Option<f64> {
-    let out = plan_software_2d(sc, 1, None, &CostModel::i3_software());
+    let out = plan(sc, Backend::software(1, None), &CostModel::i3_software());
     out.result.path.as_deref().and_then(canonical_cost_2d)
 }
 
 #[test]
 fn alt_guided_service_matches_octile_costs_and_cuts_expansions() {
     let grid = city_map(CityName::Boston, 128, 128);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 115, 105);
-    let direct = plan_software_2d(&sc, 1, None, &CostModel::i3_software());
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (115, 105));
+    let direct = plan(&sc, Backend::software(1, None), &CostModel::i3_software());
     let direct_canonical =
         direct.result.path.as_deref().and_then(canonical_cost_2d).expect("direct plan succeeds");
 
@@ -82,7 +82,7 @@ fn alt_guided_service_matches_octile_costs_and_cuts_expansions() {
 #[test]
 fn churned_map_never_serves_stale_landmark_answers() {
     let grid = city_map(CityName::Berlin, 96, 96);
-    let base = Scenario2::new(&grid).with_free_endpoints(8, 8, 88, 80);
+    let base = Scenario2::new(&grid).with_free_endpoints((8, 8), (88, 80));
     let (start, goal) = (base.start, base.goal);
     // A churn cell away from both endpoints (landmark distances through
     // its neighborhood genuinely change when it toggles).

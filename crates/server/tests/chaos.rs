@@ -22,7 +22,7 @@ use racod_server::{
     BreakerConfig, MapRegistry, Outcome, PlanRequest, PlanServer, Planned, PlannedPath, Platform,
     Rejected, RespawnConfig, ServerConfig, Workload,
 };
-use racod_sim::planner::{plan_racod_2d, Scenario2, Scenario3};
+use racod_sim::planner::{plan, Backend, Scenario2, Scenario3};
 use racod_sim::CostModel;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -45,7 +45,7 @@ struct World {
 /// stay inside the wall-clock bound).
 fn world() -> World {
     let grid2 = city_map(CityName::Boston, 64, 64);
-    let sc2 = Scenario2::new(&grid2).with_free_endpoints(8, 8, 56, 52);
+    let sc2 = Scenario2::new(&grid2).with_free_endpoints((8, 8), (56, 52));
     let (start2, goal2) = (sc2.start, sc2.goal);
     let grid3 = campus_3d(2, 24, 24, 12);
     let sc3 = Scenario3::new(&grid3).with_free_endpoints((3, 3, 4), (20, 20, 9));
@@ -200,7 +200,7 @@ fn breaker_trips_to_software_fallback_and_recovers() {
         let mut sc = Scenario2::new(&grid);
         sc.start = w.start2;
         sc.goal = w.goal2;
-        plan_racod_2d(&sc, 4, &CostModel::racod())
+        racod_sim::plan(&sc, Backend::racod(4), &CostModel::racod())
     };
     assert!(baseline.result.path.is_some());
 
@@ -349,8 +349,8 @@ fn progress_between_deaths_resets_the_respawn_streak() {
 #[test]
 fn installed_but_silent_fault_plan_is_bit_identical_to_baseline() {
     let grid = city_map(CityName::Paris, 96, 96);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 85, 80);
-    let direct = plan_racod_2d(&sc, 8, &CostModel::racod());
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (85, 80));
+    let direct = plan(&sc, Backend::racod(8), &CostModel::racod());
     assert!(direct.result.path.is_some());
 
     // Three silent configurations: no plan, an armed-but-empty plan, and a
@@ -388,7 +388,7 @@ fn installed_but_silent_fault_plan_is_bit_identical_to_baseline() {
 #[test]
 fn corrupted_map_load_is_detected_and_counted() {
     let grid = city_map(CityName::Boston, 64, 64);
-    let sc = Scenario2::new(&grid).with_free_endpoints(8, 8, 56, 52);
+    let sc = Scenario2::new(&grid).with_free_endpoints((8, 8), (56, 52));
     let (start, goal) = (sc.start, sc.goal);
     drop(sc);
     let reg = MapRegistry::new();

@@ -32,7 +32,7 @@ const RESOLVE_BOUND: Duration = Duration::from_secs(20);
 
 fn world() -> (Arc<MapRegistry>, Cell2, Cell2) {
     let grid = city_map(CityName::Boston, 64, 64);
-    let sc = Scenario2::new(&grid).with_free_endpoints(8, 8, 56, 52);
+    let sc = Scenario2::new(&grid).with_free_endpoints((8, 8), (56, 52));
     let (start, goal) = (sc.start, sc.goal);
     drop(sc);
     let reg = MapRegistry::new();

@@ -16,7 +16,7 @@ use racod_server::{
     MapRegistry, Outcome, PlanRequest, PlanServer, Planned, PlannedPath, Platform, ServerConfig,
     Workload,
 };
-use racod_sim::planner::{plan_racod_2d, plan_racod_3d, plan_software_2d, Scenario2, Scenario3};
+use racod_sim::planner::{plan, Backend, Scenario2, Scenario3};
 use racod_sim::CostModel;
 use std::sync::Arc;
 
@@ -37,8 +37,8 @@ fn server_over(name: &str, grid: BitGrid2, workers: usize) -> PlanServer {
 #[test]
 fn racod_2d_path_bit_identical_to_direct_call() {
     let grid = city_map(CityName::Paris, 128, 128);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 115, 105);
-    let direct = plan_racod_2d(&sc, 8, &CostModel::racod());
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (115, 105));
+    let direct = plan(&sc, Backend::racod(8), &CostModel::racod());
     assert!(direct.result.path.is_some(), "direct plan must succeed");
 
     let server = server_over("paris", grid.clone(), 1);
@@ -63,8 +63,8 @@ fn racod_2d_path_bit_identical_to_direct_call() {
 #[test]
 fn software_2d_path_bit_identical_to_direct_call() {
     let grid = city_map(CityName::Berlin, 128, 128);
-    let sc = Scenario2::new(&grid).with_free_endpoints(14, 14, 110, 110);
-    let direct = plan_software_2d(&sc, 4, Some(6), &CostModel::i3_software());
+    let sc = Scenario2::new(&grid).with_free_endpoints((14, 14), (110, 110));
+    let direct = plan(&sc, Backend::software(4, Some(6)), &CostModel::i3_software());
     assert!(direct.result.path.is_some());
 
     let server = server_over("berlin", grid.clone(), 2);
@@ -82,7 +82,7 @@ fn software_2d_path_bit_identical_to_direct_call() {
 #[test]
 fn threaded_2d_path_bit_identical_to_single_threaded_astar() {
     let grid = Arc::new(city_map(CityName::Boston, 96, 96));
-    let sc = Scenario2::new(&grid).with_free_endpoints(8, 8, 88, 80);
+    let sc = Scenario2::new(&grid).with_free_endpoints((8, 8), (88, 80));
     let goal = sc.goal;
     let fp = sc.footprint;
     // Same template semantics the server's Threads platform checks with.
@@ -104,27 +104,40 @@ fn threaded_2d_path_bit_identical_to_single_threaded_astar() {
 }
 
 #[test]
-fn racod_3d_path_bit_identical_to_direct_call() {
+fn plan3_path_bit_identical_to_direct_call_on_every_platform() {
     let grid = campus_3d(3, 48, 48, 24);
     let sc = Scenario3::new(&grid).with_free_endpoints((4, 4, 6), (42, 42, 18));
-    let direct = plan_racod_3d(&sc, 8, &CostModel::racod());
-    assert!(direct.result.path.is_some());
-
+    let software = Backend::software(4, Some(6));
     let reg = MapRegistry::new();
     reg.insert_grid3("campus", grid.clone());
     let server =
         PlanServer::start(ServerConfig { workers: 1, ..Default::default() }, Arc::new(reg));
-    let mut req = PlanRequest::plan3("campus", sc.start, sc.goal)
-        .with_astar(sc.astar.clone())
-        .with_platform(Platform::Racod { units: 8 });
-    if let Workload::Plan3 { footprint, .. } = &mut req.workload {
-        *footprint = sc.footprint;
+    // The real-threads arm has no simulated twin; its reference is the
+    // software plan, whose search sees the same kernel verdicts.
+    for (platform, direct) in [
+        (Platform::Racod { units: 8 }, plan(&sc, Backend::racod(8), &CostModel::racod())),
+        (
+            Platform::SimSoftware { threads: 4, runahead: Some(6) },
+            plan(&sc, software, &CostModel::i3_software()),
+        ),
+        (
+            Platform::Threads { threads: 3, runahead: 4 },
+            plan(&sc, Backend::software(1, None), &CostModel::i3_software()),
+        ),
+    ] {
+        assert!(direct.result.path.is_some(), "{platform:?}");
+        let mut req = PlanRequest::plan3("campus", sc.start, sc.goal)
+            .with_astar(sc.astar.clone())
+            .with_platform(platform);
+        if let Workload::Plan3 { footprint, .. } = &mut req.workload {
+            *footprint = sc.footprint;
+        }
+        let got = serve_one(&server, req);
+        let PlannedPath::P3(path) = got.path else { panic!("3d path") };
+        assert_eq!(path, direct.result.path, "{platform:?}");
+        assert_eq!(got.cost.to_bits(), direct.result.cost.to_bits(), "{platform:?}");
+        assert_eq!(got.expansions, direct.result.stats.expansions, "{platform:?}");
     }
-    let got = serve_one(&server, req);
-    let PlannedPath::P3(path) = got.path else { panic!("3d path") };
-    assert_eq!(path, direct.result.path);
-    assert_eq!(got.cost.to_bits(), direct.result.cost.to_bits());
-    assert_eq!(got.expansions, direct.result.stats.expansions);
 }
 
 #[test]
@@ -139,7 +152,7 @@ fn infeasible_request_agrees_with_direct_call() {
     let mut sc = Scenario2::new(&grid).with_footprint(racod_sim::footprint::Footprint2::point());
     sc.start = Cell2::new(2, 2);
     sc.goal = Cell2::new(28, 28);
-    let direct = plan_racod_2d(&sc, 4, &CostModel::racod());
+    let direct = plan(&sc, Backend::racod(4), &CostModel::racod());
     assert!(direct.result.path.is_none());
 
     let server = server_over("split", grid.clone(), 1);

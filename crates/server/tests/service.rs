@@ -16,7 +16,7 @@ use std::time::{Duration, Instant};
 /// (snapped exactly the way a direct caller would snap them).
 fn boston_world() -> (Arc<MapRegistry>, Cell2, Cell2) {
     let grid = city_map(CityName::Boston, 96, 96);
-    let sc = Scenario2::new(&grid).with_free_endpoints(8, 8, 88, 80);
+    let sc = Scenario2::new(&grid).with_free_endpoints((8, 8), (88, 80));
     let (start, goal) = (sc.start, sc.goal);
     let reg = MapRegistry::new();
     reg.insert_grid2("boston", grid);

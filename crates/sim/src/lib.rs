@@ -18,25 +18,27 @@
 //!
 //! The same [`TimedOracle`] drives four platforms, differing only in the
 //! [`TimedChecker`] backend and cost constants: software threads on the
-//! i3/Xeon, a GPU throughput model, and CODAcc pools. [`planner`] exposes
-//! one-call entry points per platform, and [`pase_model`] prices the PA*SE
-//! baseline from its functional profile.
+//! i3/Xeon, a GPU throughput model, and CODAcc pools. [`planner::plan`] is
+//! the one entry point — platform as a [`Backend`] value, dimension as a
+//! [`Dim`] parameter — and [`pase_model`] prices the PA*SE baseline from its
+//! functional profile.
 //!
 //! # Example
 //!
 //! ```
-//! use racod_sim::planner::{plan_racod_2d, plan_software_2d, Scenario2};
+//! use racod_sim::planner::{plan, Backend, Scenario2};
 //! use racod_sim::cost::CostModel;
 //! use racod_grid::gen::{city_map, CityName};
 //!
 //! let grid = city_map(CityName::Boston, 128, 128);
-//! let sc = Scenario2::new(&grid).with_free_endpoints(5, 5, 120, 120);
-//! let base = plan_software_2d(&sc, 4, None, &CostModel::i3_software());
-//! let racod = plan_racod_2d(&sc, 8, &CostModel::racod());
+//! let sc = Scenario2::new(&grid).with_free_endpoints((5, 5), (120, 120));
+//! let base = plan(&sc, Backend::software(4, None), &CostModel::i3_software());
+//! let racod = plan(&sc, Backend::racod(8), &CostModel::racod());
 //! assert!(racod.cycles < base.cycles, "RACOD must win");
 //! ```
 
 pub mod cost;
+pub mod dim;
 pub mod engine;
 pub mod footprint;
 pub mod oracle;
@@ -45,11 +47,12 @@ pub mod planner;
 pub mod tcache;
 
 pub use cost::CostModel;
+pub use dim::{Dim, D2, D3};
 pub use engine::UnitPool;
 pub use footprint::{influence_radius_2d, Footprint2, Footprint3, RotKey};
 pub use oracle::{PlanTiming, TimedChecker, TimedOracle, TimedOracleConfig};
-pub use planner::{PlanOutcome, Scenario2, Scenario3};
+pub use planner::{plan, plan_in, Backend, PlanOutcome, Scenario, Scenario2, Scenario3};
 pub use tcache::{
-    BatchScratch, TemplateCache2, TemplateCache3, TemplateChecker2, TemplateChecker3,
-    TemplateStats, DEFAULT_TEMPLATE_CAPACITY,
+    BatchScratch, TemplateCache, TemplateCache2, TemplateCache3, TemplateChecker, TemplateChecker2,
+    TemplateChecker3, TemplateSource, TemplateStats, DEFAULT_TEMPLATE_CAPACITY,
 };

@@ -78,13 +78,13 @@ pub fn plan_pase_2d(sc: &Scenario2<'_>, threads: usize, cost: &CostModel) -> Pas
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::planner::plan_software_2d;
+    use crate::planner::{plan, Backend};
     use racod_grid::gen::{city_map, CityName};
 
     #[test]
     fn pase_is_priced_and_finds_paths() {
         let grid = city_map(CityName::Boston, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
         let out = plan_pase_2d(&sc, 8, &CostModel::xeon_software());
         assert!(out.result.found());
         assert!(out.cycles > 0);
@@ -95,10 +95,10 @@ mod tests {
         // The §6 headline: RASExp decisively outperforms PA*SE at equal
         // thread counts.
         let grid = city_map(CityName::Berlin, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
         let cost = CostModel::xeon_software();
         let pase_out = plan_pase_2d(&sc, 32, &cost);
-        let ras = plan_software_2d(&sc, 32, Some(32), &cost);
+        let ras = plan(&sc, Backend::software(32, Some(32)), &cost);
         assert!(pase_out.result.found() && ras.result.found());
         assert!(ras.cycles < pase_out.cycles, "RASExp {} vs PA*SE {}", ras.cycles, pase_out.cycles);
     }
@@ -106,7 +106,7 @@ mod tests {
     #[test]
     fn more_threads_reduce_pase_time_slightly() {
         let grid = city_map(CityName::Paris, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
         let cost = CostModel::xeon_software();
         let t1 = plan_pase_2d(&sc, 1, &cost).cycles;
         let t8 = plan_pase_2d(&sc, 8, &cost).cycles;

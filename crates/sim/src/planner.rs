@@ -1,66 +1,74 @@
-//! One-call planning entry points per platform.
+//! The planner surface: one scenario type, one planning body, the platform
+//! as data.
 //!
-//! Each function runs a *real* search over a real grid and returns both the
-//! functional result and the simulated timing, so experiment harnesses can
-//! compute speedups as ratios of cycle counts.
+//! [`plan_in`] runs a *real* search over a real grid on the [`Backend`] it
+//! is given and returns both the functional result and the simulated
+//! timing, so experiment harnesses can compute speedups as ratios of cycle
+//! counts. It is written once over [`Dim`]; [`Scenario2`] and [`Scenario3`]
+//! are the two instantiations.
 
 use crate::cost::CostModel;
-use crate::footprint::{Footprint2, Footprint3, RotKey};
+use crate::dim::{Dim, D2, D3};
 use crate::oracle::{
     CheckProbe, CheckProbeSlot, PlanTiming, TimedChecker, TimedOracle, TimedOracleConfig,
 };
-use crate::tcache::{TemplateCache2, TemplateCache3, TemplateStats};
-use racod_codacc::{template_check_2d, template_check_3d, CodaccPool, CodaccTiming};
-use racod_geom::{Cell2, Cell3, FootprintTemplate2, FootprintTemplate3};
-use racod_grid::{BitGrid2, BitGrid3, Occupancy2, Occupancy3};
+use crate::tcache::{TemplateCache, TemplateSource, TemplateStats};
+use racod_codacc::{CodaccPool, CodaccTiming};
+use racod_geom::{Cell2, Cell3};
 use racod_mem::{CacheConfig, CacheStats, LatencyModel};
 use racod_rasexp::RasexpStats;
-use racod_search::{
-    astar_in, AltSpace2, AstarConfig, GridSpace2, GridSpace3, LandmarkPack2, SearchResult,
-    SearchScratch,
-};
+use racod_search::{astar_in, AstarConfig, SearchResult, SearchScratch};
+use std::borrow::BorrowMut;
 use std::sync::Arc;
 
-/// A 2D planning scenario: grid + footprint + endpoints + search config.
+/// A planning scenario: grid + footprint + endpoints + search config.
 #[derive(Debug, Clone)]
-pub struct Scenario2<'g> {
+pub struct Scenario<'g, D: Dim> {
     /// The environment.
-    pub grid: &'g BitGrid2,
+    pub grid: &'g D::Grid,
     /// The robot footprint.
-    pub footprint: Footprint2,
+    pub footprint: D::Footprint,
     /// Start state.
-    pub start: Cell2,
+    pub start: D::Cell,
     /// Goal state.
-    pub goal: Cell2,
+    pub goal: D::Cell,
     /// The search space (connectivity + heuristic).
-    pub space: GridSpace2,
+    pub space: D::Space,
     /// Search configuration (weight, recording).
     pub astar: AstarConfig,
     /// Optional shared template cache (e.g. a serving layer's per-map
     /// warm artifact). `None` gives every plan a fresh cache.
-    pub tcache: Option<Arc<TemplateCache2>>,
+    pub tcache: Option<Arc<TemplateCache<D>>>,
     /// Optional probe run before every collision check (fault injection /
     /// instrumentation). Empty by default and free when empty.
     pub check_probe: CheckProbeSlot,
-    /// Optional ALT landmark pack: when present, every 2D plan entry point
-    /// maxes the configured heuristic with the pack's triangle-inequality
-    /// bound (admissible, so paths stay optimal — only expansion order and
+    /// Optional ALT landmark pack: when present, the plan maxes the
+    /// configured heuristic with the pack's triangle-inequality bound
+    /// (admissible, so paths stay optimal — only expansion order and
     /// equal-cost path choice may change). `None` is a bit-identical
-    /// passthrough of the configured heuristic.
-    pub alt: Option<Arc<LandmarkPack2>>,
+    /// passthrough of the configured heuristic. No 3D pack exists, so a
+    /// [`Scenario3`] never carries one.
+    pub alt: Option<Arc<D::Landmarks>>,
 }
 
-impl<'g> Scenario2<'g> {
-    /// Creates a scenario with the car footprint, 8-connectivity, Euclidean
-    /// heuristic, and endpoints at opposite corners (snapped to free space
-    /// via [`Scenario2::with_free_endpoints`] if needed).
-    pub fn new(grid: &'g BitGrid2) -> Self {
-        Scenario2 {
+/// A 2D planning scenario (car footprint, 8-connectivity by default).
+pub type Scenario2<'g> = Scenario<'g, D2>;
+/// A 3D planning scenario (drone footprint, 26-connectivity by default).
+pub type Scenario3<'g> = Scenario<'g, D3>;
+
+impl<'g, D: Dim> Scenario<'g, D> {
+    /// Creates a scenario with the dimension's default robot (car or
+    /// drone), full connectivity, the Euclidean heuristic, and endpoints at
+    /// opposite corners (snap them to free space with
+    /// [`Scenario::with_free_endpoints`]).
+    pub fn new(grid: &'g D::Grid) -> Self {
+        let (footprint, start, goal, space) = D::defaults(grid);
+        Scenario {
             grid,
-            footprint: Footprint2::car(),
-            start: Cell2::new(1, 1),
-            goal: Cell2::new(grid.width() as i64 - 2, grid.height() as i64 - 2),
-            space: GridSpace2::eight_connected(grid.width(), grid.height()),
+            footprint,
+            start,
+            goal,
+            space,
             astar: AstarConfig::default(),
             tcache: None,
             check_probe: CheckProbeSlot::default(),
@@ -68,18 +76,23 @@ impl<'g> Scenario2<'g> {
         }
     }
 
-    /// Sets start/goal to the nearest cells where the *robot footprint*
-    /// (not just the cell) is collision-free, so the search never starts
-    /// inside a wall or squeezed against one.
-    pub fn with_free_endpoints(mut self, sx: i64, sy: i64, gx: i64, gy: i64) -> Self {
+    /// Sets start/goal to the cells nearest `start` and `goal` where the
+    /// *robot footprint* (not just the cell) is collision-free, so the
+    /// search never starts inside a wall or squeezed against one.
+    pub fn with_free_endpoints(
+        mut self,
+        start: impl Into<D::Cell>,
+        goal: impl Into<D::Cell>,
+    ) -> Self {
+        let (s, g) = (start.into(), goal.into());
+        let near = |at, toward| free_near_footprint::<D>(self.grid, &self.footprint, at, toward);
         // Snap with provisional orientations, then re-verify: orientation
         // depends on the goal, so a second pass settles both.
-        let mut goal =
-            free_near_footprint_2d(self.grid, &self.footprint, gx, gy, Cell2::new(sx, sy));
-        let mut start = free_near_footprint_2d(self.grid, &self.footprint, sx, sy, goal);
+        let mut goal = near(g, s);
+        let mut start = near(s, goal);
         for _ in 0..3 {
-            let g2 = free_near_footprint_2d(self.grid, &self.footprint, gx, gy, start);
-            let s2 = free_near_footprint_2d(self.grid, &self.footprint, sx, sy, g2);
+            let g2 = near(g, start);
+            let s2 = near(s, g2);
             if g2 == goal && s2 == start {
                 break;
             }
@@ -92,13 +105,13 @@ impl<'g> Scenario2<'g> {
     }
 
     /// Replaces the footprint.
-    pub fn with_footprint(mut self, footprint: Footprint2) -> Self {
+    pub fn with_footprint(mut self, footprint: D::Footprint) -> Self {
         self.footprint = footprint;
         self
     }
 
     /// Replaces the search space.
-    pub fn with_space(mut self, space: GridSpace2) -> Self {
+    pub fn with_space(mut self, space: D::Space) -> Self {
         self.space = space;
         self
     }
@@ -110,13 +123,13 @@ impl<'g> Scenario2<'g> {
     }
 
     /// Shares a template cache across plans (serving-layer map affinity).
-    pub fn with_template_cache(mut self, cache: Arc<TemplateCache2>) -> Self {
+    pub fn with_template_cache(mut self, cache: Arc<TemplateCache<D>>) -> Self {
         self.tcache = Some(cache);
         self
     }
 
     /// Attaches a cooperative interruption handle to the search
-    /// configuration; every `plan_*` entry point observes it.
+    /// configuration; every [`Backend`] observes it.
     pub fn with_interrupt(mut self, interrupt: racod_search::Interrupt) -> Self {
         self.astar.interrupt = Some(interrupt);
         self
@@ -129,217 +142,46 @@ impl<'g> Scenario2<'g> {
     }
 
     /// Guides the search with an ALT landmark pack (built for this grid's
-    /// dimensions; the plan entry points panic on a mismatch).
-    pub fn with_landmarks(mut self, pack: Arc<LandmarkPack2>) -> Self {
+    /// dimensions; [`plan_in`] panics on a mismatch).
+    pub fn with_landmarks(mut self, pack: Arc<D::Landmarks>) -> Self {
         self.alt = Some(pack);
         self
     }
 }
 
-/// Finds the cell nearest `(x, y)` at which the robot footprint is
+/// Finds the cell nearest `at` at which the robot footprint is
 /// collision-free both oriented toward `toward` *and* at rest.
 ///
 /// The at-rest check matters for goal cells: the search checker evaluates
-/// `obb_at(goal, goal)`, whose zero direction degenerates to the identity
-/// orientation, so a cell that is only free when oriented toward the start
-/// would make the goal state itself infeasible.
+/// the body at `(goal, goal)`, whose zero direction degenerates to the
+/// identity orientation, so a cell that is only free when oriented toward
+/// the start would make the goal state itself infeasible.
 ///
 /// # Panics
 ///
 /// Panics if no such cell exists anywhere on the grid.
-pub fn free_near_footprint_2d(
-    grid: &BitGrid2,
-    footprint: &Footprint2,
-    x: i64,
-    y: i64,
-    toward: Cell2,
-) -> Cell2 {
-    let cache = TemplateCache2::default();
-    for radius in 0..grid.width().max(grid.height()) as i64 {
-        for dy in -radius..=radius {
-            for dx in -radius..=radius {
-                if dx.abs().max(dy.abs()) != radius {
-                    continue;
-                }
-                let c = Cell2::new(x + dx, y + dy);
-                let (tpl, _) = cache.get(footprint, footprint.rot_key(c, toward));
-                let (at_rest, _) = cache.get(footprint, footprint.rot_key(c, c));
-                if template_check_2d(grid, c, &tpl).verdict.is_free()
-                    && template_check_2d(grid, c, &at_rest).verdict.is_free()
-                {
-                    return c;
-                }
-            }
-        }
-    }
-    panic!("grid has no footprint-free cell near ({x}, {y})");
+pub fn free_near_footprint<D: Dim>(
+    grid: &D::Grid,
+    footprint: &D::Footprint,
+    at: D::Cell,
+    toward: D::Cell,
+) -> D::Cell {
+    let cache = TemplateCache::<D>::default();
+    let free = |c, key| D::kernel(grid, c, &cache.get(footprint, key).0).verdict.is_free();
+    D::nearest(grid, at, |c| {
+        free(c, D::rot_key(footprint, c, toward)) && free(c, D::rot_key(footprint, c, c))
+    })
+    .unwrap_or_else(|| panic!("grid has no footprint-free cell near {at:?}"))
 }
 
-/// Finds the free cell nearest `(x, y)` by an expanding ring scan.
+/// Finds the free cell nearest `at` by an expanding shell scan.
 ///
 /// # Panics
 ///
 /// Panics if the grid has no free cell at all.
-pub fn free_near_2d(grid: &BitGrid2, x: i64, y: i64) -> Cell2 {
-    for radius in 0..grid.width().max(grid.height()) as i64 {
-        for dy in -radius..=radius {
-            for dx in -radius..=radius {
-                if dx.abs().max(dy.abs()) != radius {
-                    continue;
-                }
-                let c = Cell2::new(x + dx, y + dy);
-                if grid.occupied(c) == Some(false) {
-                    return c;
-                }
-            }
-        }
-    }
-    panic!("grid has no free cell near ({x}, {y})");
-}
-
-/// Finds the voxel nearest `(x, y, z)` at which the 3D robot footprint is
-/// collision-free both yawed toward `toward` *and* at rest (identity yaw,
-/// which is what the search checker tests at the goal voxel itself).
-///
-/// # Panics
-///
-/// Panics if no such voxel exists anywhere on the grid.
-pub fn free_near_footprint_3d(
-    grid: &BitGrid3,
-    footprint: &Footprint3,
-    at: (i64, i64, i64),
-    toward: Cell3,
-) -> Cell3 {
-    let (x, y, z) = at;
-    let cache = TemplateCache3::default();
-    let max_r = grid.size_x().max(grid.size_y()).max(grid.size_z()) as i64;
-    for radius in 0..max_r {
-        for dz in -radius..=radius {
-            for dy in -radius..=radius {
-                for dx in -radius..=radius {
-                    if dx.abs().max(dy.abs()).max(dz.abs()) != radius {
-                        continue;
-                    }
-                    let c = Cell3::new(x + dx, y + dy, z + dz);
-                    let (tpl, _) = cache.get(footprint, footprint.rot_key(c, toward));
-                    let (at_rest, _) = cache.get(footprint, footprint.rot_key(c, c));
-                    if template_check_3d(grid, c, &tpl).verdict.is_free()
-                        && template_check_3d(grid, c, &at_rest).verdict.is_free()
-                    {
-                        return c;
-                    }
-                }
-            }
-        }
-    }
-    panic!("grid has no footprint-free voxel near ({x}, {y}, {z})");
-}
-
-/// Finds the free voxel nearest `(x, y, z)` by an expanding shell scan.
-///
-/// # Panics
-///
-/// Panics if the grid has no free voxel at all.
-pub fn free_near_3d(grid: &BitGrid3, x: i64, y: i64, z: i64) -> Cell3 {
-    let max_r = grid.size_x().max(grid.size_y()).max(grid.size_z()) as i64;
-    for radius in 0..max_r {
-        for dz in -radius..=radius {
-            for dy in -radius..=radius {
-                for dx in -radius..=radius {
-                    if dx.abs().max(dy.abs()).max(dz.abs()) != radius {
-                        continue;
-                    }
-                    let c = Cell3::new(x + dx, y + dy, z + dz);
-                    if grid.occupied(c) == Some(false) {
-                        return c;
-                    }
-                }
-            }
-        }
-    }
-    panic!("grid has no free voxel near ({x}, {y}, {z})");
-}
-
-/// A 3D planning scenario.
-#[derive(Debug, Clone)]
-pub struct Scenario3<'g> {
-    /// The environment.
-    pub grid: &'g BitGrid3,
-    /// The robot footprint.
-    pub footprint: Footprint3,
-    /// Start state.
-    pub start: Cell3,
-    /// Goal state.
-    pub goal: Cell3,
-    /// The search space.
-    pub space: GridSpace3,
-    /// Search configuration.
-    pub astar: AstarConfig,
-    /// Optional shared template cache; `None` gives every plan a fresh one.
-    pub tcache: Option<Arc<TemplateCache3>>,
-    /// Optional probe run before every collision check (fault injection /
-    /// instrumentation). Empty by default and free when empty.
-    pub check_probe: CheckProbeSlot,
-}
-
-impl<'g> Scenario3<'g> {
-    /// Creates a drone scenario with 26-connectivity and Euclidean
-    /// heuristic.
-    pub fn new(grid: &'g BitGrid3) -> Self {
-        Scenario3 {
-            grid,
-            footprint: Footprint3::drone(),
-            start: Cell3::new(2, 2, 2),
-            goal: Cell3::new(
-                grid.size_x() as i64 - 3,
-                grid.size_y() as i64 - 3,
-                grid.size_z() as i64 / 2,
-            ),
-            space: GridSpace3::twenty_six_connected(grid.size_x(), grid.size_y(), grid.size_z()),
-            astar: AstarConfig::default(),
-            tcache: None,
-            check_probe: CheckProbeSlot::default(),
-        }
-    }
-
-    /// Shares a template cache across plans (serving-layer map affinity).
-    pub fn with_template_cache(mut self, cache: Arc<TemplateCache3>) -> Self {
-        self.tcache = Some(cache);
-        self
-    }
-
-    /// Attaches a cooperative interruption handle to the search
-    /// configuration; every `plan_*` entry point observes it.
-    pub fn with_interrupt(mut self, interrupt: racod_search::Interrupt) -> Self {
-        self.astar.interrupt = Some(interrupt);
-        self
-    }
-
-    /// Attaches a probe run before every collision check.
-    pub fn with_check_probe(mut self, probe: CheckProbe) -> Self {
-        self.check_probe = CheckProbeSlot(Some(probe));
-        self
-    }
-
-    /// Sets start/goal to the nearest voxels where the robot footprint is
-    /// collision-free.
-    pub fn with_free_endpoints(mut self, s: (i64, i64, i64), g: (i64, i64, i64)) -> Self {
-        let mut goal =
-            free_near_footprint_3d(self.grid, &self.footprint, g, Cell3::new(s.0, s.1, s.2));
-        let mut start = free_near_footprint_3d(self.grid, &self.footprint, s, goal);
-        for _ in 0..3 {
-            let g2 = free_near_footprint_3d(self.grid, &self.footprint, g, start);
-            let s2 = free_near_footprint_3d(self.grid, &self.footprint, s, g2);
-            if g2 == goal && s2 == start {
-                break;
-            }
-            goal = g2;
-            start = s2;
-        }
-        self.start = start;
-        self.goal = goal;
-        self
-    }
+pub fn free_near<D: Dim>(grid: &D::Grid, at: D::Cell) -> D::Cell {
+    D::nearest(grid, at, |c| D::is_free_cell(grid, c))
+        .unwrap_or_else(|| panic!("grid has no free cell near {at:?}"))
 }
 
 /// The result of one timed planning run.
@@ -362,208 +204,244 @@ pub struct PlanOutcome<S> {
     pub alt_tightened: u64,
 }
 
-/// Per-run template supplier: shared cache + a last-key memo so the common
-/// case (consecutive states on the same heading ray) never touches the lock.
-struct TemplateSource2 {
-    footprint: Footprint2,
-    goal: Cell2,
-    cache: Arc<TemplateCache2>,
-    last: Option<(RotKey, Arc<FootprintTemplate2>)>,
-    stats: TemplateStats,
+/// The platform a plan runs on.
+#[derive(Debug)]
+pub enum Backend<'p> {
+    /// Software threads running the template kernel, charged the paper's
+    /// per-cell software cost.
+    Software {
+        /// Execution contexts.
+        threads: usize,
+        /// `None` is baseline multithreading (BM); `Some(depth)` enables
+        /// RASExp with the given MAX_DEPTH.
+        runahead: Option<usize>,
+    },
+    /// `units` CODAcc accelerators with fresh caches.
+    Racod {
+        /// Accelerator count; with `runahead` also the runahead depth, as
+        /// in the paper's sweeps.
+        units: usize,
+        /// RASExp on or off (off is the §5.2 "one CODAcc, no RASExp" point).
+        runahead: bool,
+        /// Memory latencies (Fig 7 sweeps).
+        latency: LatencyModel,
+        /// L0 geometry (Fig 11 sweeps).
+        l0: CacheConfig,
+    },
+    /// CODAcc accelerators from a caller-owned pool, with RASExp.
+    ///
+    /// Verdicts — and therefore the returned path — are bit-identical to
+    /// [`Backend::Racod`]; only the *cycle* attribution differs, because
+    /// the pool's L0/L1 caches stay warm across calls. A serving layer that
+    /// batches consecutive requests on the same map through one pool models
+    /// exactly the paper's "shared environment state" amortization.
+    RacodPooled(&'p mut CodaccPool),
 }
 
-impl TemplateSource2 {
-    fn new(footprint: Footprint2, goal: Cell2, cache: Arc<TemplateCache2>) -> Self {
-        TemplateSource2 { footprint, goal, cache, last: None, stats: TemplateStats::default() }
+impl Backend<'static> {
+    /// Software threads: `runahead = None` is baseline multithreading,
+    /// `Some(depth)` RASExp.
+    pub fn software(threads: usize, runahead: Option<usize>) -> Self {
+        Backend::Software { threads, runahead }
     }
 
-    fn for_scenario(sc: &Scenario2<'_>) -> Self {
-        let cache = sc.tcache.clone().unwrap_or_else(|| Arc::new(TemplateCache2::default()));
-        TemplateSource2::new(sc.footprint, sc.goal, cache)
-    }
-
-    fn template_at(&mut self, s: Cell2) -> Arc<FootprintTemplate2> {
-        let key = self.footprint.rot_key(s, self.goal);
-        if let Some((k, tpl)) = &self.last {
-            if *k == key {
-                self.stats.hits += 1;
-                return Arc::clone(tpl);
-            }
+    /// The paper's RACOD configuration: `units` accelerators, RASExp on,
+    /// default latencies and L0.
+    pub fn racod(units: usize) -> Self {
+        Backend::Racod {
+            units,
+            runahead: true,
+            latency: LatencyModel::default(),
+            l0: CacheConfig::l0_default(),
         }
-        let (tpl, hit) = self.cache.get(&self.footprint, key);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        self.last = Some((key, Arc::clone(&tpl)));
-        tpl
-    }
-}
-
-/// 3D counterpart of [`TemplateSource2`].
-struct TemplateSource3 {
-    footprint: Footprint3,
-    goal: Cell3,
-    cache: Arc<TemplateCache3>,
-    last: Option<(RotKey, Arc<FootprintTemplate3>)>,
-    stats: TemplateStats,
-}
-
-impl TemplateSource3 {
-    fn new(footprint: Footprint3, goal: Cell3, cache: Arc<TemplateCache3>) -> Self {
-        TemplateSource3 { footprint, goal, cache, last: None, stats: TemplateStats::default() }
-    }
-
-    fn for_scenario(sc: &Scenario3<'_>) -> Self {
-        let cache = sc.tcache.clone().unwrap_or_else(|| Arc::new(TemplateCache3::default()));
-        TemplateSource3::new(sc.footprint, sc.goal, cache)
-    }
-
-    fn template_at(&mut self, s: Cell3) -> Arc<FootprintTemplate3> {
-        let key = self.footprint.rot_key(s, self.goal);
-        if let Some((k, tpl)) = &self.last {
-            if *k == key {
-                self.stats.hits += 1;
-                return Arc::clone(tpl);
-            }
-        }
-        let (tpl, hit) = self.cache.get(&self.footprint, key);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
-        self.last = Some((key, Arc::clone(&tpl)));
-        tpl
     }
 }
 
-/// Software checker over a 2D grid (one thread's work per check).
+/// What [`plan_in`] reads back from a checker after the search.
+trait PlanChecker<D: Dim>: TimedChecker<D::Cell> {
+    fn tstats(&self) -> TemplateStats;
+    fn l0_stats(&self) -> Option<CacheStats>;
+}
+
+/// Software checker (one thread's work per check).
 ///
 /// Verdict and `cells_checked` come from the word-parallel template kernel;
 /// the modeled cycle cost still charges the paper's per-cell software cost
 /// for the cells an early-exiting scalar walk would have visited, so cycle
 /// comparisons against the i3/Xeon baselines are unchanged.
-struct SwChecker2<'g> {
-    grid: &'g BitGrid2,
-    tpls: TemplateSource2,
+struct SwChecker<'a, D: Dim> {
+    grid: &'a D::Grid,
+    tpls: TemplateSource<'a, D>,
     cost: CostModel,
 }
 
-impl<'g> TimedChecker<Cell2> for SwChecker2<'g> {
-    fn check(&mut self, _unit: usize, s: Cell2) -> (bool, u64) {
-        let tpl = self.tpls.template_at(s);
-        let out = template_check_2d(self.grid, s, &tpl);
+impl<D: Dim> TimedChecker<D::Cell> for SwChecker<'_, D> {
+    fn check(&mut self, _unit: usize, s: D::Cell) -> (bool, u64) {
+        let out = D::kernel(self.grid, s, self.tpls.template_at(s));
         (out.verdict.is_free(), self.cost.sw_check_cycles(out.cells_checked))
     }
 }
 
-/// Software checker over a 3D grid.
-struct SwChecker3<'g> {
-    grid: &'g BitGrid3,
-    tpls: TemplateSource3,
-    cost: CostModel,
-}
-
-impl<'g> TimedChecker<Cell3> for SwChecker3<'g> {
-    fn check(&mut self, _unit: usize, s: Cell3) -> (bool, u64) {
-        let tpl = self.tpls.template_at(s);
-        let out = template_check_3d(self.grid, s, &tpl);
-        (out.verdict.is_free(), self.cost.sw_check_cycles(out.cells_checked))
+impl<D: Dim> PlanChecker<D> for SwChecker<'_, D> {
+    fn tstats(&self) -> TemplateStats {
+        self.tpls.stats()
+    }
+    fn l0_stats(&self) -> Option<CacheStats> {
+        None
     }
 }
 
-/// CODAcc checker over a 2D grid (per-unit L0 state lives in the pool).
+/// CODAcc checker (per-unit L0 state lives in the pool, which is owned for
+/// a one-off run and borrowed when the caller keeps it warm).
 ///
 /// The AGU's sample set is the cached template expanded at the state
 /// (`expand_into` reuses one scratch buffer, so the steady state is
 /// allocation-free); the accelerator model then tiles, coalesces, and
-/// charges cycles exactly as before.
-struct HwChecker2<'g> {
-    grid: &'g BitGrid2,
-    tpls: TemplateSource2,
-    pool: CodaccPool,
-    scratch: Vec<Cell2>,
+/// charges cycles.
+struct HwChecker<'a, D: Dim, P> {
+    grid: &'a D::Grid,
+    tpls: TemplateSource<'a, D>,
+    pool: P,
+    cells: Vec<D::Cell>,
 }
 
-impl<'g> TimedChecker<Cell2> for HwChecker2<'g> {
-    fn check(&mut self, unit: usize, s: Cell2) -> (bool, u64) {
-        let tpl = self.tpls.template_at(s);
-        tpl.expand_into(s, &mut self.scratch);
-        let out = self.pool.check_cells_2d(unit, self.grid, &self.scratch);
+impl<D: Dim, P: BorrowMut<CodaccPool>> TimedChecker<D::Cell> for HwChecker<'_, D, P> {
+    fn check(&mut self, unit: usize, s: D::Cell) -> (bool, u64) {
+        D::expand_into(self.tpls.template_at(s), s, &mut self.cells);
+        let out = D::model(self.pool.borrow_mut(), unit, self.grid, &self.cells);
         (out.verdict.is_free(), out.cycles)
     }
 }
 
-/// CODAcc checker over a 2D grid borrowing a caller-owned pool, so cache
-/// state survives across planning episodes (serving-layer map affinity).
-struct HwChecker2Pooled<'g, 'p> {
-    grid: &'g BitGrid2,
-    tpls: TemplateSource2,
-    pool: &'p mut CodaccPool,
-    scratch: Vec<Cell2>,
-}
-
-impl<'g, 'p> TimedChecker<Cell2> for HwChecker2Pooled<'g, 'p> {
-    fn check(&mut self, unit: usize, s: Cell2) -> (bool, u64) {
-        let tpl = self.tpls.template_at(s);
-        tpl.expand_into(s, &mut self.scratch);
-        let out = self.pool.check_cells_2d(unit, self.grid, &self.scratch);
-        (out.verdict.is_free(), out.cycles)
+impl<D: Dim, P: BorrowMut<CodaccPool>> PlanChecker<D> for HwChecker<'_, D, P> {
+    fn tstats(&self) -> TemplateStats {
+        self.tpls.stats()
+    }
+    fn l0_stats(&self) -> Option<CacheStats> {
+        Some(self.pool.borrow().mem().l0_stats_total())
     }
 }
 
-/// CODAcc checker over a 3D grid borrowing a caller-owned pool.
-struct HwChecker3Pooled<'g, 'p> {
-    grid: &'g BitGrid3,
-    tpls: TemplateSource3,
-    pool: &'p mut CodaccPool,
-    scratch: Vec<Cell3>,
-}
-
-impl<'g, 'p> TimedChecker<Cell3> for HwChecker3Pooled<'g, 'p> {
-    fn check(&mut self, unit: usize, s: Cell3) -> (bool, u64) {
-        let tpl = self.tpls.template_at(s);
-        tpl.expand_into(s, &mut self.scratch);
-        let out = self.pool.check_cells_3d(unit, self.grid, &self.scratch);
-        (out.verdict.is_free(), out.cycles)
-    }
-}
-
-/// CODAcc checker over a 3D grid.
-struct HwChecker3<'g> {
-    grid: &'g BitGrid3,
-    tpls: TemplateSource3,
-    pool: CodaccPool,
-    scratch: Vec<Cell3>,
-}
-
-impl<'g> TimedChecker<Cell3> for HwChecker3<'g> {
-    fn check(&mut self, unit: usize, s: Cell3) -> (bool, u64) {
-        let tpl = self.tpls.template_at(s);
-        tpl.expand_into(s, &mut self.scratch);
-        let out = self.pool.check_cells_3d(unit, self.grid, &self.scratch);
-        (out.verdict.is_free(), out.cycles)
-    }
-}
-
-/// Plans on the software platform: `threads` contexts, optional RASExp.
-///
-/// `runahead = None` is baseline multithreading (BM); `Some(depth)` enables
-/// RASExp with the given MAX_DEPTH.
-pub fn plan_software_2d(
-    sc: &Scenario2<'_>,
-    threads: usize,
-    runahead: Option<usize>,
+/// Plans `sc` on `backend` with a fresh search arena.
+pub fn plan<D: Dim>(
+    sc: &Scenario<'_, D>,
+    backend: Backend<'_>,
     cost: &CostModel,
-) -> PlanOutcome<Cell2> {
-    plan_software_2d_in(sc, threads, runahead, cost, &mut SearchScratch::new())
+) -> PlanOutcome<D::Cell> {
+    plan_in(sc, backend, cost, &mut SearchScratch::new())
 }
 
-/// [`plan_software_2d`] running the search inside a caller-owned
+/// Plans `sc` on `backend`, running the search inside a caller-owned
 /// [`SearchScratch`] (warm workers skip per-plan allocation; results are
-/// bit-identical either way).
+/// bit-identical to [`plan`]). With [`Backend::RacodPooled`] and a shared
+/// template cache this is the fully warm serving path: pool caches,
+/// templates, and search arrays all survive across requests.
+pub fn plan_in<D: Dim>(
+    sc: &Scenario<'_, D>,
+    backend: Backend<'_>,
+    cost: &CostModel,
+    scratch: &mut SearchScratch<D::Cell>,
+) -> PlanOutcome<D::Cell> {
+    let fresh;
+    let cache = match &sc.tcache {
+        Some(shared) => &**shared,
+        None => {
+            fresh = TemplateCache::default();
+            &fresh
+        }
+    };
+    let tpls = TemplateSource::new(sc.footprint, sc.goal, cache);
+    match backend {
+        Backend::Software { threads, runahead } => {
+            let config = match runahead {
+                None => TimedOracleConfig::baseline(threads),
+                Some(depth) => TimedOracleConfig::runahead_depth(threads, depth),
+            };
+            run(sc, SwChecker { grid: sc.grid, tpls, cost: *cost }, config, cost, scratch)
+        }
+        Backend::Racod { units, runahead, latency, l0 } => {
+            let pool = CodaccPool::with_config(
+                units,
+                CodaccTiming { dispatch_cycles: 0, ..Default::default() },
+                l0,
+                CacheConfig::l1_default(),
+                latency,
+            );
+            let config = if runahead {
+                TimedOracleConfig::runahead(units)
+            } else {
+                TimedOracleConfig::baseline(units)
+            };
+            run(
+                sc,
+                HwChecker { grid: sc.grid, tpls, pool, cells: Vec::new() },
+                config,
+                cost,
+                scratch,
+            )
+        }
+        Backend::RacodPooled(pool) => {
+            let config = TimedOracleConfig::runahead(pool.units());
+            run(
+                sc,
+                HwChecker { grid: sc.grid, tpls, pool, cells: Vec::new() },
+                config,
+                cost,
+                scratch,
+            )
+        }
+    }
+}
+
+fn run<D: Dim, C: PlanChecker<D>>(
+    sc: &Scenario<'_, D>,
+    checker: C,
+    config: TimedOracleConfig,
+    cost: &CostModel,
+    scratch: &mut SearchScratch<D::Cell>,
+) -> PlanOutcome<D::Cell> {
+    let space = D::guided(&sc.space, sc.alt.as_deref());
+    let mut oracle =
+        TimedOracle::new(&space, checker, *cost, config).with_check_probe(sc.check_probe.0.clone());
+    let result = astar_in(&space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
+    PlanOutcome {
+        result,
+        cycles: oracle.clock(),
+        timing: oracle.timing(),
+        stats: oracle.stats().clone(),
+        l0_stats: oracle.checker().l0_stats(),
+        tstats: oracle.checker().tstats(),
+        alt_tightened: D::tightened(&space),
+    }
+}
+
+// Pinned by the frozen benchmark: `benchmark/src/ladder.rs` is the only
+// caller, and the next `benchmark` PR deletes this.
+#[doc(hidden)]
+pub fn plan_racod_2d_pooled_in(
+    sc: &Scenario2<'_>,
+    pool: &mut CodaccPool,
+    cost: &CostModel,
+    scratch: &mut SearchScratch<Cell2>,
+) -> PlanOutcome<Cell2> {
+    plan_in(sc, Backend::RacodPooled(pool), cost, scratch)
+}
+
+// Pinned by the frozen benchmark: `benchmark/src/ladder.rs` is the only
+// caller, and the next `benchmark` PR deletes this.
+#[doc(hidden)]
+pub fn plan_racod_3d_pooled_in(
+    sc: &Scenario3<'_>,
+    pool: &mut CodaccPool,
+    cost: &CostModel,
+    scratch: &mut SearchScratch<Cell3>,
+) -> PlanOutcome<Cell3> {
+    plan_in(sc, Backend::RacodPooled(pool), cost, scratch)
+}
+
+// Pinned by the frozen benchmark: `benchmark/src/ladder.rs` is the only
+// caller, and the next `benchmark` PR deletes this.
+#[doc(hidden)]
 pub fn plan_software_2d_in(
     sc: &Scenario2<'_>,
     threads: usize,
@@ -571,336 +449,124 @@ pub fn plan_software_2d_in(
     cost: &CostModel,
     scratch: &mut SearchScratch<Cell2>,
 ) -> PlanOutcome<Cell2> {
-    let checker =
-        SwChecker2 { grid: sc.grid, tpls: TemplateSource2::for_scenario(sc), cost: *cost };
-    let config = match runahead {
-        None => TimedOracleConfig::baseline(threads),
-        Some(depth) => TimedOracleConfig::runahead_depth(threads, depth),
-    };
-    let space = AltSpace2::new(sc.space, sc.alt.as_deref());
-    let mut oracle =
-        TimedOracle::new(&space, checker, *cost, config).with_check_probe(sc.check_probe.0.clone());
-    let result = astar_in(&space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
-    let tstats = oracle.checker().tpls.stats;
-    PlanOutcome {
-        result,
-        cycles: oracle.clock(),
-        timing: oracle.timing(),
-        stats: oracle.stats().clone(),
-        l0_stats: None,
-        tstats,
-        alt_tightened: space.tightened(),
-    }
-}
-
-/// Plans on the RACOD platform: `units` CODAcc accelerators with RASExp
-/// (runahead depth = unit count, as in the paper's sweeps).
-pub fn plan_racod_2d(sc: &Scenario2<'_>, units: usize, cost: &CostModel) -> PlanOutcome<Cell2> {
-    plan_racod_2d_ext(sc, units, cost, LatencyModel::default(), CacheConfig::l0_default(), true)
-}
-
-/// [`plan_racod_2d`] with explicit memory latencies, L0 geometry, and a
-/// runahead toggle (for the §5.2 "one CODAcc, no RASExp" point and the
-/// Fig 7/11 sweeps).
-pub fn plan_racod_2d_ext(
-    sc: &Scenario2<'_>,
-    units: usize,
-    cost: &CostModel,
-    latency: LatencyModel,
-    l0: CacheConfig,
-    runahead: bool,
-) -> PlanOutcome<Cell2> {
-    plan_racod_2d_ext_in(sc, units, cost, latency, l0, runahead, &mut SearchScratch::new())
-}
-
-/// [`plan_racod_2d_ext`] running the search inside a caller-owned
-/// [`SearchScratch`].
-#[allow(clippy::too_many_arguments)]
-pub fn plan_racod_2d_ext_in(
-    sc: &Scenario2<'_>,
-    units: usize,
-    cost: &CostModel,
-    latency: LatencyModel,
-    l0: CacheConfig,
-    runahead: bool,
-    scratch: &mut SearchScratch<Cell2>,
-) -> PlanOutcome<Cell2> {
-    let pool = CodaccPool::with_config(
-        units,
-        CodaccTiming { dispatch_cycles: 0, ..Default::default() },
-        l0,
-        CacheConfig::l1_default(),
-        latency,
-    );
-    let checker = HwChecker2 {
-        grid: sc.grid,
-        tpls: TemplateSource2::for_scenario(sc),
-        pool,
-        scratch: Vec::new(),
-    };
-    let config = if runahead {
-        TimedOracleConfig::runahead(units)
-    } else {
-        TimedOracleConfig::baseline(units)
-    };
-    let space = AltSpace2::new(sc.space, sc.alt.as_deref());
-    let mut oracle =
-        TimedOracle::new(&space, checker, *cost, config).with_check_probe(sc.check_probe.0.clone());
-    let result = astar_in(&space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
-    let l0_stats = Some(oracle.checker().pool.mem().l0_stats_total());
-    let tstats = oracle.checker().tpls.stats;
-    PlanOutcome {
-        result,
-        cycles: oracle.clock(),
-        timing: oracle.timing(),
-        stats: oracle.stats().clone(),
-        l0_stats,
-        tstats,
-        alt_tightened: space.tightened(),
-    }
-}
-
-/// Plans on the RACOD platform reusing a caller-owned [`CodaccPool`].
-///
-/// Verdicts — and therefore the returned path — are bit-identical to
-/// [`plan_racod_2d`]; only the *cycle* attribution differs, because the
-/// pool's L0/L1 caches stay warm across calls. A serving layer that batches
-/// consecutive requests on the same map through one pool models exactly the
-/// paper's "shared environment state" amortization.
-pub fn plan_racod_2d_pooled(
-    sc: &Scenario2<'_>,
-    pool: &mut CodaccPool,
-    cost: &CostModel,
-) -> PlanOutcome<Cell2> {
-    plan_racod_2d_pooled_in(sc, pool, cost, &mut SearchScratch::new())
-}
-
-/// [`plan_racod_2d_pooled`] running the search inside a caller-owned
-/// [`SearchScratch`] — the fully warm serving path: pool caches, template
-/// cache, and search arrays all survive across requests.
-pub fn plan_racod_2d_pooled_in(
-    sc: &Scenario2<'_>,
-    pool: &mut CodaccPool,
-    cost: &CostModel,
-    scratch: &mut SearchScratch<Cell2>,
-) -> PlanOutcome<Cell2> {
-    let units = pool.units();
-    let checker = HwChecker2Pooled {
-        grid: sc.grid,
-        tpls: TemplateSource2::for_scenario(sc),
-        pool,
-        scratch: Vec::new(),
-    };
-    let space = AltSpace2::new(sc.space, sc.alt.as_deref());
-    let mut oracle = TimedOracle::new(&space, checker, *cost, TimedOracleConfig::runahead(units))
-        .with_check_probe(sc.check_probe.0.clone());
-    let result = astar_in(&space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
-    let l0_stats = Some(oracle.checker().pool.mem().l0_stats_total());
-    let tstats = oracle.checker().tpls.stats;
-    PlanOutcome {
-        result,
-        cycles: oracle.clock(),
-        timing: oracle.timing(),
-        stats: oracle.stats().clone(),
-        l0_stats,
-        tstats,
-        alt_tightened: space.tightened(),
-    }
-}
-
-/// Plans on the RACOD platform in 3D reusing a caller-owned [`CodaccPool`].
-///
-/// See [`plan_racod_2d_pooled`] for the warm-cache semantics.
-pub fn plan_racod_3d_pooled(
-    sc: &Scenario3<'_>,
-    pool: &mut CodaccPool,
-    cost: &CostModel,
-) -> PlanOutcome<Cell3> {
-    plan_racod_3d_pooled_in(sc, pool, cost, &mut SearchScratch::new())
-}
-
-/// [`plan_racod_3d_pooled`] running the search inside a caller-owned
-/// [`SearchScratch`].
-pub fn plan_racod_3d_pooled_in(
-    sc: &Scenario3<'_>,
-    pool: &mut CodaccPool,
-    cost: &CostModel,
-    scratch: &mut SearchScratch<Cell3>,
-) -> PlanOutcome<Cell3> {
-    let units = pool.units();
-    let checker = HwChecker3Pooled {
-        grid: sc.grid,
-        tpls: TemplateSource3::for_scenario(sc),
-        pool,
-        scratch: Vec::new(),
-    };
-    let mut oracle =
-        TimedOracle::new(&sc.space, checker, *cost, TimedOracleConfig::runahead(units))
-            .with_check_probe(sc.check_probe.0.clone());
-    let result = astar_in(&sc.space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
-    let l0_stats = Some(oracle.checker().pool.mem().l0_stats_total());
-    let tstats = oracle.checker().tpls.stats;
-    PlanOutcome {
-        result,
-        cycles: oracle.clock(),
-        timing: oracle.timing(),
-        stats: oracle.stats().clone(),
-        l0_stats,
-        tstats,
-        alt_tightened: 0,
-    }
-}
-
-/// Plans on the software platform in 3D.
-pub fn plan_software_3d(
-    sc: &Scenario3<'_>,
-    threads: usize,
-    runahead: Option<usize>,
-    cost: &CostModel,
-) -> PlanOutcome<Cell3> {
-    plan_software_3d_in(sc, threads, runahead, cost, &mut SearchScratch::new())
-}
-
-/// [`plan_software_3d`] running the search inside a caller-owned
-/// [`SearchScratch`].
-pub fn plan_software_3d_in(
-    sc: &Scenario3<'_>,
-    threads: usize,
-    runahead: Option<usize>,
-    cost: &CostModel,
-    scratch: &mut SearchScratch<Cell3>,
-) -> PlanOutcome<Cell3> {
-    let checker =
-        SwChecker3 { grid: sc.grid, tpls: TemplateSource3::for_scenario(sc), cost: *cost };
-    let config = match runahead {
-        None => TimedOracleConfig::baseline(threads),
-        Some(depth) => TimedOracleConfig::runahead_depth(threads, depth),
-    };
-    let mut oracle = TimedOracle::new(&sc.space, checker, *cost, config)
-        .with_check_probe(sc.check_probe.0.clone());
-    let result = astar_in(&sc.space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
-    let tstats = oracle.checker().tpls.stats;
-    PlanOutcome {
-        result,
-        cycles: oracle.clock(),
-        timing: oracle.timing(),
-        stats: oracle.stats().clone(),
-        l0_stats: None,
-        tstats,
-        alt_tightened: 0,
-    }
-}
-
-/// Plans on the RACOD platform in 3D.
-pub fn plan_racod_3d(sc: &Scenario3<'_>, units: usize, cost: &CostModel) -> PlanOutcome<Cell3> {
-    plan_racod_3d_ext(sc, units, cost, LatencyModel::default(), true)
-}
-
-/// [`plan_racod_3d`] with a runahead toggle.
-pub fn plan_racod_3d_ext(
-    sc: &Scenario3<'_>,
-    units: usize,
-    cost: &CostModel,
-    latency: LatencyModel,
-    runahead: bool,
-) -> PlanOutcome<Cell3> {
-    plan_racod_3d_ext_in(sc, units, cost, latency, runahead, &mut SearchScratch::new())
-}
-
-/// [`plan_racod_3d_ext`] running the search inside a caller-owned
-/// [`SearchScratch`].
-pub fn plan_racod_3d_ext_in(
-    sc: &Scenario3<'_>,
-    units: usize,
-    cost: &CostModel,
-    latency: LatencyModel,
-    runahead: bool,
-    scratch: &mut SearchScratch<Cell3>,
-) -> PlanOutcome<Cell3> {
-    let pool = CodaccPool::with_config(
-        units,
-        CodaccTiming { dispatch_cycles: 0, ..Default::default() },
-        CacheConfig::l0_default(),
-        CacheConfig::l1_default(),
-        latency,
-    );
-    let checker = HwChecker3 {
-        grid: sc.grid,
-        tpls: TemplateSource3::for_scenario(sc),
-        pool,
-        scratch: Vec::new(),
-    };
-    let config = if runahead {
-        TimedOracleConfig::runahead(units)
-    } else {
-        TimedOracleConfig::baseline(units)
-    };
-    let mut oracle = TimedOracle::new(&sc.space, checker, *cost, config)
-        .with_check_probe(sc.check_probe.0.clone());
-    let result = astar_in(&sc.space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
-    let l0_stats = Some(oracle.checker().pool.mem().l0_stats_total());
-    let tstats = oracle.checker().tpls.stats;
-    PlanOutcome {
-        result,
-        cycles: oracle.clock(),
-        timing: oracle.timing(),
-        stats: oracle.stats().clone(),
-        l0_stats,
-        tstats,
-        alt_tightened: 0,
-    }
+    plan_in(sc, Backend::software(threads, runahead), cost, scratch)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use racod_grid::gen::{campus_3d, city_map, CityName};
+    use racod_grid::BitGrid2;
+    use racod_search::{Interrupt, InterruptReason, Termination};
+    use std::sync::atomic::{AtomicU64, Ordering};
 
-    #[test]
-    fn interrupt_propagates_through_every_plan_entry_point() {
-        use racod_search::{Interrupt, InterruptReason, Termination};
-        let grid = city_map(CityName::Boston, 256, 256);
-        // An already-expired deadline with a tight poll interval: each
-        // planner must stop within one poll batch instead of finishing.
-        let mut sc = Scenario2::new(&grid)
-            .with_free_endpoints(10, 10, 245, 245)
-            .with_interrupt(Interrupt::new().with_deadline(std::time::Instant::now()));
-        sc.astar.poll_interval = 32;
-        for outcome in [
-            plan_software_2d(&sc, 2, None, &CostModel::i3_software()),
-            plan_racod_2d(&sc, 4, &CostModel::racod()),
-        ] {
+    const BM4: Backend<'static> = Backend::Software { threads: 4, runahead: None };
+
+    /// The §5.2 point: one CODAcc, RASExp off.
+    fn one_codacc() -> Backend<'static> {
+        Backend::Racod {
+            units: 1,
+            runahead: false,
+            latency: LatencyModel::default(),
+            l0: CacheConfig::l0_default(),
+        }
+    }
+
+    /// Every [`Backend`] shape with its cost model: software BM, software
+    /// RASExp, RACOD, one CODAcc without RASExp, and RACOD on `pool`.
+    fn backend(i: usize, pool: &mut CodaccPool) -> (Backend<'_>, CostModel) {
+        let (sw, hw) = (CostModel::i3_software(), CostModel::racod());
+        match i {
+            0 => (Backend::Software { threads: 2, runahead: None }, sw),
+            1 => (Backend::Software { threads: 4, runahead: Some(8) }, sw),
+            2 => (Backend::racod(4), hw),
+            3 => (one_codacc(), hw),
+            4 => (Backend::RacodPooled(pool), hw),
+            _ => unreachable!("five backends"),
+        }
+    }
+
+    /// The surface contract, once for both dimensions and every backend.
+    fn surface_contract<D: Dim>(sc: Scenario<'_, D>) {
+        let mut arena = SearchScratch::new();
+        for i in 0..5 {
+            let run = |sc: &Scenario<'_, D>| {
+                let mut pool = CodaccPool::new(4);
+                let (b, cost) = backend(i, &mut pool);
+                plan(sc, b, &cost)
+            };
+            let fresh = run(&sc);
+            assert!(fresh.result.found(), "backend {i}");
+            assert_eq!(fresh.l0_stats.is_some(), i >= 2, "L0 statistics are CODAcc's");
+
+            // An interrupt that never fires changes neither answer nor timing.
+            let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
+            let watched = run(&sc.clone().with_interrupt(Interrupt::new().with_deadline(far)));
+            assert_eq!(watched.result.path, fresh.result.path, "backend {i}");
+            assert_eq!(watched.cycles, fresh.cycles, "backend {i}");
+
+            // `plan` is `plan_in` on a fresh arena, and a reused arena
+            // changes nothing.
+            for _ in 0..2 {
+                let mut pool = CodaccPool::new(4);
+                let (b, cost) = backend(i, &mut pool);
+                let again = plan_in(&sc, b, &cost, &mut arena);
+                assert_eq!(again.result.path, fresh.result.path, "backend {i}");
+                assert_eq!(again.result.cost.to_bits(), fresh.result.cost.to_bits());
+                assert_eq!(again.result.stats.expansions, fresh.result.stats.expansions);
+                assert_eq!(again.cycles, fresh.cycles, "backend {i}");
+                assert_eq!(again.tstats, fresh.tstats, "backend {i}");
+            }
+
+            // The check probe runs once per dispatched check and costs no
+            // simulated time.
+            let probes = Arc::new(AtomicU64::new(0));
+            let n = probes.clone();
+            let probed = run(&sc.clone().with_check_probe(Arc::new(move || {
+                n.fetch_add(1, Ordering::Relaxed);
+            })));
             assert_eq!(
-                outcome.result.termination,
-                Termination::Interrupted(InterruptReason::Deadline)
+                probes.load(Ordering::Relaxed),
+                probed.stats.demand_computed + probed.stats.spec_issued,
+                "backend {i}"
             );
-            assert!(!outcome.result.found());
-            assert!(outcome.result.stats.expansions <= 32);
+            assert_eq!(probed.cycles, fresh.cycles, "backend {i}");
+
+            // An already-expired deadline with a tight poll interval stops
+            // the search within one poll batch instead of finishing.
+            let mut doomed = sc
+                .clone()
+                .with_interrupt(Interrupt::new().with_deadline(std::time::Instant::now()));
+            doomed.astar.poll_interval = 32;
+            let out = run(&doomed);
+            assert_eq!(
+                out.result.termination,
+                Termination::Interrupted(InterruptReason::Deadline),
+                "backend {i}"
+            );
+            assert!(!out.result.found());
+            assert!(out.result.stats.expansions <= 32);
         }
     }
 
     #[test]
-    fn unfired_interrupt_keeps_plans_bit_identical() {
-        use racod_search::Interrupt;
-        let grid = city_map(CityName::Berlin, 256, 256);
-        let plain = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-        let watched = plain.clone().with_interrupt(
-            Interrupt::new()
-                .with_deadline(std::time::Instant::now() + std::time::Duration::from_secs(3600)),
-        );
-        let a = plan_racod_2d(&plain, 8, &CostModel::racod());
-        let b = plan_racod_2d(&watched, 8, &CostModel::racod());
-        assert_eq!(a.result.path, b.result.path);
-        assert_eq!(a.result.cost.to_bits(), b.result.cost.to_bits());
-        assert_eq!(a.cycles, b.cycles, "an unfired interrupt must not change timing");
+    fn surface_contract_2d() {
+        let grid = city_map(CityName::Boston, 128, 128);
+        surface_contract(Scenario2::new(&grid).with_free_endpoints((5, 5), (120, 120)));
+    }
+
+    #[test]
+    fn surface_contract_3d() {
+        let grid = campus_3d(3, 48, 48, 24);
+        surface_contract(Scenario3::new(&grid).with_free_endpoints((3, 3, 6), (44, 44, 10)));
     }
 
     #[test]
     fn racod_beats_software_baseline_2d() {
         let grid = city_map(CityName::Boston, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-        let base = plan_software_2d(&sc, 4, None, &CostModel::i3_software());
-        let racod = plan_racod_2d(&sc, 8, &CostModel::racod());
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
+        let base = plan(&sc, BM4, &CostModel::i3_software());
+        let racod = plan(&sc, Backend::racod(8), &CostModel::racod());
         assert!(base.result.found());
         assert!(racod.result.found());
         assert_eq!(base.result.path, racod.result.path, "same functional answer");
@@ -910,11 +576,11 @@ mod tests {
     #[test]
     fn speedup_scales_with_units_2d() {
         let grid = city_map(CityName::Berlin, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
         let cost = CostModel::racod();
-        let t1 = plan_racod_2d(&sc, 1, &cost).cycles;
-        let t8 = plan_racod_2d(&sc, 8, &cost).cycles;
-        let t32 = plan_racod_2d(&sc, 32, &cost).cycles;
+        let t1 = plan(&sc, Backend::racod(1), &cost).cycles;
+        let t8 = plan(&sc, Backend::racod(8), &cost).cycles;
+        let t32 = plan(&sc, Backend::racod(32), &cost).cycles;
         assert!(t8 < t1);
         // Gains flatten at the tail (Fig 3's curve is concave); allow a
         // small regression from deeper-runahead issue overhead.
@@ -924,16 +590,9 @@ mod tests {
     #[test]
     fn no_runahead_single_unit_still_helps() {
         let grid = city_map(CityName::Paris, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-        let base = plan_software_2d(&sc, 4, None, &CostModel::i3_software());
-        let one = plan_racod_2d_ext(
-            &sc,
-            1,
-            &CostModel::racod(),
-            LatencyModel::default(),
-            CacheConfig::l0_default(),
-            false,
-        );
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
+        let base = plan(&sc, BM4, &CostModel::i3_software());
+        let one = plan(&sc, one_codacc(), &CostModel::racod());
         assert!(one.result.found());
         assert!(
             one.cycles < base.cycles,
@@ -945,11 +604,10 @@ mod tests {
     }
 
     #[test]
-    fn l0_stats_present_only_for_racod() {
+    fn l0_filters_between_check_overlap() {
         let grid = city_map(CityName::Boston, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-        assert!(plan_software_2d(&sc, 2, None, &CostModel::i3_software()).l0_stats.is_none());
-        let racod = plan_racod_2d(&sc, 2, &CostModel::racod());
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
+        let racod = plan(&sc, Backend::racod(2), &CostModel::racod());
         let l0 = racod.l0_stats.unwrap();
         assert!(l0.accesses() > 0);
         // Within a check the reduction unit already dedups blocks, so L0
@@ -960,12 +618,11 @@ mod tests {
     #[test]
     fn communication_latency_hurts_more_with_one_unit() {
         let grid = city_map(CityName::Shanghai, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
         let speedup = |units: usize, comm: u64| {
-            let base = plan_software_2d(&sc, 4, None, &CostModel::i3_software()).cycles as f64;
-            let t = plan_racod_2d(&sc, units, &CostModel::racod().with_comm_latency(comm)).cycles
-                as f64;
-            base / t
+            let base = plan(&sc, BM4, &CostModel::i3_software()).cycles as f64;
+            let cost = CostModel::racod().with_comm_latency(comm);
+            base / plan(&sc, Backend::racod(units), &cost).cycles as f64
         };
         let one_tight = speedup(1, 1);
         let one_far = speedup(1, 100);
@@ -982,8 +639,8 @@ mod tests {
     fn racod_3d_works_and_wins() {
         let grid = campus_3d(3, 48, 48, 24);
         let sc = Scenario3::new(&grid).with_free_endpoints((3, 3, 6), (44, 44, 10));
-        let base = plan_software_3d(&sc, 4, None, &CostModel::i3_software());
-        let racod = plan_racod_3d(&sc, 8, &CostModel::racod());
+        let base = plan(&sc, BM4, &CostModel::i3_software());
+        let racod = plan(&sc, Backend::racod(8), &CostModel::racod());
         assert!(base.result.found(), "baseline plan failed");
         assert_eq!(base.result.path, racod.result.path);
         assert!(racod.cycles < base.cycles);
@@ -994,16 +651,16 @@ mod tests {
         let mut grid = BitGrid2::new(16, 16);
         grid.fill_rect(0, 0, 15, 15, true);
         grid.set(Cell2::new(9, 9), false);
-        assert_eq!(free_near_2d(&grid, 0, 0), Cell2::new(9, 9));
+        assert_eq!(free_near::<D2>(&grid, Cell2::new(0, 0)), Cell2::new(9, 9));
     }
 
     #[test]
     fn software_runahead_helps_on_threads() {
         let grid = city_map(CityName::Boston, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
         let cost = CostModel::xeon_software();
-        let bm = plan_software_2d(&sc, 32, None, &cost);
-        let ras = plan_software_2d(&sc, 32, Some(32), &cost);
+        let bm = plan(&sc, Backend::software(32, None), &cost);
+        let ras = plan(&sc, Backend::software(32, Some(32)), &cost);
         assert_eq!(bm.result.path, ras.result.path);
         assert!(ras.cycles < bm.cycles, "software RASExp {} vs BM {}", ras.cycles, bm.cycles);
     }

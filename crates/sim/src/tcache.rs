@@ -1,22 +1,21 @@
-//! Bounded per-rotation footprint template caches and the checkers that
-//! consume them.
+//! The bounded per-rotation footprint template cache and the checker that
+//! consumes it, written once over [`Dim`].
 //!
 //! A planning run re-checks the same footprint under a small set of
 //! orientations — for `TowardGoal` footprints one per gcd-reduced heading
 //! direction ([`RotKey`]), for `AxisAligned` exactly one. Compiling each
-//! orientation's [`FootprintTemplate2`] once and caching it makes the
-//! steady-state collision check trig-free and allocation-free: expansion is
+//! orientation's template once and caching it makes the steady-state
+//! collision check trig-free and allocation-free: expansion is
 //! `state + offsets`, evaluation is the word-parallel kernel
-//! ([`racod_codacc::template_check_2d`]).
+//! ([`Dim::kernel`]).
 //!
 //! The cache is shared (`Arc`-friendly, interior mutability) so a serving
 //! layer can keep one instance warm per map beside its other artifacts, and
 //! real thread-pool planners can check through it concurrently.
 
-use crate::footprint::{Footprint2, Footprint3, RotKey};
-use racod_codacc::{template_check_2d, template_check_3d, SoftwareCheck};
-use racod_geom::{Cell2, Cell3, FootprintTemplate2, FootprintTemplate3};
-use racod_grid::{BitGrid2, BitGrid3};
+use crate::dim::{Dim, D2, D3};
+use crate::footprint::RotKey;
+use racod_codacc::SoftwareCheck;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -26,22 +25,6 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// A car template is ~3 KB; 1024 entries bound the cache at a few MB while
 /// comfortably covering every heading a 512-grid planning run produces.
 pub const DEFAULT_TEMPLATE_CAPACITY: usize = 1024;
-
-/// Cache key: footprint dimensions (bit-exact) + orientation key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key2 {
-    length: u32,
-    width: u32,
-    rot: RotKey,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-struct Key3 {
-    length: u32,
-    width: u32,
-    height: u32,
-    rot: RotKey,
-}
 
 struct Lru<K, V> {
     map: HashMap<K, (Arc<V>, u64)>,
@@ -74,8 +57,8 @@ impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
     }
 }
 
-/// A bounded LRU of compiled 2D footprint templates, keyed by footprint
-/// dimensions and [`RotKey`].
+/// A bounded LRU of compiled footprint templates, keyed by footprint
+/// dimensions (bit-exact) and [`RotKey`].
 ///
 /// Thread-safe via interior mutability: `get` takes `&self`, so the cache
 /// can sit behind an `Arc` shared by real planner threads.
@@ -95,25 +78,30 @@ impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
 /// assert!(hit);
 /// assert_eq!(tpl.offsets(), again.offsets());
 /// ```
-pub struct TemplateCache2 {
-    inner: Mutex<Lru<Key2, FootprintTemplate2>>,
+pub struct TemplateCache<D: Dim> {
+    inner: Mutex<Lru<Key<D>, D::Template>>,
 }
 
-impl TemplateCache2 {
+type Key<D> = (<D as Dim>::FootprintKey, RotKey);
+
+/// The 2D template cache.
+pub type TemplateCache2 = TemplateCache<D2>;
+/// The 3D template cache.
+pub type TemplateCache3 = TemplateCache<D3>;
+
+impl<D: Dim> TemplateCache<D> {
     /// Creates a cache bounded to `capacity` templates (min 1).
     pub fn new(capacity: usize) -> Self {
-        TemplateCache2 { inner: Mutex::new(Lru::new(capacity)) }
+        TemplateCache { inner: Mutex::new(Lru::new(capacity)) }
     }
 
     /// The template for `footprint` at orientation `key`, compiling it on
     /// first use. Returns `(template, was_cache_hit)`.
-    pub fn get(&self, footprint: &Footprint2, key: RotKey) -> (Arc<FootprintTemplate2>, bool) {
-        let k =
-            Key2 { length: footprint.length.to_bits(), width: footprint.width.to_bits(), rot: key };
+    pub fn get(&self, footprint: &D::Footprint, key: RotKey) -> (Arc<D::Template>, bool) {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .get_or_insert_with(k, || footprint.template(key))
+            .get_or_insert_with((D::footprint_key(footprint), key), || D::template(footprint, key))
     }
 
     /// Number of templates currently cached.
@@ -127,64 +115,15 @@ impl TemplateCache2 {
     }
 }
 
-impl Default for TemplateCache2 {
+impl<D: Dim> Default for TemplateCache<D> {
     fn default() -> Self {
-        TemplateCache2::new(DEFAULT_TEMPLATE_CAPACITY)
+        TemplateCache::new(DEFAULT_TEMPLATE_CAPACITY)
     }
 }
 
-impl fmt::Debug for TemplateCache2 {
+impl<D: Dim> fmt::Debug for TemplateCache<D> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TemplateCache2").field("len", &self.len()).finish()
-    }
-}
-
-/// 3D counterpart of [`TemplateCache2`].
-pub struct TemplateCache3 {
-    inner: Mutex<Lru<Key3, FootprintTemplate3>>,
-}
-
-impl TemplateCache3 {
-    /// Creates a cache bounded to `capacity` templates (min 1).
-    pub fn new(capacity: usize) -> Self {
-        TemplateCache3 { inner: Mutex::new(Lru::new(capacity)) }
-    }
-
-    /// The template for `footprint` at orientation `key`, compiling it on
-    /// first use. Returns `(template, was_cache_hit)`.
-    pub fn get(&self, footprint: &Footprint3, key: RotKey) -> (Arc<FootprintTemplate3>, bool) {
-        let k = Key3 {
-            length: footprint.length.to_bits(),
-            width: footprint.width.to_bits(),
-            height: footprint.height.to_bits(),
-            rot: key,
-        };
-        self.inner
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .get_or_insert_with(k, || footprint.template(key))
-    }
-
-    /// Number of templates currently cached.
-    pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).map.len()
-    }
-
-    /// Whether the cache is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-}
-
-impl Default for TemplateCache3 {
-    fn default() -> Self {
-        TemplateCache3::new(DEFAULT_TEMPLATE_CAPACITY)
-    }
-}
-
-impl fmt::Debug for TemplateCache3 {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("TemplateCache3").field("len", &self.len()).finish()
+        f.debug_struct("TemplateCache").field("len", &self.len()).finish()
     }
 }
 
@@ -207,6 +146,74 @@ impl TemplateStats {
             self.hits as f64 / total as f64
         }
     }
+
+    fn count(&mut self, hit: bool) {
+        if hit {
+            self.hits += 1;
+        } else {
+            self.misses += 1;
+        }
+    }
+}
+
+/// Per-run template supplier: a shared cache behind a last-key memo, so
+/// the common case (consecutive states on the same heading ray) never
+/// touches the cache lock.
+///
+/// Memo hits and cache lookups are counted apart because callers report
+/// them differently: a simulated plan's [`TemplateStats`] counts a memo hit
+/// as a hit ([`TemplateSource::stats`]), the serving layer's real-threads
+/// arm records cache traffic only ([`TemplateSource::lookups`]).
+pub struct TemplateSource<'c, D: Dim> {
+    footprint: D::Footprint,
+    goal: D::Cell,
+    cache: &'c TemplateCache<D>,
+    last: Option<(RotKey, Arc<D::Template>)>,
+    memo_hits: u64,
+    lookups: TemplateStats,
+}
+
+impl<'c, D: Dim> TemplateSource<'c, D> {
+    /// A supplier of `footprint`'s templates for states heading to `goal`.
+    pub fn new(footprint: D::Footprint, goal: D::Cell, cache: &'c TemplateCache<D>) -> Self {
+        TemplateSource {
+            footprint,
+            goal,
+            cache,
+            last: None,
+            memo_hits: 0,
+            lookups: TemplateStats::default(),
+        }
+    }
+
+    /// The template of the body at `state`.
+    pub fn template_at(&mut self, state: D::Cell) -> &D::Template {
+        let key = D::rot_key(&self.footprint, state, self.goal);
+        self.template_for(key)
+    }
+
+    /// The template for orientation `key`, which MUST be this footprint's
+    /// key at the state being checked.
+    pub fn template_for(&mut self, key: RotKey) -> &D::Template {
+        if matches!(&self.last, Some((k, _)) if *k == key) {
+            self.memo_hits += 1;
+        } else {
+            let (tpl, hit) = self.cache.get(&self.footprint, key);
+            self.lookups.count(hit);
+            self.last = Some((key, tpl));
+        }
+        &self.last.as_ref().expect("memo filled above").1
+    }
+
+    /// Cache lookups only: what got past the memo.
+    pub fn lookups(&self) -> TemplateStats {
+        self.lookups
+    }
+
+    /// Every request: memo hits count as hits.
+    pub fn stats(&self) -> TemplateStats {
+        TemplateStats { hits: self.lookups.hits + self.memo_hits, misses: self.lookups.misses }
+    }
 }
 
 /// Reusable scratch buffers for batched checks, so steady-state batch
@@ -222,15 +229,13 @@ pub struct BatchScratch {
 const BATCH_PLACEHOLDER: SoftwareCheck =
     SoftwareCheck { verdict: racod_codacc::Verdict::Invalid, cells_checked: 0, cells_total: 0 };
 
-fn batch_groups<S: Copy>(
+fn batch_groups(
     keys: &[RotKey],
     order: &mut Vec<u32>,
-    states: &[S],
     mut check_group: impl FnMut(RotKey, &[u32]),
 ) {
-    debug_assert_eq!(keys.len(), states.len());
     order.clear();
-    order.extend(0..states.len() as u32);
+    order.extend(0..keys.len() as u32);
     order.sort_unstable_by_key(|&i| keys[i as usize]);
     let mut i = 0;
     while i < order.len() {
@@ -244,7 +249,7 @@ fn batch_groups<S: Copy>(
 }
 
 /// The canonical planning-path collision checker: template cache + word
-/// kernel over a 2D grid.
+/// kernel over a grid.
 ///
 /// This *defines* the cell set a planner tests at a state: the footprint's
 /// reference rasterization translated to the state (see
@@ -268,48 +273,53 @@ fn batch_groups<S: Copy>(
 /// let checker = TemplateChecker2::new(&grid, Footprint2::car(), Cell2::new(60, 60));
 /// assert!(checker.is_free(Cell2::new(30, 30)));
 /// ```
-pub struct TemplateChecker2<'g> {
-    grid: &'g BitGrid2,
-    footprint: Footprint2,
-    goal: Cell2,
-    cache: Arc<TemplateCache2>,
+pub struct TemplateChecker<'g, D: Dim> {
+    grid: &'g D::Grid,
+    footprint: D::Footprint,
+    goal: D::Cell,
+    cache: Arc<TemplateCache<D>>,
 }
 
-impl<'g> TemplateChecker2<'g> {
+/// The 2D planning-path checker.
+pub type TemplateChecker2<'g> = TemplateChecker<'g, D2>;
+/// The 3D planning-path checker.
+pub type TemplateChecker3<'g> = TemplateChecker<'g, D3>;
+
+impl<'g, D: Dim> TemplateChecker<'g, D> {
     /// A checker with its own fresh cache.
-    pub fn new(grid: &'g BitGrid2, footprint: Footprint2, goal: Cell2) -> Self {
-        Self::with_cache(grid, footprint, goal, Arc::new(TemplateCache2::default()))
+    pub fn new(grid: &'g D::Grid, footprint: D::Footprint, goal: D::Cell) -> Self {
+        Self::with_cache(grid, footprint, goal, Arc::new(TemplateCache::default()))
     }
 
     /// A checker backed by a shared (e.g. per-map) cache.
     pub fn with_cache(
-        grid: &'g BitGrid2,
-        footprint: Footprint2,
-        goal: Cell2,
-        cache: Arc<TemplateCache2>,
+        grid: &'g D::Grid,
+        footprint: D::Footprint,
+        goal: D::Cell,
+        cache: Arc<TemplateCache<D>>,
     ) -> Self {
-        TemplateChecker2 { grid, footprint, goal, cache }
+        TemplateChecker { grid, footprint, goal, cache }
     }
 
     /// The shared template cache.
-    pub fn cache(&self) -> &Arc<TemplateCache2> {
+    pub fn cache(&self) -> &Arc<TemplateCache<D>> {
         &self.cache
     }
 
     /// Full check of the footprint at `state`, with exact early-exit stats.
-    pub fn check(&self, state: Cell2) -> SoftwareCheck {
+    pub fn check(&self, state: D::Cell) -> SoftwareCheck {
         self.check_counted(state).0
     }
 
-    /// [`TemplateChecker2::check`] plus whether the template lookup hit.
-    pub fn check_counted(&self, state: Cell2) -> (SoftwareCheck, bool) {
-        let key = self.footprint.rot_key(state, self.goal);
+    /// [`TemplateChecker::check`] plus whether the template lookup hit.
+    pub fn check_counted(&self, state: D::Cell) -> (SoftwareCheck, bool) {
+        let key = D::rot_key(&self.footprint, state, self.goal);
         let (tpl, hit) = self.cache.get(&self.footprint, key);
-        (template_check_2d(self.grid, state, &tpl), hit)
+        (D::kernel(self.grid, state, &tpl), hit)
     }
 
     /// Whether the footprint is collision-free (and in bounds) at `state`.
-    pub fn is_free(&self, state: Cell2) -> bool {
+    pub fn is_free(&self, state: D::Cell) -> bool {
         self.check(state).verdict.is_free()
     }
 
@@ -317,7 +327,7 @@ impl<'g> TemplateChecker2<'g> {
     /// poses that share a [`RotKey`].
     ///
     /// Results land in `out` at the pose's original index and each is
-    /// bit-identical to [`TemplateChecker2::check`] on that pose alone —
+    /// bit-identical to [`TemplateChecker::check`] on that pose alone —
     /// poses are grouped by orientation (one cache lock per group instead
     /// of per pose), but each pose is still evaluated independently against
     /// the grid, so batching can never change a verdict or a
@@ -325,26 +335,26 @@ impl<'g> TemplateChecker2<'g> {
     /// amortization is exactly that a group costs one lookup).
     pub fn check_batch_into(
         &self,
-        states: &[Cell2],
+        states: &[D::Cell],
         scratch: &mut BatchScratch,
         out: &mut Vec<SoftwareCheck>,
     ) -> TemplateStats {
         let BatchScratch { keys, order } = scratch;
         keys.clear();
-        keys.extend(states.iter().map(|&s| self.footprint.rot_key(s, self.goal)));
+        keys.extend(states.iter().map(|&s| D::rot_key(&self.footprint, s, self.goal)));
         self.batch_keyed(states, keys, order, out)
     }
 
-    /// [`TemplateChecker2::check_batch_into`] with caller-supplied keys.
+    /// [`TemplateChecker::check_batch_into`] with caller-supplied keys.
     ///
     /// Batch producers that sort probes by orientation (the server
     /// dispatcher, wave builders) have already computed every pose's
     /// [`RotKey`]; this entry point skips recomputing them. Each `keys[i]`
-    /// MUST equal `footprint.rot_key(states[i], goal)` — a wrong key checks
-    /// the wrong template.
+    /// MUST equal the footprint's `rot_key(states[i], goal)` — a wrong key
+    /// checks the wrong template.
     pub fn check_batch_keyed_into(
         &self,
-        states: &[Cell2],
+        states: &[D::Cell],
         keys: &[RotKey],
         order: &mut Vec<u32>,
         out: &mut Vec<SoftwareCheck>,
@@ -353,13 +363,13 @@ impl<'g> TemplateChecker2<'g> {
         debug_assert!(keys
             .iter()
             .zip(states)
-            .all(|(&k, &s)| k == self.footprint.rot_key(s, self.goal)));
+            .all(|(&k, &s)| k == D::rot_key(&self.footprint, s, self.goal)));
         self.batch_keyed(states, keys, order, out)
     }
 
     fn batch_keyed(
         &self,
-        states: &[Cell2],
+        states: &[D::Cell],
         keys: &[RotKey],
         order: &mut Vec<u32>,
         out: &mut Vec<SoftwareCheck>,
@@ -374,155 +384,24 @@ impl<'g> TemplateChecker2<'g> {
         let first = keys[0];
         if keys.iter().all(|&k| k == first) {
             let (tpl, hit) = self.cache.get(&self.footprint, first);
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
-            out.extend(states.iter().map(|&s| template_check_2d(self.grid, s, &tpl)));
+            stats.count(hit);
+            out.extend(states.iter().map(|&s| D::kernel(self.grid, s, &tpl)));
             return stats;
         }
         out.resize(states.len(), BATCH_PLACEHOLDER);
-        batch_groups(keys, order, states, |key, group| {
+        batch_groups(keys, order, |key, group| {
             let (tpl, hit) = self.cache.get(&self.footprint, key);
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
+            stats.count(hit);
             for &i in group {
-                out[i as usize] = template_check_2d(self.grid, states[i as usize], &tpl);
+                out[i as usize] = D::kernel(self.grid, states[i as usize], &tpl);
             }
         });
         stats
     }
 
     /// Allocating convenience wrapper over
-    /// [`TemplateChecker2::check_batch_into`].
-    pub fn check_batch(&self, states: &[Cell2]) -> Vec<SoftwareCheck> {
-        let mut out = Vec::with_capacity(states.len());
-        self.check_batch_into(states, &mut BatchScratch::default(), &mut out);
-        out
-    }
-}
-
-/// 3D counterpart of [`TemplateChecker2`].
-pub struct TemplateChecker3<'g> {
-    grid: &'g BitGrid3,
-    footprint: Footprint3,
-    goal: Cell3,
-    cache: Arc<TemplateCache3>,
-}
-
-impl<'g> TemplateChecker3<'g> {
-    /// A checker with its own fresh cache.
-    pub fn new(grid: &'g BitGrid3, footprint: Footprint3, goal: Cell3) -> Self {
-        Self::with_cache(grid, footprint, goal, Arc::new(TemplateCache3::default()))
-    }
-
-    /// A checker backed by a shared (e.g. per-map) cache.
-    pub fn with_cache(
-        grid: &'g BitGrid3,
-        footprint: Footprint3,
-        goal: Cell3,
-        cache: Arc<TemplateCache3>,
-    ) -> Self {
-        TemplateChecker3 { grid, footprint, goal, cache }
-    }
-
-    /// The shared template cache.
-    pub fn cache(&self) -> &Arc<TemplateCache3> {
-        &self.cache
-    }
-
-    /// Full check of the footprint at `state`, with exact early-exit stats.
-    pub fn check(&self, state: Cell3) -> SoftwareCheck {
-        self.check_counted(state).0
-    }
-
-    /// [`TemplateChecker3::check`] plus whether the template lookup hit.
-    pub fn check_counted(&self, state: Cell3) -> (SoftwareCheck, bool) {
-        let key = self.footprint.rot_key(state, self.goal);
-        let (tpl, hit) = self.cache.get(&self.footprint, key);
-        (template_check_3d(self.grid, state, &tpl), hit)
-    }
-
-    /// Whether the footprint is collision-free (and in bounds) at `state`.
-    pub fn is_free(&self, state: Cell3) -> bool {
-        self.check(state).verdict.is_free()
-    }
-
-    /// 3D counterpart of [`TemplateChecker2::check_batch_into`]: grouped by
-    /// [`RotKey`], bit-identical per pose to [`TemplateChecker3::check`].
-    pub fn check_batch_into(
-        &self,
-        states: &[Cell3],
-        scratch: &mut BatchScratch,
-        out: &mut Vec<SoftwareCheck>,
-    ) -> TemplateStats {
-        let BatchScratch { keys, order } = scratch;
-        keys.clear();
-        keys.extend(states.iter().map(|&s| self.footprint.rot_key(s, self.goal)));
-        self.batch_keyed(states, keys, order, out)
-    }
-
-    /// 3D counterpart of [`TemplateChecker2::check_batch_keyed_into`].
-    pub fn check_batch_keyed_into(
-        &self,
-        states: &[Cell3],
-        keys: &[RotKey],
-        order: &mut Vec<u32>,
-        out: &mut Vec<SoftwareCheck>,
-    ) -> TemplateStats {
-        assert_eq!(keys.len(), states.len(), "one key per pose");
-        debug_assert!(keys
-            .iter()
-            .zip(states)
-            .all(|(&k, &s)| k == self.footprint.rot_key(s, self.goal)));
-        self.batch_keyed(states, keys, order, out)
-    }
-
-    fn batch_keyed(
-        &self,
-        states: &[Cell3],
-        keys: &[RotKey],
-        order: &mut Vec<u32>,
-        out: &mut Vec<SoftwareCheck>,
-    ) -> TemplateStats {
-        let mut stats = TemplateStats::default();
-        out.clear();
-        if states.is_empty() {
-            return stats;
-        }
-        let first = keys[0];
-        if keys.iter().all(|&k| k == first) {
-            let (tpl, hit) = self.cache.get(&self.footprint, first);
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
-            out.extend(states.iter().map(|&s| template_check_3d(self.grid, s, &tpl)));
-            return stats;
-        }
-        out.resize(states.len(), BATCH_PLACEHOLDER);
-        batch_groups(keys, order, states, |key, group| {
-            let (tpl, hit) = self.cache.get(&self.footprint, key);
-            if hit {
-                stats.hits += 1;
-            } else {
-                stats.misses += 1;
-            }
-            for &i in group {
-                out[i as usize] = template_check_3d(self.grid, states[i as usize], &tpl);
-            }
-        });
-        stats
-    }
-
-    /// Allocating convenience wrapper over
-    /// [`TemplateChecker3::check_batch_into`].
-    pub fn check_batch(&self, states: &[Cell3]) -> Vec<SoftwareCheck> {
+    /// [`TemplateChecker::check_batch_into`].
+    pub fn check_batch(&self, states: &[D::Cell]) -> Vec<SoftwareCheck> {
         let mut out = Vec::with_capacity(states.len());
         self.check_batch_into(states, &mut BatchScratch::default(), &mut out);
         out
@@ -532,8 +411,11 @@ impl<'g> TemplateChecker3<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::footprint::Footprint2;
     use racod_codacc::template_check_2d_scalar;
+    use racod_geom::Cell2;
     use racod_grid::gen::{city_map, CityName};
+    use racod_grid::BitGrid2;
 
     #[test]
     fn cache_hits_after_first_lookup() {

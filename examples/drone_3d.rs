@@ -22,7 +22,7 @@ fn main() {
     let scenario = Scenario3::new(&grid).with_free_endpoints((4, 4, 16), (91, 91, 16));
     println!("start {}, goal {}", scenario.start, scenario.goal);
 
-    let base = plan_software_3d(&scenario, 4, None, &CostModel::i3_software());
+    let base = plan(&scenario, Backend::software(4, None), &CostModel::i3_software());
     let Some(path) = base.result.path.as_ref() else {
         println!("no route through the campus — try another seed");
         return;
@@ -36,7 +36,7 @@ fn main() {
     );
 
     for units in [1usize, 8, 32] {
-        let racod = plan_racod_3d(&scenario, units, &CostModel::racod());
+        let racod = plan(&scenario, Backend::racod(units), &CostModel::racod());
         assert_eq!(racod.result.path, base.result.path);
         println!(
             "racod {units:>2} units: {:>12} cycles -> {:>5.1}x  (coverage {:.1}%)",

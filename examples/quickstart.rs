@@ -20,12 +20,12 @@ fn main() {
 
     // 2. A planning scenario: car footprint, endpoints snapped to cells
     //    where the whole robot body fits.
-    let scenario = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+    let scenario = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
     println!("start {}, goal {}", scenario.start, scenario.goal);
 
     // 3. The software baseline: multithreaded A* on a low-end robotic
     //    processor model (Intel Core i3-8109U).
-    let base = plan_software_2d(&scenario, 4, None, &CostModel::i3_software());
+    let base = plan(&scenario, Backend::software(4, None), &CostModel::i3_software());
     let path = base.result.path.as_ref().expect("city streets are connected");
     println!(
         "baseline: path of {} states, cost {:.1}, {} expansions, {} simulated cycles",
@@ -37,7 +37,7 @@ fn main() {
 
     // 4. RACOD: the same search with 32 CODAcc accelerators and RASExp
     //    runahead. The path is identical; only time changes.
-    let racod = plan_racod_2d(&scenario, 32, &CostModel::racod());
+    let racod = plan(&scenario, Backend::racod(32), &CostModel::racod());
     assert_eq!(racod.result.path, base.result.path);
     println!(
         "racod:    same path, {} simulated cycles -> {:.1}x speedup",

@@ -33,8 +33,8 @@ fn expensive_check(grid: &BitGrid2, c: Cell2) -> bool {
 
 fn main() {
     let grid = Arc::new(city_map(CityName::Boston, 256, 256));
-    let start = racod::sim::planner::free_near_2d(&grid, 10, 10);
-    let goal = racod::sim::planner::free_near_2d(&grid, 245, 245);
+    let start = racod::sim::planner::free_near::<D2>(&grid, Cell2::new(10, 10));
+    let goal = racod::sim::planner::free_near::<D2>(&grid, Cell2::new(245, 245));
     println!("planning {start} -> {goal} with real threads\n");
 
     let mut baseline_time = Duration::ZERO;

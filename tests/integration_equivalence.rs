@@ -11,11 +11,11 @@ use std::sync::Arc;
 fn assert_all_strategies_agree(city: CityName, seed: u64) {
     let grid = city_map(city, 256, 256);
     let sc = Scenario2::new(&grid)
-        .with_free_endpoints(10 + seed as i64, 10, 245, 245 - seed as i64)
+        .with_free_endpoints((10 + seed as i64, 10), (245, 245 - seed as i64))
         .with_astar(AstarConfig { record_expansions: true, ..Default::default() });
 
     // Reference: single-threaded software.
-    let reference = plan_software_2d(&sc, 1, None, &CostModel::i3_software());
+    let reference = plan(&sc, Backend::software(1, None), &CostModel::i3_software());
 
     // Functional RASExp oracle at several runahead depths, checking with
     // the same template semantics the timed planners use.
@@ -35,7 +35,7 @@ fn assert_all_strategies_agree(city: CityName, seed: u64) {
 
     // Timed RACOD at several unit counts.
     for units in [1usize, 8, 32] {
-        let r = plan_racod_2d(&sc, units, &CostModel::racod());
+        let r = plan(&sc, Backend::racod(units), &CostModel::racod());
         assert_eq!(r.result.path, reference.result.path, "{city}: RACOD {units}u diverged");
         assert_eq!(
             r.result.cost.to_bits(),
@@ -85,9 +85,9 @@ fn real_threads_agree_with_reference() {
 fn three_d_equivalence() {
     let grid = campus_3d(5, 48, 48, 24);
     let sc = Scenario3::new(&grid).with_free_endpoints((3, 3, 12), (44, 44, 12));
-    let reference = plan_software_3d(&sc, 1, None, &CostModel::i3_software());
+    let reference = plan(&sc, Backend::software(1, None), &CostModel::i3_software());
     for units in [1usize, 16] {
-        let r = plan_racod_3d(&sc, units, &CostModel::racod());
+        let r = plan(&sc, Backend::racod(units), &CostModel::racod());
         assert_eq!(r.result.path, reference.result.path, "3D RACOD {units}u diverged");
     }
 }

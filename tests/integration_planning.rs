@@ -2,14 +2,15 @@
 //! functional planning correctness across the whole stack.
 
 use racod::prelude::*;
-use racod::sim::planner::free_near_footprint_2d;
+use racod::sim::planner::free_near_footprint;
+use racod::sim::D2;
 
 #[test]
 fn car_plans_through_every_city() {
     for city in CityName::ALL {
         let grid = city_map(city, 256, 256);
-        let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-        let out = plan_software_2d(&sc, 1, None, &CostModel::i3_software());
+        let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
+        let out = plan(&sc, Backend::software(1, None), &CostModel::i3_software());
         let path =
             out.result.path.unwrap_or_else(|| panic!("{city}: no route between snapped endpoints"));
         // Endpoints match the scenario.
@@ -36,7 +37,7 @@ fn car_plans_through_every_city() {
 fn drone_plans_through_campus() {
     let grid = campus_3d(7, 64, 64, 24);
     let sc = Scenario3::new(&grid).with_free_endpoints((3, 3, 12), (60, 60, 12));
-    let out = plan_software_3d(&sc, 1, None, &CostModel::i3_software());
+    let out = plan(&sc, Backend::software(1, None), &CostModel::i3_software());
     let path = out.result.path.expect("campus must be flyable");
     let checker = TemplateChecker3::new(&grid, sc.footprint, sc.goal);
     for &state in &path {
@@ -53,10 +54,10 @@ fn moving_ai_roundtrip_plans_identically() {
     let reparsed = racod::grid::io::parse_map(&text).expect("own writer output parses");
     assert_eq!(grid, reparsed);
 
-    let sc1 = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-    let sc2 = Scenario2::new(&reparsed).with_free_endpoints(10, 10, 245, 245);
-    let r1 = plan_software_2d(&sc1, 1, None, &CostModel::i3_software());
-    let r2 = plan_software_2d(&sc2, 1, None, &CostModel::i3_software());
+    let sc1 = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
+    let sc2 = Scenario2::new(&reparsed).with_free_endpoints((10, 10), (245, 245));
+    let r1 = plan(&sc1, Backend::software(1, None), &CostModel::i3_software());
+    let r2 = plan(&sc2, Backend::software(1, None), &CostModel::i3_software());
     assert_eq!(r1.result.path, r2.result.path);
 }
 
@@ -65,7 +66,7 @@ fn footprint_snapping_respects_orientation() {
     let grid = city_map(CityName::Boston, 256, 256);
     let fp = Footprint2::car();
     let toward = Cell2::new(200, 200);
-    let snapped = free_near_footprint_2d(&grid, &fp, 30, 30, toward);
+    let snapped = free_near_footprint::<D2>(&grid, &fp, Cell2::new(30, 30), toward);
     let checker = TemplateChecker2::new(&grid, fp, toward);
     assert_eq!(checker.check(snapped).verdict, Verdict::Free);
 }
@@ -74,8 +75,8 @@ fn footprint_snapping_respects_orientation() {
 fn hardware_and_software_checkers_agree_across_a_planning_run() {
     // Walk a real path and check every state with both checkers.
     let grid = city_map(CityName::Berlin, 256, 256);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-    let out = plan_software_2d(&sc, 1, None, &CostModel::i3_software());
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
+    let out = plan(&sc, Backend::software(1, None), &CostModel::i3_software());
     let path = out.result.path.expect("route exists");
 
     let mut pool = CodaccPool::new(2);

@@ -3,13 +3,13 @@
 //! statistics each layer reports.
 
 use racod::prelude::*;
-use racod::sim::planner::plan_racod_2d_ext;
+use racod::sim::planner::{plan, Backend};
 
 #[test]
 fn racod_pipeline_statistics_are_coherent() {
     let grid = city_map(CityName::Boston, 256, 256);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
-    let out = plan_racod_2d(&sc, 8, &CostModel::racod());
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
+    let out = plan(&sc, Backend::racod(8), &CostModel::racod());
     assert!(out.result.found());
 
     // Checks reported by RASExp must equal the work performed: every
@@ -35,10 +35,10 @@ fn racod_pipeline_statistics_are_coherent() {
 #[test]
 fn runahead_reduces_stalls_monotonically_in_spirit() {
     let grid = city_map(CityName::Paris, 256, 256);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
     let cost = CostModel::racod();
-    let one = plan_racod_2d(&sc, 1, &cost);
-    let many = plan_racod_2d(&sc, 16, &cost);
+    let one = plan(&sc, Backend::racod(1), &cost);
+    let many = plan(&sc, Backend::racod(16), &cost);
     assert!(one.result.found());
     assert!(
         many.timing.stall_cycles < one.timing.stall_cycles,
@@ -53,12 +53,28 @@ fn runahead_reduces_stalls_monotonically_in_spirit() {
 fn l0_size_affects_planning_time() {
     use racod::mem::CacheConfig;
     let grid = city_map(CityName::Berlin, 256, 256);
-    let sc = Scenario2::new(&grid).with_free_endpoints(10, 10, 245, 245);
+    let sc = Scenario2::new(&grid).with_free_endpoints((10, 10), (245, 245));
     let cost = CostModel::racod();
-    let tiny =
-        plan_racod_2d_ext(&sc, 8, &cost, Default::default(), CacheConfig::l0_sized(64), true);
-    let large =
-        plan_racod_2d_ext(&sc, 8, &cost, Default::default(), CacheConfig::l0_sized(1024), true);
+    let tiny = plan(
+        &sc,
+        Backend::Racod {
+            units: 8,
+            runahead: true,
+            latency: Default::default(),
+            l0: CacheConfig::l0_sized(64),
+        },
+        &cost,
+    );
+    let large = plan(
+        &sc,
+        Backend::Racod {
+            units: 8,
+            runahead: true,
+            latency: Default::default(),
+            l0: CacheConfig::l0_sized(1024),
+        },
+        &cost,
+    );
     assert!(tiny.result.found());
     assert_eq!(tiny.result.path, large.result.path, "cache size is invisible functionally");
     let (t_hr, l_hr) = (tiny.l0_stats.unwrap().hit_ratio(), large.l0_stats.unwrap().hit_ratio());
@@ -83,8 +99,8 @@ fn invalid_configurations_never_enter_paths() {
     // leaves the grid; those must be rejected (Invalid), never panicking
     // and never appearing on the final path.
     let grid = BitGrid2::new(64, 64);
-    let sc = Scenario2::new(&grid).with_free_endpoints(8, 8, 60, 60);
-    let out = plan_racod_2d(&sc, 4, &CostModel::racod());
+    let sc = Scenario2::new(&grid).with_free_endpoints((8, 8), (60, 60));
+    let out = plan(&sc, Backend::racod(4), &CostModel::racod());
     let path = out.result.path.expect("open map is reachable");
     let checker = TemplateChecker2::new(&grid, sc.footprint, sc.goal);
     for &state in &path {
@@ -133,8 +149,8 @@ fn replanning_after_world_change_finds_detour() {
     let mut grid = BitGrid2::new(128, 128);
     let sc = Scenario2::new(&grid)
         .with_footprint(Footprint2::small_robot())
-        .with_free_endpoints(8, 64, 120, 64);
-    let first = plan_racod_2d(&sc, 8, &CostModel::racod());
+        .with_free_endpoints((8, 64), (120, 64));
+    let first = plan(&sc, Backend::racod(8), &CostModel::racod());
     let path1 = first.result.path.clone().expect("open field");
 
     // Wall off the midpoint of the first path (leave a detour open).
@@ -143,8 +159,8 @@ fn replanning_after_world_change_finds_detour() {
 
     let sc2 = Scenario2::new(&grid)
         .with_footprint(Footprint2::small_robot())
-        .with_free_endpoints(8, 64, 120, 64);
-    let second = plan_racod_2d(&sc2, 8, &CostModel::racod());
+        .with_free_endpoints((8, 64), (120, 64));
+    let second = plan(&sc2, Backend::racod(8), &CostModel::racod());
     let path2 = second.result.path.clone().expect("detour exists above the wall");
     assert!(second.result.cost > first.result.cost, "detour must be longer");
     for &state in &path2 {
