@@ -4,12 +4,7 @@
 //! warm-cache word-parallel template kernel (per-pose and batched) on a
 //! planning-style state sweep.
 //!
-//! Usage: `cargo run --release -p racod-bench --bin bench_json --
-//! [--checks N] [--out PATH] [--gate PATH]`
-//!
-//! `--gate PATH` runs in CI-gate mode: instead of writing a new JSON, the
-//! run compares its warm per-pose ns/check against the committed baseline
-//! at PATH and exits nonzero on a regression beyond the noise tolerance.
+//! `bench_json --help` lists the flags.
 
 use racod::codacc::{simd_lanes, template_check_2d_scalar};
 use racod::prelude::*;
@@ -38,9 +33,25 @@ impl Default for Options {
     }
 }
 
+const USAGE: &str = "\
+bench_json — collision-check microbenchmark, written as BENCH_codacc.json
+
+usage: bench_json [--checks N] [--out PATH] [--gate PATH]
+
+  --gate PATH  CI-gate mode: write nothing; compare the warm per-pose ns/check
+               against the committed baseline at PATH and exit nonzero on a
+               regression beyond the noise tolerance
+
+example:
+  cargo run --release -p racod-bench --bin bench_json -- --checks 2000 --out /tmp/b.json";
+
 fn parse_args() -> Options {
     let mut o = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {

@@ -6,8 +6,7 @@
 //! (`astar_reference`: binary-heap open list, per-call `Vec` allocations)
 //! anchors the comparison to the pre-change code path.
 //!
-//! Usage: `cargo run --release -p racod-bench --bin bench_search --
-//! [--plans N] [--out PATH] [--gate]`
+//! `bench_search --help` lists the flags.
 //!
 //! `--gate` exits non-zero unless warm ns/expansion ≤ cold ns/expansion for
 //! every engine (the CI smoke invariant: reusing the arena can never be
@@ -50,9 +49,24 @@ impl Default for Options {
     }
 }
 
+const USAGE: &str = "\
+bench_search — search-core microbenchmark, written as BENCH_search.json
+
+usage: bench_search [--plans N] [--out PATH] [--gate]
+
+  --gate  exit nonzero unless warm <= cold ns/expansion for every engine, the
+          incremental replanner clears 2x from-scratch, and ALT cuts expansions 2.5x
+
+example:
+  cargo run --release -p racod-bench --bin bench_search -- --plans 40 --out /tmp/s.json --gate";
+
 fn parse_args() -> Options {
     let mut o = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {

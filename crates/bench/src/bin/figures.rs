@@ -10,8 +10,22 @@
 use racod::experiments as exp;
 use std::time::Instant;
 
+const USAGE: &str = "\
+figures — regenerate the tables and figures of the RACOD paper's evaluation
+
+usage: figures [all | table2 fig3 fig4 ... fig13 ablations] [--full]
+
+  --full  paper-approaching workloads (default: quick scale, seconds)
+
+example:
+  cargo run --release -p racod-bench --bin figures -- fig3 fig8";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let scale = racod_bench::scale_from_args(args.iter().cloned());
     let selected: Vec<&str> =
         args.iter().filter(|a| !a.starts_with("--")).map(|s| s.as_str()).collect();

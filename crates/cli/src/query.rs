@@ -83,7 +83,7 @@ fn latency_line(name: &str, mut values: Vec<u64>) -> String {
 #[allow(clippy::unnecessary_map_or)] // Option::is_none_or needs Rust 1.82; MSRV is 1.74
 fn matches(q: &QueryArgs, p: &PlanRecord) -> bool {
     q.tenant.as_deref().map_or(true, |t| t == p.tenant)
-        && q.map.as_deref().map_or(true, |m| m == p.map)
+        && q.map.as_deref().map_or(true, |m| m == p.req.map.as_str())
         && q.outcome.map_or(true, |k| k == p.outcome)
 }
 
@@ -124,7 +124,7 @@ pub fn report(trace: &TraceFile, q: &QueryArgs) -> String {
     let mut by_map: BTreeMap<&str, usize> = BTreeMap::new();
     for p in &plans {
         *by_outcome.entry(p.outcome.name()).or_default() += 1;
-        *by_map.entry(p.map.as_str()).or_default() += 1;
+        *by_map.entry(p.req.map.as_str()).or_default() += 1;
     }
     for (name, n) in &by_outcome {
         line(format!("outcome    {name:<18} {n}"));

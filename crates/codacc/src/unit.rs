@@ -124,6 +124,9 @@ pub struct CodaccPool {
     timing: CodaccTiming,
     ru: ReductionUnit,
     hobb: Hobb,
+    /// The AGU's output for the tile in flight, `(word address, occupied)`
+    /// per register; kept across checks so a check allocates nothing here.
+    items: Vec<(Option<u64>, bool)>,
     lq_max_depth: usize,
     lq_stalls: u64,
     checks: u64,
@@ -159,6 +162,7 @@ impl CodaccPool {
             timing,
             ru: ReductionUnit::new(),
             hobb: Hobb::new(),
+            items: Vec::with_capacity(HOBB_REGISTERS),
             lq_max_depth: 0,
             lq_stalls: 0,
             checks: 0,
@@ -265,70 +269,71 @@ impl CodaccPool {
         TileOutcome { result: TileResult::Free(finish_all), blocks: blocks_done }
     }
 
+    /// The one timing loop every check runs: per tile, one AGU step, the
+    /// tile's trip through [`Self::exec_tile`], and the cycle / step /
+    /// block accounting, stopping at the first tile that short-circuits.
+    /// `fill` is the AGU: it writes one tile's `(word address, occupied)`
+    /// items into the (reused) buffer it is handed.
+    fn check_tiles<T>(
+        &mut self,
+        unit: usize,
+        tiles: impl IntoIterator<Item = T>,
+        mut fill: impl FnMut(T, &mut Vec<(Option<u64>, bool)>),
+    ) -> CheckOutcome {
+        assert!(unit < self.units(), "unit {unit} out of range");
+        self.checks += 1;
+        let mut out = CheckOutcome {
+            verdict: Verdict::Free,
+            cycles: self.timing.dispatch_cycles,
+            steps: 0,
+            blocks_fetched: 0,
+            early_exit: false,
+        };
+        let mut items = std::mem::take(&mut self.items);
+        for tile in tiles {
+            out.steps += 1;
+            out.cycles += self.timing.agu_cycles;
+            items.clear();
+            fill(tile, &mut items);
+            let tile_out = self.exec_tile(unit, &items);
+            out.blocks_fetched += tile_out.blocks;
+            let (verdict, cycles) = match tile_out.result {
+                TileResult::Free(f) => {
+                    out.cycles += f;
+                    continue;
+                }
+                TileResult::Invalid => (Verdict::Invalid, out.cycles + 1),
+                TileResult::Collision(f) => (Verdict::Collision, out.cycles + f),
+            };
+            out = CheckOutcome { verdict, cycles, early_exit: true, ..out };
+            break;
+        }
+        self.items = items;
+        out
+    }
+
     /// Checks a 2D OBB on the given unit.
     ///
     /// # Panics
     ///
     /// Panics if `unit >= self.units()`.
     pub fn check_2d(&mut self, unit: usize, grid: &BitGrid2, obb: &Obb2) -> CheckOutcome {
-        assert!(unit < self.units(), "unit {unit} out of range");
-        self.checks += 1;
         let xs = axis_samples(obb.length());
         let ys = axis_samples(obb.width());
-        let tiles = partition_tiles(xs.len(), ys.len(), 1, true);
         let ax = obb.rotation().axis_x();
         let ay = obb.rotation().axis_y();
-
-        let mut cycles = self.timing.dispatch_cycles;
-        let mut steps = 0;
-        let mut blocks_total = 0;
         // In 2D mode the idle z registers extend y capacity, so a tile's y
         // range may exceed ys.len()/HOBB_W chunking; tiles are index ranges
         // into the ys lattice directly.
-        for tile in tiles {
-            steps += 1;
-            cycles += self.timing.agu_cycles;
-            // AGU: cell + word address per register of this tile.
-            let mut items: Vec<(Option<u64>, bool)> =
-                Vec::with_capacity((tile.x.1 - tile.x.0) * (tile.y.1 - tile.y.0));
+        let tiles = partition_tiles(xs.len(), ys.len(), 1, true);
+        self.check_tiles(unit, tiles, |tile, items| {
             for &sy in &ys[tile.y.0..tile.y.1] {
                 for &sx in &xs[tile.x.0..tile.x.1] {
-                    let p = obb.origin() + ax * sx + ay * sy;
-                    let c = Cell2::from_point(p);
+                    let c = Cell2::from_point(obb.origin() + ax * sx + ay * sy);
                     items.push((grid.cell_addr(c), grid.occupied(c) == Some(true)));
                 }
             }
-            let out = self.exec_tile(unit, &items);
-            blocks_total += out.blocks;
-            match out.result {
-                TileResult::Invalid => {
-                    return CheckOutcome {
-                        verdict: Verdict::Invalid,
-                        cycles: cycles + 1,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Collision(f) => {
-                    return CheckOutcome {
-                        verdict: Verdict::Collision,
-                        cycles: cycles + f,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Free(f) => cycles += f,
-            }
-        }
-        CheckOutcome {
-            verdict: Verdict::Free,
-            cycles,
-            steps,
-            blocks_fetched: blocks_total,
-            early_exit: false,
-        }
+        })
     }
 
     /// Checks a 3D OBB on the given unit.
@@ -337,63 +342,23 @@ impl CodaccPool {
     ///
     /// Panics if `unit >= self.units()`.
     pub fn check_3d(&mut self, unit: usize, grid: &BitGrid3, obb: &Obb3) -> CheckOutcome {
-        assert!(unit < self.units(), "unit {unit} out of range");
-        self.checks += 1;
         let xs = axis_samples(obb.length());
         let ys = axis_samples(obb.width());
         let zs = axis_samples(obb.height());
-        let tiles = partition_tiles(xs.len(), ys.len(), zs.len(), false);
         let ax = obb.rotation().axis_x();
         let ay = obb.rotation().axis_y();
         let az = obb.rotation().axis_z();
-
-        let mut cycles = self.timing.dispatch_cycles;
-        let mut steps = 0;
-        let mut blocks_total = 0;
-        for tile in tiles {
-            steps += 1;
-            cycles += self.timing.agu_cycles;
-            let mut items: Vec<(Option<u64>, bool)> = Vec::new();
+        let tiles = partition_tiles(xs.len(), ys.len(), zs.len(), false);
+        self.check_tiles(unit, tiles, |tile, items| {
             for &sz in &zs[tile.z.0..tile.z.1] {
                 for &sy in &ys[tile.y.0..tile.y.1] {
                     for &sx in &xs[tile.x.0..tile.x.1] {
-                        let p = obb.origin() + ax * sx + ay * sy + az * sz;
-                        let c = Cell3::from_point(p);
+                        let c = Cell3::from_point(obb.origin() + ax * sx + ay * sy + az * sz);
                         items.push((grid.cell_addr(c), grid.occupied(c) == Some(true)));
                     }
                 }
             }
-            let out = self.exec_tile(unit, &items);
-            blocks_total += out.blocks;
-            match out.result {
-                TileResult::Invalid => {
-                    return CheckOutcome {
-                        verdict: Verdict::Invalid,
-                        cycles: cycles + 1,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Collision(f) => {
-                    return CheckOutcome {
-                        verdict: Verdict::Collision,
-                        cycles: cycles + f,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Free(f) => cycles += f,
-            }
-        }
-        CheckOutcome {
-            verdict: Verdict::Free,
-            cycles,
-            steps,
-            blocks_fetched: blocks_total,
-            early_exit: false,
-        }
+        })
     }
 
     /// Checks an explicit cell list (e.g. a template expansion) on the given
@@ -414,49 +379,9 @@ impl CodaccPool {
         grid: &BitGrid2,
         cells: &[Cell2],
     ) -> CheckOutcome {
-        assert!(unit < self.units(), "unit {unit} out of range");
-        self.checks += 1;
-        let mut cycles = self.timing.dispatch_cycles;
-        let mut steps = 0;
-        let mut blocks_total = 0;
-        for chunk in cells.chunks(HOBB_REGISTERS) {
-            steps += 1;
-            cycles += self.timing.agu_cycles;
-            let items: Vec<(Option<u64>, bool)> = chunk
-                .iter()
-                .map(|&c| (grid.cell_addr(c), grid.occupied(c) == Some(true)))
-                .collect();
-            let out = self.exec_tile(unit, &items);
-            blocks_total += out.blocks;
-            match out.result {
-                TileResult::Invalid => {
-                    return CheckOutcome {
-                        verdict: Verdict::Invalid,
-                        cycles: cycles + 1,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Collision(f) => {
-                    return CheckOutcome {
-                        verdict: Verdict::Collision,
-                        cycles: cycles + f,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Free(f) => cycles += f,
-            }
-        }
-        CheckOutcome {
-            verdict: Verdict::Free,
-            cycles,
-            steps,
-            blocks_fetched: blocks_total,
-            early_exit: false,
-        }
+        self.check_tiles(unit, cells.chunks(HOBB_REGISTERS), |chunk, items| {
+            items.extend(chunk.iter().map(|&c| (grid.cell_addr(c), grid.occupied(c) == Some(true))))
+        })
     }
 
     /// 3D counterpart of [`CodaccPool::check_cells_2d`].
@@ -470,49 +395,9 @@ impl CodaccPool {
         grid: &BitGrid3,
         cells: &[Cell3],
     ) -> CheckOutcome {
-        assert!(unit < self.units(), "unit {unit} out of range");
-        self.checks += 1;
-        let mut cycles = self.timing.dispatch_cycles;
-        let mut steps = 0;
-        let mut blocks_total = 0;
-        for chunk in cells.chunks(HOBB_REGISTERS) {
-            steps += 1;
-            cycles += self.timing.agu_cycles;
-            let items: Vec<(Option<u64>, bool)> = chunk
-                .iter()
-                .map(|&c| (grid.cell_addr(c), grid.occupied(c) == Some(true)))
-                .collect();
-            let out = self.exec_tile(unit, &items);
-            blocks_total += out.blocks;
-            match out.result {
-                TileResult::Invalid => {
-                    return CheckOutcome {
-                        verdict: Verdict::Invalid,
-                        cycles: cycles + 1,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Collision(f) => {
-                    return CheckOutcome {
-                        verdict: Verdict::Collision,
-                        cycles: cycles + f,
-                        steps,
-                        blocks_fetched: blocks_total,
-                        early_exit: true,
-                    }
-                }
-                TileResult::Free(f) => cycles += f,
-            }
-        }
-        CheckOutcome {
-            verdict: Verdict::Free,
-            cycles,
-            steps,
-            blocks_fetched: blocks_total,
-            early_exit: false,
-        }
+        self.check_tiles(unit, cells.chunks(HOBB_REGISTERS), |chunk, items| {
+            items.extend(chunk.iter().map(|&c| (grid.cell_addr(c), grid.occupied(c) == Some(true))))
+        })
     }
 }
 

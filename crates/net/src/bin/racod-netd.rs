@@ -1,11 +1,7 @@
 //! `racod-netd`: one planning shard, serving the racod-net wire protocol
 //! over TCP around an embedded scheduler.
 //!
-//! Usage: `racod-netd [--addr 127.0.0.1:0] [--world-seed 7]
-//! [--map-size 128] [--workers 4] [--queue 256] [--units 8]
-//! [--alt on|off] [--drain-deadline 5s] [--net-drop-ppm N]
-//! [--net-corrupt-ppm N] [--fault-seed S] [--chaos-seed S]
-//! [--trace-dir DIR]`
+//! `racod-netd --help` lists every flag.
 //!
 //! `--trace-dir DIR` records every request this shard serves to
 //! `DIR/racod-netd-<pid>.trace` (printed as `racod-netd trace <path>` at
@@ -93,9 +89,27 @@ fn parse_duration(name: &str, v: &str) -> Duration {
     }
 }
 
+const USAGE: &str = "\
+racod-netd — one planning shard serving the racod-net protocol over TCP
+
+usage: racod-netd [--addr 127.0.0.1:0] [--world-seed 7] [--map-size 128]
+                  [--workers 4] [--queue 256] [--alt on|off] [--drain-deadline 5s]
+                  [--net-drop-ppm N] [--net-corrupt-ppm N] [--fault-seed S]
+                  [--chaos-seed S] [--trace-dir DIR]
+
+example:
+  racod-netd --addr 127.0.0.1:7461 --world-seed 7 --map-size 64 --workers 2
+
+Prints `racod-netd listening on <addr>` once accepting; SIGTERM drains and
+exits 0. Exit 2 on a bad argument.";
+
 fn parse_args() -> Options {
     let mut o = Options::default();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let mut i = 0;
     while i < args.len() {
         let name = args[i].as_str();

@@ -1,9 +1,7 @@
 //! `racod-router`: consistent-hashing front door for a fleet of
 //! `racod-netd` shards.
 //!
-//! Usage: `racod-router [--addr 127.0.0.1:0] --backend HOST:PORT
-//! [--backend HOST:PORT ...] [--vnodes 64] [--probe-interval 50ms]
-//! [--per-shard-inflight 64]`
+//! `racod-router --help` lists every flag.
 //!
 //! Prints `racod-router listening on <addr> (<n> backends)` once
 //! accepting. SIGTERM/SIGINT stops accepting and exits; backends drain on
@@ -40,10 +38,26 @@ fn parse_duration(name: &str, v: &str) -> Duration {
     }
 }
 
+const USAGE: &str = "\
+racod-router — consistent-hashing front door for racod-netd shards
+
+usage: racod-router [--addr 127.0.0.1:0] --backend HOST:PORT [--backend HOST:PORT ...]
+                    [--vnodes 64] [--probe-interval 50ms] [--per-shard-inflight 64]
+
+example:
+  racod-router --addr 127.0.0.1:7460 --backend 127.0.0.1:7461 --backend 127.0.0.1:7462
+
+Prints `racod-router listening on <addr> (<n> backends)` once accepting.
+Exit 2 on a bad argument.";
+
 fn main() {
     let mut cfg = RouterConfig::default();
     signals::install();
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help" || a == "-h") {
+        println!("{USAGE}");
+        std::process::exit(0);
+    }
     let mut i = 0;
     while i < args.len() {
         let name = args[i].as_str();

@@ -109,9 +109,9 @@ pub fn record_cost_digest(rec: &PlanRecord) -> Option<u64> {
     if rec.outcome != OutcomeKind::Planned {
         return None;
     }
-    let mut h = request_seed(&rec.map, &rec.workload);
+    let mut h = request_seed(rec.req.map.as_str(), &rec.req.workload);
     let mut fold = |v: u64| h = mix64(h ^ v);
-    match rec.workload {
+    match rec.req.workload {
         Workload::Plan2 { .. } => {
             // canon_cost_bits already encodes the canonical cost / the
             // u64::MAX "no path" sentinel — exactly what the live digest

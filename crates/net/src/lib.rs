@@ -3,8 +3,9 @@
 //!
 //! Everything below the [`racod_server`] scheduler assumes one process.
 //! This crate is the fleet layer on top: a compact length-prefixed binary
-//! protocol ([`wire`], [`proto`]), a blocking thread-per-connection TCP
-//! server embedding a [`racod_server::PlanServer`] ([`netd`]), a
+//! protocol ([`proto`], over the server's byte codec re-exported as
+//! [`wire`]), a blocking thread-per-connection TCP server embedding a
+//! [`racod_server::PlanServer`] ([`netd`]), a
 //! consistent-hashing shard router with health probes, per-shard circuit
 //! breakers and honest backpressure ([`router`]), and a blocking client
 //! ([`client`]). No external dependencies — `std::net` and fixed-width
@@ -27,7 +28,6 @@ pub mod proto;
 pub mod replay;
 pub mod router;
 pub mod signals;
-pub mod wire;
 pub mod world;
 
 pub use client::{plan_with_retry, ClientConfig, NetClient, RemoteRetryOutcome};
@@ -38,7 +38,7 @@ pub use proto::{
     Health, Message, MetricsFrame, MsgKind, ShardStat, ShardState, WireResult, DEFAULT_MAX_FRAME,
     HEADER_LEN, MAGIC, PROTO_VERSION,
 };
+pub use racod_server::wire::{self, ProtocolError};
 pub use replay::{replay_local, replay_remote, ReplayOptions, ReplayReport};
 pub use router::{Router, RouterConfig};
-pub use wire::ProtocolError;
 pub use world::{standard_world, MapPool};

@@ -19,21 +19,21 @@
 //! answers any violation by dropping the connection — a stream that has
 //! desynchronized once cannot be trusted to frame correctly again.
 //!
-//! Durations travel as microseconds (`u64`; `u64::MAX` encodes `None`
-//! where a field is optional), floats as IEEE-754 bit patterns. Plan costs
-//! therefore survive the wire bit-identically.
+//! This module holds what is the network's alone: the frame header,
+//! [`Message`], the full `Outcome`/`Rejected` answers, metrics and shard
+//! statistics. The byte primitives and the layouts of server-owned types
+//! (cells, durations, `GridDelta2`, the whole `PlanRequest`) live in
+//! [`racod_server::wire`], shared with the trace log.
 
-use crate::wire::{frame_checksum, ByteReader, ByteWriter, ProtocolError};
-use racod_geom::{Cell2, Cell3};
 use racod_grid::GridDelta2;
-use racod_search::AstarConfig;
-use racod_server::{
-    LatencyHistogram, Outcome, PlanRequest, PlanResponse, Planned, PlannedPath, Platform, Priority,
-    Rejected, ServerMetrics, TimeoutStage, Workload,
+use racod_server::wire::{
+    frame_checksum, get_cell2, get_cell3, get_deltas, get_duration, get_request, put_cell2,
+    put_cell3, put_deltas, put_duration, put_request, ByteReader, ByteWriter, ProtocolError,
 };
-use racod_sim::footprint::OrientationPolicy;
-use racod_sim::{Footprint2, Footprint3};
-use std::time::Duration;
+use racod_server::{
+    LatencyHistogram, Outcome, PlanRequest, PlanResponse, Planned, PlannedPath, Rejected,
+    ServerMetrics, TimeoutStage,
+};
 
 /// Frame magic: the bytes `RACN` read as a little-endian `u32`.
 pub const MAGIC: u32 = u32::from_le_bytes(*b"RACN");
@@ -289,184 +289,8 @@ impl Message {
 }
 
 // ---------------------------------------------------------------------------
-// Field codecs
+// Field codecs (network-only types; the rest are in `racod_server::wire`)
 // ---------------------------------------------------------------------------
-
-/// `None` sentinel for optional microsecond durations.
-const NO_DURATION: u64 = u64::MAX;
-
-fn put_duration(w: &mut ByteWriter, d: Duration) {
-    w.put_u64(d.as_micros().min((NO_DURATION - 1) as u128) as u64);
-}
-
-fn get_duration(r: &mut ByteReader<'_>, what: &'static str) -> Result<Duration, ProtocolError> {
-    Ok(Duration::from_micros(r.u64(what)?))
-}
-
-fn put_opt_duration(w: &mut ByteWriter, d: Option<Duration>) {
-    match d {
-        None => w.put_u64(NO_DURATION),
-        Some(d) => put_duration(w, d),
-    }
-}
-
-fn get_opt_duration(
-    r: &mut ByteReader<'_>,
-    what: &'static str,
-) -> Result<Option<Duration>, ProtocolError> {
-    let us = r.u64(what)?;
-    Ok((us != NO_DURATION).then(|| Duration::from_micros(us)))
-}
-
-fn put_cell2(w: &mut ByteWriter, c: Cell2) {
-    w.put_i64(c.x);
-    w.put_i64(c.y);
-}
-
-fn get_cell2(r: &mut ByteReader<'_>) -> Result<Cell2, ProtocolError> {
-    Ok(Cell2::new(r.i64("cell2.x")?, r.i64("cell2.y")?))
-}
-
-fn put_cell3(w: &mut ByteWriter, c: Cell3) {
-    w.put_i64(c.x);
-    w.put_i64(c.y);
-    w.put_i64(c.z);
-}
-
-fn get_cell3(r: &mut ByteReader<'_>) -> Result<Cell3, ProtocolError> {
-    Ok(Cell3::new(r.i64("cell3.x")?, r.i64("cell3.y")?, r.i64("cell3.z")?))
-}
-
-fn put_policy(w: &mut ByteWriter, p: OrientationPolicy) {
-    w.put_u8(match p {
-        OrientationPolicy::AxisAligned => 0,
-        OrientationPolicy::TowardGoal => 1,
-    });
-}
-
-fn get_policy(r: &mut ByteReader<'_>) -> Result<OrientationPolicy, ProtocolError> {
-    match r.u8("OrientationPolicy")? {
-        0 => Ok(OrientationPolicy::AxisAligned),
-        1 => Ok(OrientationPolicy::TowardGoal),
-        tag => Err(ProtocolError::BadTag { what: "OrientationPolicy", tag }),
-    }
-}
-
-fn put_request(w: &mut ByteWriter, req: &PlanRequest) {
-    w.put_str(req.map.as_str());
-    match &req.workload {
-        Workload::Plan2 { start, goal, footprint } => {
-            w.put_u8(0);
-            put_cell2(w, *start);
-            put_cell2(w, *goal);
-            w.put_f32_bits(footprint.length);
-            w.put_f32_bits(footprint.width);
-            put_policy(w, footprint.policy);
-        }
-        Workload::Plan3 { start, goal, footprint } => {
-            w.put_u8(1);
-            put_cell3(w, *start);
-            put_cell3(w, *goal);
-            w.put_f32_bits(footprint.length);
-            w.put_f32_bits(footprint.width);
-            w.put_f32_bits(footprint.height);
-            put_policy(w, footprint.policy);
-        }
-        Workload::Poison => w.put_u8(2),
-        Workload::PoisonWorker => w.put_u8(3),
-    }
-    // AstarConfig: the interrupt handle never travels — the serving side
-    // builds its own from the deadline below.
-    w.put_f64_bits(req.astar.weight);
-    w.put_bool(req.astar.record_expansions);
-    w.put_bool(req.astar.record_demand_profile);
-    w.put_u64(req.astar.max_expansions);
-    w.put_u64(req.astar.poll_interval);
-    match req.platform {
-        Platform::SimSoftware { threads, runahead } => {
-            w.put_u8(0);
-            w.put_u32(threads.min(u32::MAX as usize) as u32);
-            w.put_u32(runahead.map_or(u32::MAX, |r| r.min((u32::MAX - 1) as usize) as u32));
-        }
-        Platform::Racod { units } => {
-            w.put_u8(1);
-            w.put_u32(units.min(u32::MAX as usize) as u32);
-        }
-        Platform::Threads { threads, runahead } => {
-            w.put_u8(2);
-            w.put_u32(threads.min(u32::MAX as usize) as u32);
-            w.put_u32(runahead.min(u32::MAX as usize) as u32);
-        }
-    }
-    w.put_u8(match req.priority {
-        Priority::High => 0,
-        Priority::Normal => 1,
-        Priority::Low => 2,
-    });
-    put_opt_duration(w, req.deadline);
-}
-
-fn get_request(r: &mut ByteReader<'_>) -> Result<PlanRequest, ProtocolError> {
-    let map = r.str("map id")?;
-    let workload = match r.u8("Workload")? {
-        0 => {
-            let start = get_cell2(r)?;
-            let goal = get_cell2(r)?;
-            let footprint = Footprint2 {
-                length: r.f32_bits("footprint.length")?,
-                width: r.f32_bits("footprint.width")?,
-                policy: get_policy(r)?,
-            };
-            Workload::Plan2 { start, goal, footprint }
-        }
-        1 => {
-            let start = get_cell3(r)?;
-            let goal = get_cell3(r)?;
-            let footprint = Footprint3 {
-                length: r.f32_bits("footprint.length")?,
-                width: r.f32_bits("footprint.width")?,
-                height: r.f32_bits("footprint.height")?,
-                policy: get_policy(r)?,
-            };
-            Workload::Plan3 { start, goal, footprint }
-        }
-        2 => Workload::Poison,
-        3 => Workload::PoisonWorker,
-        tag => return Err(ProtocolError::BadTag { what: "Workload", tag }),
-    };
-    let astar = AstarConfig {
-        weight: r.f64_bits("astar.weight")?,
-        record_expansions: r.bool("astar.record_expansions")?,
-        record_demand_profile: r.bool("astar.record_demand_profile")?,
-        max_expansions: r.u64("astar.max_expansions")?,
-        interrupt: None,
-        poll_interval: r.u64("astar.poll_interval")?,
-    };
-    let platform = match r.u8("Platform")? {
-        0 => {
-            let threads = r.u32("platform.threads")? as usize;
-            let runahead = r.u32("platform.runahead")?;
-            Platform::SimSoftware {
-                threads,
-                runahead: (runahead != u32::MAX).then_some(runahead as usize),
-            }
-        }
-        1 => Platform::Racod { units: r.u32("platform.units")? as usize },
-        2 => Platform::Threads {
-            threads: r.u32("platform.threads")? as usize,
-            runahead: r.u32("platform.runahead")? as usize,
-        },
-        tag => return Err(ProtocolError::BadTag { what: "Platform", tag }),
-    };
-    let priority = match r.u8("Priority")? {
-        0 => Priority::High,
-        1 => Priority::Normal,
-        2 => Priority::Low,
-        tag => return Err(ProtocolError::BadTag { what: "Priority", tag }),
-    };
-    let deadline = get_opt_duration(r, "deadline")?;
-    Ok(PlanRequest { map: map.into(), workload, astar, platform, priority, deadline })
-}
 
 fn put_rejected(w: &mut ByteWriter, rej: &Rejected) {
     match rej {
@@ -482,6 +306,7 @@ fn put_rejected(w: &mut ByteWriter, rej: &Rejected) {
             put_duration(w, *deadline);
         }
         Rejected::ShuttingDown => w.put_u8(4),
+        Rejected::InvalidRequest => w.put_u8(5),
     }
 }
 
@@ -495,6 +320,7 @@ fn get_rejected(r: &mut ByteReader<'_>) -> Result<Rejected, ProtocolError> {
             deadline: get_duration(r, "deadline")?,
         },
         4 => Rejected::ShuttingDown,
+        5 => Rejected::InvalidRequest,
         tag => return Err(ProtocolError::BadTag { what: "Rejected", tag }),
     })
 }
@@ -652,33 +478,6 @@ fn get_metrics(r: &mut ByteReader<'_>) -> Result<MetricsFrame, ProtocolError> {
     Ok(MetricsFrame { counters, hists })
 }
 
-fn put_delta(w: &mut ByteWriter, d: GridDelta2) {
-    match d {
-        GridDelta2::Appear { cell } => {
-            w.put_u8(0);
-            put_cell2(w, cell);
-        }
-        GridDelta2::Disappear { cell } => {
-            w.put_u8(1);
-            put_cell2(w, cell);
-        }
-        GridDelta2::Move { from, to } => {
-            w.put_u8(2);
-            put_cell2(w, from);
-            put_cell2(w, to);
-        }
-    }
-}
-
-fn get_delta(r: &mut ByteReader<'_>) -> Result<GridDelta2, ProtocolError> {
-    Ok(match r.u8("GridDelta2")? {
-        0 => GridDelta2::Appear { cell: get_cell2(r)? },
-        1 => GridDelta2::Disappear { cell: get_cell2(r)? },
-        2 => GridDelta2::Move { from: get_cell2(r)?, to: get_cell2(r)? },
-        tag => return Err(ProtocolError::BadTag { what: "GridDelta2", tag }),
-    })
-}
-
 fn put_shard_stat(w: &mut ByteWriter, s: &ShardStat) {
     w.put_str(&s.addr);
     w.put_u8(s.state as u8);
@@ -749,10 +548,7 @@ pub fn encode_payload(msg: &Message) -> Vec<u8> {
         }
         Message::MapDeltaReq { map, deltas } => {
             w.put_str(map);
-            w.put_u32(deltas.len().min(u32::MAX as usize) as u32);
-            for &d in deltas {
-                put_delta(&mut w, d);
-            }
+            put_deltas(&mut w, deltas);
         }
         Message::MapDeltaResp(result) => match result {
             None => w.put_u8(0),
@@ -811,14 +607,7 @@ pub fn decode_payload(kind: MsgKind, payload: &[u8]) -> Result<Message, Protocol
             Message::ShardStatsResp(stats)
         }
         MsgKind::MapDeltaReq => {
-            let map = r.str("map id")?;
-            // Each delta is at least a tag byte plus one cell.
-            let n = r.vec_len(17, "map deltas")?;
-            let mut deltas = Vec::with_capacity(n);
-            for _ in 0..n {
-                deltas.push(get_delta(&mut r)?);
-            }
-            Message::MapDeltaReq { map, deltas }
+            Message::MapDeltaReq { map: r.str("map id")?, deltas: get_deltas(&mut r)? }
         }
         MsgKind::MapDeltaResp => Message::MapDeltaResp(match r.u8("MapDeltaResp")? {
             0 => None,

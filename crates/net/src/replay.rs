@@ -58,8 +58,8 @@ use crate::{ClientConfig, WireResult};
 use racod_fault::FaultPlan;
 use racod_server::trace::canonical_planned_cost_bits;
 use racod_server::{
-    AltConfig, BreakerConfig, DeltaRecord, MapId, Outcome, OutcomeKind, PlanRecord, PlanServer,
-    ServerConfig, SpeculationConfig, TraceFile,
+    AltConfig, BreakerConfig, DeltaRecord, MapId, Outcome, OutcomeKind, PlanRecord, PlanRequest,
+    PlanServer, ServerConfig, SpeculationConfig, TraceFile,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -162,8 +162,7 @@ impl Target<'_> {
         // on a slow machine and cancel never replays. Strip both; the
         // recorded deadline still participated in admission ordering only,
         // which is irrelevant with one request in flight.
-        let mut req = rec.request();
-        req.deadline = None;
+        let req = PlanRequest { deadline: None, ..rec.req.clone() };
         match self {
             Target::Local(server) => match server.submit(req) {
                 Ok(ticket) => {
@@ -285,7 +284,7 @@ fn run(trace: &TraceFile, mut target: Target<'_>, opts: ReplayOptions) -> Replay
     for rec in plans {
         // Re-apply every delta batch this request's admission version
         // fence says it observed.
-        if let Some(queue) = pending_deltas.get_mut(rec.map.as_str()) {
+        if let Some(queue) = pending_deltas.get_mut(rec.req.map.as_str()) {
             while queue.front().is_some_and(|d| d.version <= rec.map_version) {
                 let d = queue.pop_front().expect("front checked");
                 apply_one(&mut target, d, &mut report);
@@ -297,7 +296,7 @@ fn run(trace: &TraceFile, mut target: Target<'_>, opts: ReplayOptions) -> Replay
             report.warnings.push(format!(
                 "id {}: raced a delta while in flight (map {} v{} -> v{}); the recorded \
                  answer may reflect either snapshot",
-                rec.id, rec.map, rec.map_version, rec.map_version_done
+                rec.id, rec.req.map, rec.map_version, rec.map_version_done
             ));
         }
 
@@ -359,7 +358,7 @@ fn run(trace: &TraceFile, mut target: Target<'_>, opts: ReplayOptions) -> Replay
         }
         if let Outcome::Planned(p) = &live_outcome {
             report.planned_replayed += 1;
-            report.replayed_cost_digest ^= plan_cost_digest(&rec.request(), p);
+            report.replayed_cost_digest ^= plan_cost_digest(&rec.req, p);
             if p.path.found() != rec.found {
                 report.mismatches.push(format!(
                     "id {}: recorded found={} replayed found={}",

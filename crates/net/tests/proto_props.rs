@@ -105,7 +105,7 @@ fn sample_outcome(g: &mut Gen) -> Outcome {
 }
 
 fn sample_rejected(g: &mut Gen) -> Rejected {
-    match g.pct(5) {
+    match g.pct(6) {
         0 => Rejected::QueueFull,
         1 => Rejected::UnknownMap("atlantis".into()),
         2 => Rejected::DimensionMismatch,
@@ -113,6 +113,7 @@ fn sample_rejected(g: &mut Gen) -> Rejected {
             estimated_wait: Duration::from_micros(g.pct(1_000_000)),
             deadline: Duration::from_micros(g.pct(1_000_000)),
         },
+        4 => Rejected::InvalidRequest,
         _ => Rejected::ShuttingDown,
     }
 }

@@ -8,7 +8,7 @@ use racod_net::{
     ClientConfig, MapPool, NetClient, Netd, NetdConfig, Router, RouterConfig, ShardState,
     WireResult,
 };
-use racod_server::{Outcome, PlanRequest, PlanServer, Platform, Rejected, ServerConfig};
+use racod_server::{Outcome, PlanRequest, PlanServer, Platform, Rejected, ServerConfig, Workload};
 use std::time::Duration;
 
 const WORLD_SEED: u64 = 7;
@@ -100,6 +100,49 @@ fn netd_plans_are_bit_identical_to_in_process() {
         assert_bit_identical(i, &req, &local_out, &remote_out);
     }
     assert_eq!(netd.stats().protocol_errors.load(std::sync::atomic::Ordering::Relaxed), 0);
+}
+
+/// A request whose numbers are out of range gets the same refusal from
+/// `submit` and through a netd, in 2D and 3D, and the shard keeps serving:
+/// the frame that used to spawn 100 000 threads is just a rejection.
+#[test]
+fn out_of_range_requests_are_refused_identically_over_the_wire() {
+    let (local_registry, _) = racod_net::standard_world(WORLD_SEED, MAP_SIZE);
+    let (netd_registry, _) = racod_net::standard_world(WORLD_SEED, MAP_SIZE);
+    let local = PlanServer::start(server_config(), local_registry);
+    let netd =
+        Netd::start(NetdConfig { server: server_config(), ..Default::default() }, netd_registry)
+            .expect("netd start");
+    let mut client = NetClient::connect(netd.local_addr(), ClientConfig::default()).unwrap();
+
+    let mut reqs = ReqGen::new();
+    let mut hostile = Vec::new();
+    while hostile.len() < 8 {
+        let mut req = reqs.next();
+        match (hostile.len() % 4, &mut req.workload) {
+            (0, _) => req.platform = Platform::Threads { threads: 100_000, runahead: 0 },
+            (1, _) => req.platform = Platform::Racod { units: 0 },
+            (2, Workload::Plan2 { footprint, .. }) => {
+                (footprint.length, footprint.width) = (1e5, 1e5)
+            }
+            (2, Workload::Plan3 { footprint, .. }) => footprint.height = f32::NAN,
+            _ => req.astar.weight = f64::INFINITY,
+        }
+        hostile.push(req);
+    }
+    for (i, req) in hostile.into_iter().enumerate() {
+        let local_err = local.submit(req.clone()).expect_err("refused locally");
+        assert_eq!(local_err, Rejected::InvalidRequest, "request {i}");
+        match client.plan(req).expect("transport must stay clean") {
+            WireResult::Rejected(rej) => assert_eq!(rej, local_err, "request {i}"),
+            WireResult::Done(resp) => panic!("request {i} was executed: {resp:?}"),
+        }
+    }
+    // Still serving, still bit-identical.
+    let req = reqs.next();
+    let local_out = local.submit(req.clone()).expect("local submit").wait().outcome;
+    let remote_out = remote_outcome(&mut client, req.clone());
+    assert_bit_identical(0, &req, &local_out, &remote_out);
 }
 
 #[test]

@@ -50,6 +50,7 @@ pub mod retry;
 pub mod scheduler;
 pub mod speculate;
 pub mod trace;
+pub mod wire;
 pub mod worker;
 
 pub use alt::AltConfig;
@@ -455,6 +456,11 @@ impl PlanServer {
             m.rejected_invalid.fetch_add(1, Ordering::Relaxed);
             self.trace_rejection(&req.map, trace::RejectReason::DimensionMismatch);
             return Err(Rejected::DimensionMismatch);
+        }
+        if !req.in_range() {
+            m.rejected_invalid.fetch_add(1, Ordering::Relaxed);
+            self.trace_rejection(&req.map, trace::RejectReason::InvalidRequest);
+            return Err(Rejected::InvalidRequest);
         }
 
         // Admission fault site (chaos only): models a stalled admission

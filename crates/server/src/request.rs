@@ -118,6 +118,13 @@ pub enum Priority {
     Low,
 }
 
+/// Largest footprint dimension, in cells, admission accepts.
+const MAX_FOOTPRINT_CELLS: f32 = 64.0;
+/// Largest thread / CODAcc-unit count admission accepts.
+const MAX_PARALLELISM: usize = 64;
+/// Deepest RASExp runahead admission accepts.
+const MAX_RUNAHEAD: usize = 1024;
+
 /// One planning request.
 #[derive(Debug, Clone)]
 pub struct PlanRequest {
@@ -199,6 +206,33 @@ impl PlanRequest {
         self.astar = astar;
         self
     }
+
+    /// Whether every number in the request is one the service will act
+    /// on: footprint dimensions finite and within `0..=MAX_FOOTPRINT_CELLS`,
+    /// thread / unit counts within `1..=MAX_PARALLELISM`, runahead depth at
+    /// most `MAX_RUNAHEAD`, a finite search weight. Thread and unit counts
+    /// size pools that are cached per distinct value and footprints size
+    /// per-check allocations, so without a bound one small frame can take
+    /// a shard down.
+    pub(crate) fn in_range(&self) -> bool {
+        let dims_ok = |dims: &[f32]| dims.iter().all(|d| (0.0..=MAX_FOOTPRINT_CELLS).contains(d));
+        let count_ok = |n: usize| (1..=MAX_PARALLELISM).contains(&n);
+        let footprint_ok = match &self.workload {
+            Workload::Plan2 { footprint: f, .. } => dims_ok(&[f.length, f.width]),
+            Workload::Plan3 { footprint: f, .. } => dims_ok(&[f.length, f.width, f.height]),
+            Workload::Poison | Workload::PoisonWorker => true,
+        };
+        let platform_ok = match self.platform {
+            Platform::SimSoftware { threads, runahead } => {
+                count_ok(threads) && runahead.unwrap_or(0) <= MAX_RUNAHEAD
+            }
+            Platform::Racod { units } => count_ok(units),
+            Platform::Threads { threads, runahead } => {
+                count_ok(threads) && runahead <= MAX_RUNAHEAD
+            }
+        };
+        footprint_ok && platform_ok && self.astar.weight.is_finite()
+    }
 }
 
 /// Why a request was not admitted.
@@ -223,6 +257,10 @@ pub enum Rejected {
     },
     /// The server is shutting down.
     ShuttingDown,
+    /// A number in the request is outside what the service will execute:
+    /// a footprint dimension not in 0..=64 cells, a thread or unit count
+    /// not in 1..=64, a runahead depth over 1 024, a non-finite weight.
+    InvalidRequest,
 }
 
 impl fmt::Display for Rejected {
@@ -235,6 +273,7 @@ impl fmt::Display for Rejected {
                 write!(f, "deadline {deadline:?} infeasible: estimated wait {estimated_wait:?}")
             }
             Rejected::ShuttingDown => write!(f, "server shutting down"),
+            Rejected::InvalidRequest => write!(f, "request parameter out of range"),
         }
     }
 }

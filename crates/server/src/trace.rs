@@ -1,10 +1,10 @@
 //! Deterministic trace record/replay: a crash-safe, append-only binary
 //! log that turns every served request into a reproducible test.
 //!
-//! The file format reuses the framing idioms of `racod-net`'s `wire.rs`
-//! (explicit little-endian, length-prefixed records, a folded FNV-1a
-//! checksum per record) but is self-contained here because the dependency
-//! points the other way: `racod-net` embeds this server, not vice versa.
+//! Records are encoded with [`crate::wire`] — the same little-endian
+//! writer/reader, checksum and field layouts the network frames use — so
+//! a Plan record is `[1][id][tenant]` + the wire's `PlanRequest` bytes +
+//! the version fences + an outcome summary.
 //!
 //! Layout:
 //!
@@ -38,14 +38,14 @@
 //!   is nondeterministic".
 
 use crate::metrics::ServerMetrics;
-use crate::request::{Outcome, PlanRequest, Planned, PlannedPath, Platform, Priority, Workload};
+use crate::request::{Outcome, PlanRequest, Planned, PlannedPath};
+use crate::wire::{
+    frame_checksum, get_deltas, get_request, put_deltas, put_request, ByteReader, ByteWriter,
+    ProtocolError,
+};
 use crossbeam::channel::{bounded, Receiver, Sender};
-use racod_fault::{fnv1a, fold32};
-use racod_geom::{Cell2, Cell3};
 use racod_grid::GridDelta2;
-use racod_search::{canonical_cost_2d, AstarConfig};
-use racod_sim::footprint::OrientationPolicy;
-use racod_sim::{Footprint2, Footprint3};
+use racod_search::canonical_cost_2d;
 use std::fmt;
 use std::fs::File;
 use std::io::{self, Write as _};
@@ -59,17 +59,6 @@ use std::time::Duration;
 pub const TRACE_MAGIC: u32 = u32::from_le_bytes(*b"RTRC");
 /// Current trace format version.
 pub const TRACE_VERSION: u8 = 1;
-
-/// Sentinel for "no duration" in µs fields.
-const NO_DURATION_US: u64 = u64::MAX;
-/// Sentinel for an absent `u32` option (mirrors the wire codec).
-const NO_U32: u32 = u32::MAX;
-
-/// The 32-bit per-record checksum: FNV-1a folded onto itself so both
-/// halves of the hash contribute (same construction as the wire frames).
-pub fn record_checksum(payload: &[u8]) -> u32 {
-    fold32(fnv1a(payload))
-}
 
 /// The build identifier stamped into trace headers and the `/metrics`
 /// page: git revision, runtime-detected SIMD level (respects
@@ -221,7 +210,7 @@ impl OutcomeKind {
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, Corrupt> {
+    fn from_tag(tag: u8) -> Result<Self, ProtocolError> {
         Ok(match tag {
             0 => OutcomeKind::Planned,
             1 => OutcomeKind::TimedOutQueued,
@@ -229,7 +218,7 @@ impl OutcomeKind {
             3 => OutcomeKind::Cancelled,
             4 => OutcomeKind::Panicked,
             5 => OutcomeKind::Lost,
-            _ => return Err(Corrupt),
+            tag => return Err(ProtocolError::BadTag { what: "OutcomeKind", tag }),
         })
     }
 }
@@ -247,6 +236,8 @@ pub enum RejectReason {
     DeadlineInfeasible,
     /// The server was draining.
     ShuttingDown,
+    /// A request parameter was out of range.
+    InvalidRequest,
 }
 
 impl RejectReason {
@@ -259,6 +250,7 @@ impl RejectReason {
             Rejected::DimensionMismatch => RejectReason::DimensionMismatch,
             Rejected::DeadlineInfeasible { .. } => RejectReason::DeadlineInfeasible,
             Rejected::ShuttingDown => RejectReason::ShuttingDown,
+            Rejected::InvalidRequest => RejectReason::InvalidRequest,
         }
     }
 
@@ -270,6 +262,7 @@ impl RejectReason {
             RejectReason::DimensionMismatch => "dimension-mismatch",
             RejectReason::DeadlineInfeasible => "deadline-infeasible",
             RejectReason::ShuttingDown => "shutting-down",
+            RejectReason::InvalidRequest => "invalid-request",
         }
     }
 
@@ -280,17 +273,19 @@ impl RejectReason {
             RejectReason::DimensionMismatch => 2,
             RejectReason::DeadlineInfeasible => 3,
             RejectReason::ShuttingDown => 4,
+            RejectReason::InvalidRequest => 5,
         }
     }
 
-    fn from_tag(tag: u8) -> Result<Self, Corrupt> {
+    fn from_tag(tag: u8) -> Result<Self, ProtocolError> {
         Ok(match tag {
             0 => RejectReason::QueueFull,
             1 => RejectReason::UnknownMap,
             2 => RejectReason::DimensionMismatch,
             3 => RejectReason::DeadlineInfeasible,
             4 => RejectReason::ShuttingDown,
-            _ => return Err(Corrupt),
+            5 => RejectReason::InvalidRequest,
+            tag => return Err(ProtocolError::BadTag { what: "RejectReason", tag }),
         })
     }
 }
@@ -303,19 +298,10 @@ pub struct PlanRecord {
     pub id: u64,
     /// Tenant label of the submitting process.
     pub tenant: String,
-    /// Map id.
-    pub map: String,
-    /// The workload exactly as submitted (endpoints, footprint).
-    pub workload: Workload,
-    /// Search configuration (the interrupt handle is not captured; the
-    /// server re-derives it from the deadline at execution).
-    pub astar: AstarConfig,
-    /// Execution platform.
-    pub platform: Platform,
-    /// Priority class.
-    pub priority: Priority,
-    /// Deadline budget in µs (`None` = unbounded).
-    pub deadline_us: Option<u64>,
+    /// The request exactly as submitted. (The log does not carry the
+    /// interrupt handle; the server re-derives it from the deadline at
+    /// execution, so a record read back has `astar.interrupt == None`.)
+    pub req: PlanRequest,
     /// 2D map version at admission — the replay fence: every delta record
     /// for this map with `version <= map_version` is applied before this
     /// request is resubmitted. 0 for 3D maps and unchurned 2D maps.
@@ -341,7 +327,7 @@ pub struct PlanRecord {
     pub expansions: u64,
     /// Simulated cycles (planned outcomes only; 0 for `Threads`).
     pub sim_cycles: u64,
-    /// Queue wait in µs ([`NO_DURATION_US`]-free: 0 when unknown).
+    /// Queue wait in µs (0 when unknown).
     pub queue_wait_us: u64,
     /// Worker execution time in µs (0 when never dispatched).
     pub service_us: u64,
@@ -358,12 +344,7 @@ impl PlanRecord {
         PlanRecord {
             id,
             tenant: tenant.to_string(),
-            map: req.map.as_str().to_string(),
-            workload: req.workload.clone(),
-            astar: req.astar.clone(),
-            platform: req.platform,
-            priority: req.priority,
-            deadline_us: req.deadline.map(|d| d.as_micros().min(u64::MAX as u128) as u64),
+            req: req.clone(),
             map_version,
             map_version_done: map_version,
             outcome: OutcomeKind::Lost,
@@ -386,7 +367,7 @@ impl PlanRecord {
         self.outcome = OutcomeKind::of(outcome);
         self.total_us = us(total);
         self.worker =
-            if worker == usize::MAX { u32::MAX } else { worker.min(NO_U32 as usize) as u32 };
+            if worker == usize::MAX { u32::MAX } else { worker.min(u32::MAX as usize) as u32 };
         match outcome {
             Outcome::Planned(p) => {
                 self.found = p.path.found();
@@ -403,22 +384,6 @@ impl PlanRecord {
             }
             Outcome::Cancelled | Outcome::Panicked { .. } | Outcome::Lost => {}
         }
-    }
-
-    /// Rebuilds the request for resubmission during replay.
-    pub fn request(&self) -> PlanRequest {
-        let mut req = PlanRequest {
-            map: self.map.as_str().into(),
-            workload: self.workload.clone(),
-            astar: self.astar.clone(),
-            platform: self.platform,
-            priority: self.priority,
-            deadline: None,
-        };
-        if let Some(us) = self.deadline_us {
-            req.deadline = Some(Duration::from_micros(us));
-        }
-        req
     }
 }
 
@@ -558,198 +523,77 @@ impl TraceFile {
 // Encoding
 // ---------------------------------------------------------------------
 
-/// Little-endian byte sink (the trace twin of `wire::ByteWriter`).
-#[derive(Default)]
-struct W {
-    buf: Vec<u8>,
-}
-
-impl W {
-    fn u8(&mut self, v: u8) {
-        self.buf.push(v);
-    }
-    fn u32(&mut self, v: u32) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn u64(&mut self, v: u64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn i64(&mut self, v: i64) {
-        self.buf.extend_from_slice(&v.to_le_bytes());
-    }
-    fn f32_bits(&mut self, v: f32) {
-        self.u32(v.to_bits());
-    }
-    fn f64_bits(&mut self, v: f64) {
-        self.u64(v.to_bits());
-    }
-    fn bool(&mut self, v: bool) {
-        self.u8(v as u8);
-    }
-    fn str(&mut self, s: &str) {
-        self.u32(s.len().min(u32::MAX as usize) as u32);
-        self.buf.extend_from_slice(&s.as_bytes()[..s.len().min(u32::MAX as usize)]);
-    }
-}
-
-fn put_cell2(w: &mut W, c: Cell2) {
-    w.i64(c.x);
-    w.i64(c.y);
-}
-
-fn put_cell3(w: &mut W, c: Cell3) {
-    w.i64(c.x);
-    w.i64(c.y);
-    w.i64(c.z);
-}
-
-fn policy_tag(p: OrientationPolicy) -> u8 {
-    match p {
-        OrientationPolicy::AxisAligned => 0,
-        OrientationPolicy::TowardGoal => 1,
-    }
-}
-
-fn put_workload(w: &mut W, wl: &Workload) {
-    match wl {
-        Workload::Plan2 { start, goal, footprint } => {
-            w.u8(0);
-            put_cell2(w, *start);
-            put_cell2(w, *goal);
-            w.f32_bits(footprint.length);
-            w.f32_bits(footprint.width);
-            w.u8(policy_tag(footprint.policy));
-        }
-        Workload::Plan3 { start, goal, footprint } => {
-            w.u8(1);
-            put_cell3(w, *start);
-            put_cell3(w, *goal);
-            w.f32_bits(footprint.length);
-            w.f32_bits(footprint.width);
-            w.f32_bits(footprint.height);
-            w.u8(policy_tag(footprint.policy));
-        }
-        Workload::Poison => w.u8(2),
-        Workload::PoisonWorker => w.u8(3),
-    }
-}
-
-fn put_platform(w: &mut W, p: Platform) {
-    match p {
-        Platform::SimSoftware { threads, runahead } => {
-            w.u8(0);
-            w.u32(threads.min(NO_U32 as usize) as u32);
-            w.u32(runahead.map_or(NO_U32, |r| r.min(NO_U32 as usize - 1) as u32));
-        }
-        Platform::Racod { units } => {
-            w.u8(1);
-            w.u32(units.min(NO_U32 as usize) as u32);
-        }
-        Platform::Threads { threads, runahead } => {
-            w.u8(2);
-            w.u32(threads.min(NO_U32 as usize) as u32);
-            w.u32(runahead.min(NO_U32 as usize) as u32);
-        }
-    }
-}
-
 fn encode_header(h: &TraceHeader) -> Vec<u8> {
-    let mut w = W::default();
-    w.u8(0); // record kind: header
-    w.str(&h.build);
-    w.str(&h.tenant);
-    w.u64(h.world_seed);
-    w.u32(h.map_size);
-    w.u32(h.workers);
-    w.u32(h.queue_capacity);
-    w.u32(h.batch_max);
+    let mut w = ByteWriter::new();
+    w.put_u8(0); // record kind: header
+    w.put_str(&h.build);
+    w.put_str(&h.tenant);
+    w.put_u64(h.world_seed);
+    w.put_u32(h.map_size);
+    w.put_u32(h.workers);
+    w.put_u32(h.queue_capacity);
+    w.put_u32(h.batch_max);
     match h.fault_seed {
-        None => w.u8(0),
+        None => w.put_u8(0),
         Some(s) => {
-            w.u8(1);
-            w.u64(s);
+            w.put_u8(1);
+            w.put_u64(s);
         }
     }
-    w.bool(h.speculation);
-    w.bool(h.breaker);
-    w.bool(h.alt);
-    w.str(&h.note);
-    w.buf
+    w.put_bool(h.speculation);
+    w.put_bool(h.breaker);
+    w.put_bool(h.alt);
+    w.put_str(&h.note);
+    w.into_bytes()
 }
 
 /// Encodes one event into its record payload (kind tag included).
 pub fn encode_event(ev: &TraceEvent) -> Vec<u8> {
-    let mut w = W::default();
+    let mut w = ByteWriter::new();
     match ev {
         TraceEvent::Plan(p) => {
-            w.u8(1);
-            w.u64(p.id);
-            w.str(&p.tenant);
-            w.str(&p.map);
-            put_workload(&mut w, &p.workload);
-            w.f64_bits(p.astar.weight);
-            w.bool(p.astar.record_expansions);
-            w.bool(p.astar.record_demand_profile);
-            w.u64(p.astar.max_expansions);
-            w.u64(p.astar.poll_interval);
-            put_platform(&mut w, p.platform);
-            w.u8(p.priority as u8);
-            w.u64(p.deadline_us.unwrap_or(NO_DURATION_US));
-            w.u64(p.map_version);
-            w.u64(p.map_version_done);
-            w.u8(p.outcome.tag());
+            w.put_u8(1);
+            w.put_u64(p.id);
+            w.put_str(&p.tenant);
+            put_request(&mut w, &p.req);
+            w.put_u64(p.map_version);
+            w.put_u64(p.map_version_done);
+            w.put_u8(p.outcome.tag());
             if p.outcome == OutcomeKind::Planned {
-                w.bool(p.found);
-                w.u32(p.path_len);
-                w.u64(p.cost_bits);
-                w.u64(p.canon_cost_bits);
-                w.u64(p.expansions);
-                w.u64(p.sim_cycles);
+                w.put_bool(p.found);
+                w.put_u32(p.path_len);
+                w.put_u64(p.cost_bits);
+                w.put_u64(p.canon_cost_bits);
+                w.put_u64(p.expansions);
+                w.put_u64(p.sim_cycles);
             }
-            w.u64(p.queue_wait_us);
-            w.u64(p.service_us);
-            w.u64(p.total_us);
-            w.u32(p.worker);
+            w.put_u64(p.queue_wait_us);
+            w.put_u64(p.service_us);
+            w.put_u64(p.total_us);
+            w.put_u32(p.worker);
         }
         TraceEvent::Delta(d) => {
-            w.u8(2);
-            w.str(&d.map);
-            w.u64(d.version);
-            w.u32(d.changed);
-            w.u32(d.deltas.len().min(u32::MAX as usize) as u32);
-            for delta in &d.deltas {
-                match *delta {
-                    GridDelta2::Appear { cell } => {
-                        w.u8(0);
-                        put_cell2(&mut w, cell);
-                    }
-                    GridDelta2::Disappear { cell } => {
-                        w.u8(1);
-                        put_cell2(&mut w, cell);
-                    }
-                    GridDelta2::Move { from, to } => {
-                        w.u8(2);
-                        put_cell2(&mut w, from);
-                        put_cell2(&mut w, to);
-                    }
-                }
-            }
+            w.put_u8(2);
+            w.put_str(&d.map);
+            w.put_u64(d.version);
+            w.put_u32(d.changed);
+            put_deltas(&mut w, &d.deltas);
         }
         TraceEvent::Rejected(r) => {
-            w.u8(3);
-            w.str(&r.tenant);
-            w.str(&r.map);
-            w.u8(r.reason.tag());
+            w.put_u8(3);
+            w.put_str(&r.tenant);
+            w.put_str(&r.map);
+            w.put_u8(r.reason.tag());
         }
     }
-    w.buf
+    w.into_bytes()
 }
 
 /// Wraps a record payload in its `[len][checksum]` frame.
 pub fn frame(payload: &[u8]) -> Vec<u8> {
     let mut out = Vec::with_capacity(payload.len() + 8);
     out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    out.extend_from_slice(&record_checksum(payload).to_le_bytes());
+    out.extend_from_slice(&frame_checksum(payload).to_le_bytes());
     out.extend_from_slice(payload);
     out
 }
@@ -771,209 +615,61 @@ pub fn encode_trace(header: &TraceHeader, events: &[TraceEvent]) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------
 
-/// Unit error for record-level decode failures: the reader treats any
-/// such record (and everything after it) as the torn tail.
-#[derive(Debug, Clone, Copy)]
-struct Corrupt;
+// Any decode error makes the reader treat the record (and everything
+// after it) as the torn tail; which `ProtocolError` it was is not kept.
 
-struct Rd<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Rd<'a> {
-    fn new(buf: &'a [u8]) -> Self {
-        Rd { buf, pos: 0 }
-    }
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-    fn take(&mut self, n: usize) -> Result<&'a [u8], Corrupt> {
-        if self.remaining() < n {
-            return Err(Corrupt);
-        }
-        let s = &self.buf[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-    fn u8(&mut self) -> Result<u8, Corrupt> {
-        Ok(self.take(1)?[0])
-    }
-    fn u32(&mut self) -> Result<u32, Corrupt> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, Corrupt> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn i64(&mut self) -> Result<i64, Corrupt> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f32_bits(&mut self) -> Result<f32, Corrupt> {
-        Ok(f32::from_bits(self.u32()?))
-    }
-    fn f64_bits(&mut self) -> Result<f64, Corrupt> {
-        Ok(f64::from_bits(self.u64()?))
-    }
-    fn bool(&mut self) -> Result<bool, Corrupt> {
-        Ok(self.u8()? != 0)
-    }
-    fn str(&mut self) -> Result<String, Corrupt> {
-        let n = self.u32()? as usize;
-        // Validate the prefix against the bytes remaining before
-        // allocating — a forged length can never over-allocate.
-        if n > self.remaining() {
-            return Err(Corrupt);
-        }
-        String::from_utf8(self.take(n)?.to_vec()).map_err(|_| Corrupt)
-    }
-    fn finish(&self) -> Result<(), Corrupt> {
-        if self.remaining() == 0 {
-            Ok(())
-        } else {
-            Err(Corrupt)
-        }
-    }
-}
-
-fn get_cell2(r: &mut Rd<'_>) -> Result<Cell2, Corrupt> {
-    Ok(Cell2::new(r.i64()?, r.i64()?))
-}
-
-fn get_cell3(r: &mut Rd<'_>) -> Result<Cell3, Corrupt> {
-    Ok(Cell3::new(r.i64()?, r.i64()?, r.i64()?))
-}
-
-fn get_policy(r: &mut Rd<'_>) -> Result<OrientationPolicy, Corrupt> {
-    Ok(match r.u8()? {
-        0 => OrientationPolicy::AxisAligned,
-        1 => OrientationPolicy::TowardGoal,
-        _ => return Err(Corrupt),
-    })
-}
-
-fn get_workload(r: &mut Rd<'_>) -> Result<Workload, Corrupt> {
-    Ok(match r.u8()? {
-        0 => Workload::Plan2 {
-            start: get_cell2(r)?,
-            goal: get_cell2(r)?,
-            footprint: Footprint2 {
-                length: r.f32_bits()?,
-                width: r.f32_bits()?,
-                policy: get_policy(r)?,
-            },
-        },
-        1 => Workload::Plan3 {
-            start: get_cell3(r)?,
-            goal: get_cell3(r)?,
-            footprint: Footprint3 {
-                length: r.f32_bits()?,
-                width: r.f32_bits()?,
-                height: r.f32_bits()?,
-                policy: get_policy(r)?,
-            },
-        },
-        2 => Workload::Poison,
-        3 => Workload::PoisonWorker,
-        _ => return Err(Corrupt),
-    })
-}
-
-fn get_platform(r: &mut Rd<'_>) -> Result<Platform, Corrupt> {
-    Ok(match r.u8()? {
-        0 => {
-            let threads = r.u32()? as usize;
-            let runahead = match r.u32()? {
-                NO_U32 => None,
-                n => Some(n as usize),
-            };
-            Platform::SimSoftware { threads, runahead }
-        }
-        1 => Platform::Racod { units: r.u32()? as usize },
-        2 => Platform::Threads { threads: r.u32()? as usize, runahead: r.u32()? as usize },
-        _ => return Err(Corrupt),
-    })
-}
-
-fn get_priority(r: &mut Rd<'_>) -> Result<Priority, Corrupt> {
-    Ok(match r.u8()? {
-        0 => Priority::High,
-        1 => Priority::Normal,
-        2 => Priority::Low,
-        _ => return Err(Corrupt),
-    })
-}
-
-fn decode_header(payload: &[u8]) -> Result<TraceHeader, Corrupt> {
-    let mut r = Rd::new(payload);
-    if r.u8()? != 0 {
-        return Err(Corrupt);
+fn decode_header(payload: &[u8]) -> Result<TraceHeader, ProtocolError> {
+    let mut r = ByteReader::new(payload);
+    match r.u8("record kind")? {
+        0 => {}
+        tag => return Err(ProtocolError::BadTag { what: "header record", tag }),
     }
     let h = TraceHeader {
-        build: r.str()?,
-        tenant: r.str()?,
-        world_seed: r.u64()?,
-        map_size: r.u32()?,
-        workers: r.u32()?,
-        queue_capacity: r.u32()?,
-        batch_max: r.u32()?,
-        fault_seed: match r.u8()? {
+        build: r.str("build")?,
+        tenant: r.str("tenant")?,
+        world_seed: r.u64("world_seed")?,
+        map_size: r.u32("map_size")?,
+        workers: r.u32("workers")?,
+        queue_capacity: r.u32("queue_capacity")?,
+        batch_max: r.u32("batch_max")?,
+        fault_seed: match r.u8("fault_seed")? {
             0 => None,
-            1 => Some(r.u64()?),
-            _ => return Err(Corrupt),
+            1 => Some(r.u64("fault_seed")?),
+            tag => return Err(ProtocolError::BadTag { what: "fault_seed", tag }),
         },
-        speculation: r.bool()?,
-        breaker: r.bool()?,
-        alt: r.bool()?,
-        note: r.str()?,
+        speculation: r.bool("speculation")?,
+        breaker: r.bool("breaker")?,
+        alt: r.bool("alt")?,
+        note: r.str("note")?,
     };
     r.finish()?;
     Ok(h)
 }
 
-fn decode_event(payload: &[u8]) -> Result<TraceEvent, Corrupt> {
-    let mut r = Rd::new(payload);
-    let ev = match r.u8()? {
+fn decode_event(payload: &[u8]) -> Result<TraceEvent, ProtocolError> {
+    let mut r = ByteReader::new(payload);
+    let ev = match r.u8("record kind")? {
         1 => {
-            let id = r.u64()?;
-            let tenant = r.str()?;
-            let map = r.str()?;
-            let workload = get_workload(&mut r)?;
-            let astar = AstarConfig {
-                weight: r.f64_bits()?,
-                record_expansions: r.bool()?,
-                record_demand_profile: r.bool()?,
-                max_expansions: r.u64()?,
-                interrupt: None,
-                poll_interval: r.u64()?,
-            };
-            let platform = get_platform(&mut r)?;
-            let priority = get_priority(&mut r)?;
-            let deadline_us = match r.u64()? {
-                NO_DURATION_US => None,
-                us => Some(us),
-            };
-            let map_version = r.u64()?;
-            let map_version_done = r.u64()?;
-            let outcome = OutcomeKind::from_tag(r.u8()?)?;
+            let id = r.u64("id")?;
+            let tenant = r.str("tenant")?;
+            let req = get_request(&mut r)?;
+            let map_version = r.u64("map_version")?;
+            let map_version_done = r.u64("map_version_done")?;
+            let outcome = OutcomeKind::from_tag(r.u8("OutcomeKind")?)?;
             let (mut found, mut path_len, mut cost_bits, mut canon, mut exp, mut cyc) =
                 (false, 0u32, 0u64, 0u64, 0u64, 0u64);
             if outcome == OutcomeKind::Planned {
-                found = r.bool()?;
-                path_len = r.u32()?;
-                cost_bits = r.u64()?;
-                canon = r.u64()?;
-                exp = r.u64()?;
-                cyc = r.u64()?;
+                found = r.bool("found")?;
+                path_len = r.u32("path_len")?;
+                cost_bits = r.u64("cost_bits")?;
+                canon = r.u64("canon_cost_bits")?;
+                exp = r.u64("expansions")?;
+                cyc = r.u64("sim_cycles")?;
             }
             TraceEvent::Plan(PlanRecord {
                 id,
                 tenant,
-                map,
-                workload,
-                astar,
-                platform,
-                priority,
-                deadline_us,
+                req,
                 map_version,
                 map_version_done,
                 outcome,
@@ -983,39 +679,24 @@ fn decode_event(payload: &[u8]) -> Result<TraceEvent, Corrupt> {
                 canon_cost_bits: canon,
                 expansions: exp,
                 sim_cycles: cyc,
-                queue_wait_us: r.u64()?,
-                service_us: r.u64()?,
-                total_us: r.u64()?,
-                worker: r.u32()?,
+                queue_wait_us: r.u64("queue_wait_us")?,
+                service_us: r.u64("service_us")?,
+                total_us: r.u64("total_us")?,
+                worker: r.u32("worker")?,
             })
         }
-        2 => {
-            let map = r.str()?;
-            let version = r.u64()?;
-            let changed = r.u32()?;
-            let n = r.u32()? as usize;
-            // Minimum delta is 17 bytes (tag + one cell); validate the
-            // count against the remaining payload before allocating.
-            if n.saturating_mul(17) > r.remaining() {
-                return Err(Corrupt);
-            }
-            let mut deltas = Vec::with_capacity(n);
-            for _ in 0..n {
-                deltas.push(match r.u8()? {
-                    0 => GridDelta2::Appear { cell: get_cell2(&mut r)? },
-                    1 => GridDelta2::Disappear { cell: get_cell2(&mut r)? },
-                    2 => GridDelta2::Move { from: get_cell2(&mut r)?, to: get_cell2(&mut r)? },
-                    _ => return Err(Corrupt),
-                });
-            }
-            TraceEvent::Delta(DeltaRecord { map, version, changed, deltas })
-        }
-        3 => TraceEvent::Rejected(RejectedRecord {
-            tenant: r.str()?,
-            map: r.str()?,
-            reason: RejectReason::from_tag(r.u8()?)?,
+        2 => TraceEvent::Delta(DeltaRecord {
+            map: r.str("map id")?,
+            version: r.u64("version")?,
+            changed: r.u32("changed")?,
+            deltas: get_deltas(&mut r)?,
         }),
-        _ => return Err(Corrupt),
+        3 => TraceEvent::Rejected(RejectedRecord {
+            tenant: r.str("tenant")?,
+            map: r.str("map id")?,
+            reason: RejectReason::from_tag(r.u8("RejectReason")?)?,
+        }),
+        tag => return Err(ProtocolError::BadTag { what: "trace record", tag }),
     };
     r.finish()?;
     Ok(ev)
@@ -1035,7 +716,7 @@ fn next_frame(bytes: &[u8], off: usize) -> Option<(usize, &[u8])> {
         return None; // torn: the final write_all never completed
     }
     let payload = &rest[8..8 + len];
-    if record_checksum(payload) != checksum {
+    if frame_checksum(payload) != checksum {
         return None; // corrupt: drop this record and everything after
     }
     Some((off + 8 + len, payload))
@@ -1071,7 +752,7 @@ pub fn read_trace_bytes(bytes: &[u8]) -> Result<TraceFile, TraceError> {
                 events.push(ev);
                 off = next;
             }
-            Err(Corrupt) => break,
+            Err(_) => break,
         }
     }
     let dropped_tail = bytes.len() - off;

@@ -1,24 +1,43 @@
-//! Byte-level wire primitives: a little-endian writer/reader pair, the
-//! payload checksum, and [`ProtocolError`].
+//! The one byte codec: a little-endian writer/reader pair, the 32-bit
+//! payload checksum, [`ProtocolError`], and the field layouts of the
+//! types this crate owns ([`PlanRequest`] and its parts, `GridDelta2`).
 //!
-//! Everything on the wire is explicit little-endian with fixed widths —
-//! no varints, no padding, no host-order leaks. Floats travel as their
-//! IEEE-754 bit patterns ([`ByteWriter::put_f64_bits`]) so a plan cost
-//! decoded on the far side is *bit-identical* to the one the planner
-//! produced, which is what lets the remote-equivalence suite compare
-//! costs with `to_bits` equality instead of an epsilon.
+//! Both serialisations of a request go through here — `racod-net`'s
+//! frames (which re-export this module as `racod_net::wire`) and the
+//! [`crate::trace`] log — so a request is logged in exactly the bytes it
+//! travelled in, by construction rather than by discipline.
+//!
+//! Everything is explicit little-endian with fixed widths — no varints,
+//! no padding, no host-order leaks. Floats travel as their IEEE-754 bit
+//! patterns ([`ByteWriter::put_f64_bits`]) so a plan cost decoded on the
+//! far side is *bit-identical* to the one the planner produced, which is
+//! what lets the remote-equivalence suite compare costs with `to_bits`
+//! equality instead of an epsilon. Durations are `u64` microseconds;
+//! where one is optional, `u64::MAX` encodes `None`.
 //!
 //! The reader is hardened against hostile input: every read is
 //! bounds-checked against the actual buffer, and length-prefixed
 //! containers validate the prefix against the bytes *remaining* before
 //! allocating, so a forged length can never make the decoder allocate
 //! more than the frame it was handed (see [`ByteReader::vec_len`]).
+//!
+//! The primitives `racod-net`'s codecs call per field are `#[inline]`:
+//! they are now in another crate, and without the hint `point_wire`
+//! measures ~3 % slower than when this file lived beside its callers.
 
+use crate::request::{PlanRequest, Platform, Priority, Workload};
 use racod_fault::{fnv1a, fold32};
+use racod_geom::{Cell2, Cell3};
+use racod_grid::GridDelta2;
+use racod_search::AstarConfig;
+use racod_sim::footprint::OrientationPolicy;
+use racod_sim::{Footprint2, Footprint3};
 use std::fmt;
+use std::time::Duration;
 
-/// The 32-bit payload checksum carried in every frame header: FNV-1a
-/// folded onto itself so both halves of the hash contribute.
+/// The 32-bit payload checksum carried in every wire frame header and
+/// every trace record frame: FNV-1a folded onto itself so both halves of
+/// the hash contribute.
 pub fn frame_checksum(payload: &[u8]) -> u32 {
     fold32(fnv1a(payload))
 }
@@ -128,6 +147,7 @@ impl ByteWriter {
     }
 
     /// Appends one byte.
+    #[inline]
     pub fn put_u8(&mut self, v: u8) {
         self.buf.push(v);
     }
@@ -138,16 +158,19 @@ impl ByteWriter {
     }
 
     /// Appends a `u32`, little-endian.
+    #[inline]
     pub fn put_u32(&mut self, v: u32) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends a `u64`, little-endian.
+    #[inline]
     pub fn put_u64(&mut self, v: u64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
 
     /// Appends an `i64`, little-endian (two's complement).
+    #[inline]
     pub fn put_i64(&mut self, v: i64) {
         self.buf.extend_from_slice(&v.to_le_bytes());
     }
@@ -158,16 +181,19 @@ impl ByteWriter {
     }
 
     /// Appends an `f64` as its IEEE-754 bit pattern.
+    #[inline]
     pub fn put_f64_bits(&mut self, v: f64) {
         self.put_u64(v.to_bits());
     }
 
     /// Appends a `bool` as one byte.
+    #[inline]
     pub fn put_bool(&mut self, v: bool) {
         self.put_u8(u8::from(v));
     }
 
     /// Appends a length-prefixed (u32) UTF-8 string.
+    #[inline]
     pub fn put_str(&mut self, s: &str) {
         self.put_u32(s.len().min(u32::MAX as usize) as u32);
         self.buf.extend_from_slice(&s.as_bytes()[..s.len().min(u32::MAX as usize)]);
@@ -188,11 +214,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Bytes not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
     /// Errors unless the payload was consumed exactly.
+    #[inline]
     pub fn finish(&self) -> Result<(), ProtocolError> {
         match self.remaining() {
             0 => Ok(()),
@@ -200,6 +228,7 @@ impl<'a> ByteReader<'a> {
         }
     }
 
+    #[inline]
     fn take(&mut self, n: usize, what: &'static str) -> Result<&'a [u8], ProtocolError> {
         if self.remaining() < n {
             return Err(ProtocolError::Truncated { what, needed: n, have: self.remaining() });
@@ -210,6 +239,7 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads one byte.
+    #[inline]
     pub fn u8(&mut self, what: &'static str) -> Result<u8, ProtocolError> {
         Ok(self.take(1, what)?[0])
     }
@@ -220,16 +250,19 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a little-endian `u32`.
+    #[inline]
     pub fn u32(&mut self, what: &'static str) -> Result<u32, ProtocolError> {
         Ok(u32::from_le_bytes(self.take(4, what)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `u64`.
+    #[inline]
     pub fn u64(&mut self, what: &'static str) -> Result<u64, ProtocolError> {
         Ok(u64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
 
     /// Reads a little-endian `i64`.
+    #[inline]
     pub fn i64(&mut self, what: &'static str) -> Result<i64, ProtocolError> {
         Ok(i64::from_le_bytes(self.take(8, what)?.try_into().unwrap()))
     }
@@ -240,11 +273,13 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads an `f64` from its bit pattern.
+    #[inline]
     pub fn f64_bits(&mut self, what: &'static str) -> Result<f64, ProtocolError> {
         Ok(f64::from_bits(self.u64(what)?))
     }
 
     /// Reads a `bool` byte (anything nonzero is `true`).
+    #[inline]
     pub fn bool(&mut self, what: &'static str) -> Result<bool, ProtocolError> {
         Ok(self.u8(what)? != 0)
     }
@@ -253,6 +288,7 @@ impl<'a> ByteReader<'a> {
     /// elements, validating it against the bytes remaining *before* any
     /// allocation happens — a forged prefix can therefore never cost more
     /// memory than the frame itself.
+    #[inline]
     pub fn vec_len(
         &mut self,
         elem_size: usize,
@@ -266,11 +302,248 @@ impl<'a> ByteReader<'a> {
     }
 
     /// Reads a length-prefixed UTF-8 string.
+    #[inline]
     pub fn str(&mut self, what: &'static str) -> Result<String, ProtocolError> {
         let len = self.vec_len(1, what)?;
         let bytes = self.take(len, what)?;
         String::from_utf8(bytes.to_vec()).map_err(|_| ProtocolError::BadUtf8)
     }
+}
+
+// ---------------------------------------------------------------------------
+// Field codecs of server-owned types
+// ---------------------------------------------------------------------------
+
+/// `None` sentinel for optional microsecond durations.
+const NO_DURATION: u64 = u64::MAX;
+
+/// A duration as `u64` microseconds (clamped below the `None` sentinel).
+#[inline]
+pub fn put_duration(w: &mut ByteWriter, d: Duration) {
+    w.put_u64(d.as_micros().min((NO_DURATION - 1) as u128) as u64);
+}
+
+/// Reads a [`put_duration`] field.
+#[inline]
+pub fn get_duration(r: &mut ByteReader<'_>, what: &'static str) -> Result<Duration, ProtocolError> {
+    Ok(Duration::from_micros(r.u64(what)?))
+}
+
+fn put_opt_duration(w: &mut ByteWriter, d: Option<Duration>) {
+    match d {
+        None => w.put_u64(NO_DURATION),
+        Some(d) => put_duration(w, d),
+    }
+}
+
+fn get_opt_duration(
+    r: &mut ByteReader<'_>,
+    what: &'static str,
+) -> Result<Option<Duration>, ProtocolError> {
+    let us = r.u64(what)?;
+    Ok((us != NO_DURATION).then(|| Duration::from_micros(us)))
+}
+
+/// A 2D cell: `x`, `y` as `i64`.
+#[inline]
+pub fn put_cell2(w: &mut ByteWriter, c: Cell2) {
+    w.put_i64(c.x);
+    w.put_i64(c.y);
+}
+
+/// Reads a [`put_cell2`] field.
+#[inline]
+pub fn get_cell2(r: &mut ByteReader<'_>) -> Result<Cell2, ProtocolError> {
+    Ok(Cell2::new(r.i64("cell2.x")?, r.i64("cell2.y")?))
+}
+
+/// A 3D cell: `x`, `y`, `z` as `i64`.
+#[inline]
+pub fn put_cell3(w: &mut ByteWriter, c: Cell3) {
+    w.put_i64(c.x);
+    w.put_i64(c.y);
+    w.put_i64(c.z);
+}
+
+/// Reads a [`put_cell3`] field.
+#[inline]
+pub fn get_cell3(r: &mut ByteReader<'_>) -> Result<Cell3, ProtocolError> {
+    Ok(Cell3::new(r.i64("cell3.x")?, r.i64("cell3.y")?, r.i64("cell3.z")?))
+}
+
+fn put_policy(w: &mut ByteWriter, p: OrientationPolicy) {
+    w.put_u8(match p {
+        OrientationPolicy::AxisAligned => 0,
+        OrientationPolicy::TowardGoal => 1,
+    });
+}
+
+fn get_policy(r: &mut ByteReader<'_>) -> Result<OrientationPolicy, ProtocolError> {
+    match r.u8("OrientationPolicy")? {
+        0 => Ok(OrientationPolicy::AxisAligned),
+        1 => Ok(OrientationPolicy::TowardGoal),
+        tag => Err(ProtocolError::BadTag { what: "OrientationPolicy", tag }),
+    }
+}
+
+/// A whole [`PlanRequest`]: map string, workload (tag 0–3), the five
+/// `AstarConfig` fields, platform (tag 0–2, `u32` counts, `u32::MAX` = no
+/// runahead), priority (tag 0–2), optional deadline. A `PlanReq` frame is
+/// `corr` + these bytes; a trace Plan record embeds them unchanged.
+pub fn put_request(w: &mut ByteWriter, req: &PlanRequest) {
+    w.put_str(req.map.as_str());
+    match &req.workload {
+        Workload::Plan2 { start, goal, footprint } => {
+            w.put_u8(0);
+            put_cell2(w, *start);
+            put_cell2(w, *goal);
+            w.put_f32_bits(footprint.length);
+            w.put_f32_bits(footprint.width);
+            put_policy(w, footprint.policy);
+        }
+        Workload::Plan3 { start, goal, footprint } => {
+            w.put_u8(1);
+            put_cell3(w, *start);
+            put_cell3(w, *goal);
+            w.put_f32_bits(footprint.length);
+            w.put_f32_bits(footprint.width);
+            w.put_f32_bits(footprint.height);
+            put_policy(w, footprint.policy);
+        }
+        Workload::Poison => w.put_u8(2),
+        Workload::PoisonWorker => w.put_u8(3),
+    }
+    // AstarConfig: the interrupt handle never travels — the serving side
+    // builds its own from the deadline below.
+    w.put_f64_bits(req.astar.weight);
+    w.put_bool(req.astar.record_expansions);
+    w.put_bool(req.astar.record_demand_profile);
+    w.put_u64(req.astar.max_expansions);
+    w.put_u64(req.astar.poll_interval);
+    match req.platform {
+        Platform::SimSoftware { threads, runahead } => {
+            w.put_u8(0);
+            w.put_u32(threads.min(u32::MAX as usize) as u32);
+            w.put_u32(runahead.map_or(u32::MAX, |r| r.min((u32::MAX - 1) as usize) as u32));
+        }
+        Platform::Racod { units } => {
+            w.put_u8(1);
+            w.put_u32(units.min(u32::MAX as usize) as u32);
+        }
+        Platform::Threads { threads, runahead } => {
+            w.put_u8(2);
+            w.put_u32(threads.min(u32::MAX as usize) as u32);
+            w.put_u32(runahead.min(u32::MAX as usize) as u32);
+        }
+    }
+    w.put_u8(match req.priority {
+        Priority::High => 0,
+        Priority::Normal => 1,
+        Priority::Low => 2,
+    });
+    put_opt_duration(w, req.deadline);
+}
+
+/// Reads a [`put_request`] field (the interrupt handle comes back `None`).
+pub fn get_request(r: &mut ByteReader<'_>) -> Result<PlanRequest, ProtocolError> {
+    let map = r.str("map id")?;
+    let workload = match r.u8("Workload")? {
+        0 => {
+            let start = get_cell2(r)?;
+            let goal = get_cell2(r)?;
+            let footprint = Footprint2 {
+                length: r.f32_bits("footprint.length")?,
+                width: r.f32_bits("footprint.width")?,
+                policy: get_policy(r)?,
+            };
+            Workload::Plan2 { start, goal, footprint }
+        }
+        1 => {
+            let start = get_cell3(r)?;
+            let goal = get_cell3(r)?;
+            let footprint = Footprint3 {
+                length: r.f32_bits("footprint.length")?,
+                width: r.f32_bits("footprint.width")?,
+                height: r.f32_bits("footprint.height")?,
+                policy: get_policy(r)?,
+            };
+            Workload::Plan3 { start, goal, footprint }
+        }
+        2 => Workload::Poison,
+        3 => Workload::PoisonWorker,
+        tag => return Err(ProtocolError::BadTag { what: "Workload", tag }),
+    };
+    let astar = AstarConfig {
+        weight: r.f64_bits("astar.weight")?,
+        record_expansions: r.bool("astar.record_expansions")?,
+        record_demand_profile: r.bool("astar.record_demand_profile")?,
+        max_expansions: r.u64("astar.max_expansions")?,
+        interrupt: None,
+        poll_interval: r.u64("astar.poll_interval")?,
+    };
+    let platform = match r.u8("Platform")? {
+        0 => {
+            let threads = r.u32("platform.threads")? as usize;
+            let runahead = r.u32("platform.runahead")?;
+            Platform::SimSoftware {
+                threads,
+                runahead: (runahead != u32::MAX).then_some(runahead as usize),
+            }
+        }
+        1 => Platform::Racod { units: r.u32("platform.units")? as usize },
+        2 => Platform::Threads {
+            threads: r.u32("platform.threads")? as usize,
+            runahead: r.u32("platform.runahead")? as usize,
+        },
+        tag => return Err(ProtocolError::BadTag { what: "Platform", tag }),
+    };
+    let priority = match r.u8("Priority")? {
+        0 => Priority::High,
+        1 => Priority::Normal,
+        2 => Priority::Low,
+        tag => return Err(ProtocolError::BadTag { what: "Priority", tag }),
+    };
+    let deadline = get_opt_duration(r, "deadline")?;
+    Ok(PlanRequest { map: map.into(), workload, astar, platform, priority, deadline })
+}
+
+/// A delta batch: `u32` count, then per delta a tag (0 appear, 1
+/// disappear, 2 move) and its one or two cells.
+pub fn put_deltas(w: &mut ByteWriter, deltas: &[GridDelta2]) {
+    w.put_u32(deltas.len().min(u32::MAX as usize) as u32);
+    for &d in deltas {
+        match d {
+            GridDelta2::Appear { cell } => {
+                w.put_u8(0);
+                put_cell2(w, cell);
+            }
+            GridDelta2::Disappear { cell } => {
+                w.put_u8(1);
+                put_cell2(w, cell);
+            }
+            GridDelta2::Move { from, to } => {
+                w.put_u8(2);
+                put_cell2(w, from);
+                put_cell2(w, to);
+            }
+        }
+    }
+}
+
+/// Reads a [`put_deltas`] field.
+pub fn get_deltas(r: &mut ByteReader<'_>) -> Result<Vec<GridDelta2>, ProtocolError> {
+    // Each delta is at least a tag byte plus one cell.
+    let n = r.vec_len(17, "map deltas")?;
+    let mut deltas = Vec::with_capacity(n);
+    for _ in 0..n {
+        deltas.push(match r.u8("GridDelta2")? {
+            0 => GridDelta2::Appear { cell: get_cell2(r)? },
+            1 => GridDelta2::Disappear { cell: get_cell2(r)? },
+            2 => GridDelta2::Move { from: get_cell2(r)?, to: get_cell2(r)? },
+            tag => return Err(ProtocolError::BadTag { what: "GridDelta2", tag }),
+        });
+    }
+    Ok(deltas)
 }
 
 #[cfg(test)]

@@ -140,3 +140,60 @@ fn sequential_same_map_requests_hit_affinity_and_warm_state() {
     assert_eq!(server.metrics().completed.load(Ordering::Relaxed), 2);
     assert_eq!(server.metrics().in_system.load(Ordering::Relaxed), 0);
 }
+
+/// Admission bounds the numbers a request carries: each one, just past
+/// its bound, is refused as `InvalidRequest` before anything sizes a
+/// thread pool or an allocation from it; each one at its bound is
+/// admitted. (No workers: nothing executes, so 64-thread platforms cost
+/// nothing here.)
+#[test]
+fn out_of_range_requests_are_refused_at_admission() {
+    use racod_search::AstarConfig;
+    use racod_sim::footprint::OrientationPolicy;
+    use racod_sim::Footprint2;
+    let (reg, start, goal) = boston_world();
+    let server = PlanServer::start(
+        ServerConfig { workers: 0, queue_capacity: 64, ..Default::default() },
+        reg,
+    );
+    let base = || PlanRequest::plan2("boston", start, goal);
+    let sized = |length: f32, width: f32| {
+        base().with_footprint2(Footprint2 { length, width, policy: OrientationPolicy::TowardGoal })
+    };
+    let weighted = |weight: f64| base().with_astar(AstarConfig { weight, ..Default::default() });
+
+    let refused = [
+        sized(64.5, 2.0),
+        sized(2.0, 1e5),
+        sized(-0.5, 2.0),
+        sized(f32::NAN, 2.0),
+        sized(2.0, f32::INFINITY),
+        base().with_platform(Platform::Threads { threads: 0, runahead: 0 }),
+        base().with_platform(Platform::Threads { threads: 100_000, runahead: 0 }),
+        base().with_platform(Platform::Threads { threads: 4, runahead: 1025 }),
+        base().with_platform(Platform::Racod { units: 0 }),
+        base().with_platform(Platform::Racod { units: 65 }),
+        base().with_platform(Platform::SimSoftware { threads: 0, runahead: None }),
+        base().with_platform(Platform::SimSoftware { threads: 65, runahead: None }),
+        base().with_platform(Platform::SimSoftware { threads: 4, runahead: Some(1025) }),
+        weighted(f64::NAN),
+        weighted(f64::INFINITY),
+    ];
+    for (i, req) in refused.iter().enumerate() {
+        let err = server.submit(req.clone()).expect_err("out of range");
+        assert!(matches!(err, Rejected::InvalidRequest), "case {i}: {err}");
+    }
+    assert_eq!(server.metrics().rejected_invalid.load(Ordering::Relaxed), refused.len() as u64);
+    assert_eq!(server.metrics().in_system.load(Ordering::Relaxed), 0);
+
+    let admitted = [
+        sized(64.0, 0.0),
+        base().with_platform(Platform::Threads { threads: 64, runahead: 1024 }),
+        base().with_platform(Platform::Racod { units: 64 }),
+        base().with_platform(Platform::SimSoftware { threads: 64, runahead: Some(1024) }),
+        base().with_platform(Platform::SimSoftware { threads: 1, runahead: None }),
+    ];
+    for (i, req) in admitted.iter().enumerate() {
+        assert!(server.submit(req.clone()).is_ok(), "case {i} is within bounds");
+    }
+}

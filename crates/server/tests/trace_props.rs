@@ -143,7 +143,8 @@ fn sample_event(g: &mut Gen) -> TraceEvent {
                 RejectReason::DimensionMismatch,
                 RejectReason::DeadlineInfeasible,
                 RejectReason::ShuttingDown,
-            ][g.pct(5) as usize],
+                RejectReason::InvalidRequest,
+            ][g.pct(6) as usize],
         }),
         _ => {
             let req = sample_request(g);
