@@ -30,7 +30,7 @@ fn bench_checks(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("template_kernel", format!("{l}x{w}")),
             &tpl,
-            |b, tpl| b.iter(|| black_box(template_check_2d(&grid, black_box(state), tpl))),
+            |b, tpl| b.iter(|| black_box(template_check(&grid, black_box(state), tpl))),
         );
     }
     group.finish();

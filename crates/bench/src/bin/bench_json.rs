@@ -6,7 +6,7 @@
 //!
 //! `bench_json --help` lists the flags.
 
-use racod::codacc::{simd_lanes, template_check_2d_scalar};
+use racod::codacc::{simd_lanes, template_check_scalar};
 use racod::prelude::*;
 use std::fmt::Write as _;
 use std::hint::black_box;
@@ -188,7 +188,7 @@ fn main() {
         .enumerate()
         .filter(|&(i, &s)| {
             let (tpl, _) = checker.cache().get(&fp, fp.rot_key(s, goal));
-            let scalar = template_check_2d_scalar(&grid, s, &tpl).verdict.is_free();
+            let scalar = template_check_scalar(&grid, s, &tpl).verdict.is_free();
             scalar == template_verdicts[i] && scalar == batch_verdicts[i]
         })
         .count();

@@ -22,6 +22,26 @@ pub struct SoftwareCheck {
     pub cells_total: usize,
 }
 
+/// The one early-exit cell walk: probes `cells` in order and stops at the
+/// first out-of-range (`Invalid`) or occupied (`Collision`) one. Every
+/// cell-by-cell checker — the OBB baselines here and the template oracle
+/// ([`crate::template_check_scalar`]) — is this walk over its cell list.
+pub(crate) fn walk_cells<C: Copy>(
+    cells: &[C],
+    occupied: impl Fn(C) -> Option<bool>,
+) -> SoftwareCheck {
+    let at =
+        |verdict, cells_checked| SoftwareCheck { verdict, cells_checked, cells_total: cells.len() };
+    for (i, &c) in cells.iter().enumerate() {
+        match occupied(c) {
+            None => return at(Verdict::Invalid, i + 1),
+            Some(true) => return at(Verdict::Collision, i + 1),
+            Some(false) => {}
+        }
+    }
+    at(Verdict::Free, cells.len())
+}
+
 /// Checks a 2D OBB against a grid in software.
 ///
 /// # Example
@@ -36,58 +56,12 @@ pub struct SoftwareCheck {
 /// assert_eq!(software_check_2d(&grid, &obb).verdict, Verdict::Free);
 /// ```
 pub fn software_check_2d<G: Occupancy2>(grid: &G, obb: &Obb2) -> SoftwareCheck {
-    let cells = obb.sample_cells();
-    let total = cells.len();
-    let mut checked = 0;
-    for c in cells {
-        checked += 1;
-        match grid.occupied(c) {
-            None => {
-                return SoftwareCheck {
-                    verdict: Verdict::Invalid,
-                    cells_checked: checked,
-                    cells_total: total,
-                }
-            }
-            Some(true) => {
-                return SoftwareCheck {
-                    verdict: Verdict::Collision,
-                    cells_checked: checked,
-                    cells_total: total,
-                }
-            }
-            Some(false) => {}
-        }
-    }
-    SoftwareCheck { verdict: Verdict::Free, cells_checked: checked, cells_total: total }
+    walk_cells(&obb.sample_cells(), |c| grid.occupied(c))
 }
 
 /// Checks a 3D OBB against a voxel grid in software.
 pub fn software_check_3d<G: Occupancy3>(grid: &G, obb: &Obb3) -> SoftwareCheck {
-    let cells = obb.sample_cells();
-    let total = cells.len();
-    let mut checked = 0;
-    for c in cells {
-        checked += 1;
-        match grid.occupied(c) {
-            None => {
-                return SoftwareCheck {
-                    verdict: Verdict::Invalid,
-                    cells_checked: checked,
-                    cells_total: total,
-                }
-            }
-            Some(true) => {
-                return SoftwareCheck {
-                    verdict: Verdict::Collision,
-                    cells_checked: checked,
-                    cells_total: total,
-                }
-            }
-            Some(false) => {}
-        }
-    }
-    SoftwareCheck { verdict: Verdict::Free, cells_checked: checked, cells_total: total }
+    walk_cells(&obb.sample_cells(), |c| grid.occupied(c))
 }
 
 #[cfg(test)]

@@ -2,13 +2,13 @@
 //!
 //! The scalar checker ([`crate::software_check_2d`]) probes the bit-packed
 //! grid one cell at a time. For a footprint compiled into
-//! [`FootprintTemplate2`] mask rows, a whole row span can instead be tested
+//! [`FootprintTemplate`] mask rows, a whole row span can instead be tested
 //! with one or two `u64` AND operations against the grid's backing words —
 //! up to 64 cells per probe, which covers every row of the car-sized
 //! footprints in one op — while producing a [`SoftwareCheck`] that is
 //! **bit-identical** to walking the template cells one by one:
 //!
-//! * Both scan the template in canonical grid order (ascending `(y, x)`).
+//! * Both scan the template in canonical grid order (ascending `(z, y, x)`).
 //! * A row whose first cell falls outside the grid yields `Invalid` with
 //!   `cells_checked` = cells of earlier rows + 1, exactly like the scalar
 //!   early exit (out-of-bounds cells of a row always sort after its
@@ -16,7 +16,7 @@
 //! * On a masked hit, the first set bit of `mask & grid_word` identifies the
 //!   lowest-`x` colliding cell; `cells_checked` is reconstructed as the
 //!   popcount of mask bits strictly below it, plus one, plus the prefix
-//!   count of earlier rows ([`TemplateRow2::cells_before`]).
+//!   count of earlier rows ([`racod_geom::TemplateRow::cells_before`]).
 //!
 //! # SIMD lanes
 //!
@@ -31,13 +31,15 @@
 //! scalar-`u64` path (the CI `simd-smoke` job runs the property suite both
 //! ways).
 //!
-//! The scalar walks ([`template_check_2d_scalar`] /
-//! [`template_check_3d_scalar`]) are kept as the property-test oracle.
+//! One row loop ([`template_check`]) serves both dimensions: a row's first
+//! cell names its grid row through [`GridCell::row_in`], and everything
+//! after that is the shared word walk. The scalar walk
+//! ([`template_check_scalar`]) is kept as the property-test oracle.
 
-use crate::check::SoftwareCheck;
+use crate::check::{walk_cells, SoftwareCheck};
 use crate::unit::Verdict;
-use racod_geom::{Cell2, Cell3, FootprintTemplate2, FootprintTemplate3};
-use racod_grid::{BitGrid2, BitGrid3, Occupancy2, Occupancy3};
+use racod_geom::{FootprintTemplate, GridCell};
+use racod_grid::BitGrid;
 use std::sync::OnceLock;
 
 /// The wide-word execution level the kernel selected at startup.
@@ -263,43 +265,44 @@ fn eval_row(
 /// Checks a footprint template at `state` with word-parallel probes.
 ///
 /// Bit-identical (verdict *and* `cells_checked`) to
-/// [`template_check_2d_scalar`] on the same grid, state, and template.
+/// [`template_check_scalar`] on the same grid, state, and template.
 ///
 /// # Example
 ///
 /// ```
-/// use racod_codacc::{template_check_2d, Verdict};
+/// use racod_codacc::{template_check, Verdict};
 /// use racod_geom::{Cell2, FootprintTemplate2, Rotation2};
 /// use racod_grid::BitGrid2;
 ///
 /// let grid = BitGrid2::new(64, 64);
 /// let tpl = FootprintTemplate2::for_box(16.0, 8.0, Rotation2::from_angle(0.45));
-/// let out = template_check_2d(&grid, Cell2::new(30, 30), &tpl);
+/// let out = template_check(&grid, Cell2::new(30, 30), &tpl);
 /// assert_eq!(out.verdict, Verdict::Free);
 /// assert_eq!(out.cells_checked, tpl.cell_count());
 /// ```
-pub fn template_check_2d(grid: &BitGrid2, state: Cell2, tpl: &FootprintTemplate2) -> SoftwareCheck {
+pub fn template_check<C: GridCell>(
+    grid: &BitGrid<C>,
+    state: C,
+    tpl: &FootprintTemplate<C>,
+) -> SoftwareCheck {
     let total = tpl.cell_count();
-    let width = grid.width() as i64;
-    let height = grid.height() as i64;
+    let extent = grid.extent();
     let words = grid.words();
     let row_words = grid.row_words() as usize;
     for row in tpl.rows() {
-        let y = state.y + row.dy;
-        let x0 = state.x + row.dx0;
-        if y < 0 || y >= height || x0 < 0 || x0 >= width {
+        let first = state.translate(row.first);
+        let Some(r) = first.row_in(extent) else {
             // The row's leftmost cell — checked first in canonical order —
             // is outside the grid.
             return verdict_at(Verdict::Invalid, row.cells_before + 1, total);
-        }
-        let span = row.dx_end() - row.dx0;
+        };
         if let Some(out) = eval_row(
             words,
-            (y as usize) * row_words,
-            width,
-            x0,
+            r * row_words,
+            extent.x(),
+            first.x(),
             &row.mask,
-            span,
+            row.span(),
             row.cells_before,
             total,
         ) {
@@ -309,87 +312,34 @@ pub fn template_check_2d(grid: &BitGrid2, state: Cell2, tpl: &FootprintTemplate2
     verdict_at(Verdict::Free, total, total)
 }
 
-/// 3D counterpart of [`template_check_2d`]: word-parallel probes over the
-/// voxel grid's x-rows.
-pub fn template_check_3d(grid: &BitGrid3, state: Cell3, tpl: &FootprintTemplate3) -> SoftwareCheck {
-    let total = tpl.cell_count();
-    let (sx, sy, sz) = (grid.size_x() as i64, grid.size_y() as i64, grid.size_z() as i64);
-    let words = grid.words();
-    let row_words = grid.row_words() as usize;
-    for row in tpl.rows() {
-        let z = state.z + row.dz;
-        let y = state.y + row.dy;
-        let x0 = state.x + row.dx0;
-        if z < 0 || z >= sz || y < 0 || y >= sy || x0 < 0 || x0 >= sx {
-            return verdict_at(Verdict::Invalid, row.cells_before + 1, total);
-        }
-        let span = row.dx_end() - row.dx0;
-        let row_base = ((z * sy + y) as usize) * row_words;
-        if let Some(out) =
-            eval_row(words, row_base, sx, x0, &row.mask, span, row.cells_before, total)
-        {
-            return out;
-        }
-    }
-    verdict_at(Verdict::Free, total, total)
-}
-
-/// Scalar reference walk of a 2D template: checks `state + offset` cell by
+/// Scalar reference walk of a template: checks `state + offset` cell by
 /// cell in canonical order, early-exiting exactly like
 /// [`crate::software_check_2d`] does over sampled cells.
-pub fn template_check_2d_scalar<G: Occupancy2>(
-    grid: &G,
-    state: Cell2,
-    tpl: &FootprintTemplate2,
+pub fn template_check_scalar<C: GridCell>(
+    grid: &BitGrid<C>,
+    state: C,
+    tpl: &FootprintTemplate<C>,
 ) -> SoftwareCheck {
-    let total = tpl.cell_count();
-    let mut checked = 0;
-    for o in tpl.offsets() {
-        checked += 1;
-        match grid.occupied(state.offset(o.x, o.y)) {
-            None => return verdict_at(Verdict::Invalid, checked, total),
-            Some(true) => return verdict_at(Verdict::Collision, checked, total),
-            Some(false) => {}
-        }
-    }
-    verdict_at(Verdict::Free, checked, total)
-}
-
-/// Scalar reference walk of a 3D template.
-pub fn template_check_3d_scalar<G: Occupancy3>(
-    grid: &G,
-    state: Cell3,
-    tpl: &FootprintTemplate3,
-) -> SoftwareCheck {
-    let total = tpl.cell_count();
-    let mut checked = 0;
-    for o in tpl.offsets() {
-        checked += 1;
-        match grid.occupied(state.offset(o.x, o.y, o.z)) {
-            None => return verdict_at(Verdict::Invalid, checked, total),
-            Some(true) => return verdict_at(Verdict::Collision, checked, total),
-            Some(false) => {}
-        }
-    }
-    verdict_at(Verdict::Free, checked, total)
+    walk_cells(&tpl.expand(state), |c| grid.get(c))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racod_geom::Rotation2;
+    use racod_geom::{Cell2, Cell3, FootprintTemplate2, FootprintTemplate3, Rotation2};
+    use racod_grid::{BitGrid2, BitGrid3};
 
-    fn assert_identical(grid: &BitGrid2, state: Cell2, tpl: &FootprintTemplate2) {
-        let fast = template_check_2d(grid, state, tpl);
-        let slow = template_check_2d_scalar(grid, state, tpl);
-        assert_eq!(fast, slow, "state {state}");
+    fn assert_identical<C: GridCell>(grid: &BitGrid<C>, state: C, tpl: &FootprintTemplate<C>) {
+        let fast = template_check(grid, state, tpl);
+        let slow = template_check_scalar(grid, state, tpl);
+        assert_eq!(fast, slow, "state {state:?}");
     }
 
     #[test]
     fn free_grid_checks_every_cell() {
         let grid = BitGrid2::new(64, 64);
         let tpl = FootprintTemplate2::for_box(16.0, 8.0, Rotation2::from_angle(0.45));
-        let out = template_check_2d(&grid, Cell2::new(30, 30), &tpl);
+        let out = template_check(&grid, Cell2::new(30, 30), &tpl);
         assert_eq!(out.verdict, Verdict::Free);
         assert_eq!(out.cells_checked, out.cells_total);
         assert_identical(&grid, Cell2::new(30, 30), &tpl);
@@ -403,7 +353,7 @@ mod tests {
         let s = Cell2::new(20, 20);
         let cells = tpl.expand(s);
         grid.set(cells[cells.len() / 2], true);
-        let out = template_check_2d(&grid, s, &tpl);
+        let out = template_check(&grid, s, &tpl);
         assert_eq!(out.verdict, Verdict::Collision);
         assert_eq!(out.cells_checked, cells.len() / 2 + 1);
         assert_identical(&grid, s, &tpl);
@@ -551,9 +501,7 @@ mod tests {
             Cell3::new(-2, 4, 4),
             Cell3::new(24, 24, 23),
         ] {
-            let fast = template_check_3d(&grid, s, &tpl);
-            let slow = template_check_3d_scalar(&grid, s, &tpl);
-            assert_eq!(fast, slow, "state {s}");
+            assert_identical(&grid, s, &tpl);
         }
     }
 }

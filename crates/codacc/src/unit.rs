@@ -9,15 +9,16 @@
 //! bits are OR-ed with early exit.
 //!
 //! Verdicts are computed functionally from the real grid and always match
-//! [`crate::software_check_2d`] / [`crate::software_check_3d`]; cycles are
+//! [`crate::software_check_2d`] / [`crate::software_check_3d`] (and, for
+//! template cell lists, [`crate::template_check`]); cycles are
 //! accumulated from Table 2 latencies plus simulated cache behaviour.
 
 use crate::hobb::{Hobb, HOBB_REGISTERS};
 use crate::reduce::{LoadQueue, ReductionUnit};
 use crate::sched::partition_tiles;
 use racod_geom::raster::axis_samples;
-use racod_geom::{Cell2, Cell3, Obb2, Obb3};
-use racod_grid::{BitGrid2, BitGrid3, Occupancy2, Occupancy3};
+use racod_geom::{Cell2, Cell3, GridCell, Obb2, Obb3};
+use racod_grid::{BitGrid, BitGrid2, BitGrid3};
 use racod_mem::{CacheConfig, LatencyModel, MemSystem};
 use std::fmt;
 
@@ -195,17 +196,10 @@ impl CodaccPool {
         self.checks
     }
 
-    /// Notifies the pool that the perception unit wrote `cell` in a 2D
-    /// grid: the containing block is invalidated in every L0 (the §3.1.4
-    /// marked-block coherence path), so later checks observe the update.
-    pub fn notify_grid_write_2d(&mut self, grid: &BitGrid2, cell: Cell2) {
-        if let Some(addr) = grid.cell_addr(cell) {
-            self.mem.write_invalidate(addr);
-        }
-    }
-
-    /// 3D counterpart of [`CodaccPool::notify_grid_write_2d`].
-    pub fn notify_grid_write_3d(&mut self, grid: &BitGrid3, cell: Cell3) {
+    /// Notifies the pool that the perception unit wrote `cell`: the
+    /// containing block is invalidated in every L0 (the §3.1.4 marked-block
+    /// coherence path), so later checks observe the update.
+    pub fn notify_grid_write<C: GridCell>(&mut self, grid: &BitGrid<C>, cell: C) {
         if let Some(addr) = grid.cell_addr(cell) {
             self.mem.write_invalidate(addr);
         }
@@ -330,7 +324,7 @@ impl CodaccPool {
             for &sy in &ys[tile.y.0..tile.y.1] {
                 for &sx in &xs[tile.x.0..tile.x.1] {
                     let c = Cell2::from_point(obb.origin() + ax * sx + ay * sy);
-                    items.push((grid.cell_addr(c), grid.occupied(c) == Some(true)));
+                    items.push((grid.cell_addr(c), grid.get(c) == Some(true)));
                 }
             }
         })
@@ -354,7 +348,7 @@ impl CodaccPool {
                 for &sy in &ys[tile.y.0..tile.y.1] {
                     for &sx in &xs[tile.x.0..tile.x.1] {
                         let c = Cell3::from_point(obb.origin() + ax * sx + ay * sy + az * sz);
-                        items.push((grid.cell_addr(c), grid.occupied(c) == Some(true)));
+                        items.push((grid.cell_addr(c), grid.get(c) == Some(true)));
                     }
                 }
             }
@@ -373,31 +367,39 @@ impl CodaccPool {
     /// # Panics
     ///
     /// Panics if `unit >= self.units()`.
+    pub fn check_cells<C: GridCell>(
+        &mut self,
+        unit: usize,
+        grid: &BitGrid<C>,
+        cells: &[C],
+    ) -> CheckOutcome {
+        self.check_tiles(unit, cells.chunks(HOBB_REGISTERS), |chunk, items| {
+            items.extend(chunk.iter().map(|&c| (grid.cell_addr(c), grid.get(c) == Some(true))))
+        })
+    }
+
+    // Pinned by the frozen benchmark: `benchmark/src/ladder.rs` is the only
+    // caller.
+    #[doc(hidden)]
     pub fn check_cells_2d(
         &mut self,
         unit: usize,
         grid: &BitGrid2,
         cells: &[Cell2],
     ) -> CheckOutcome {
-        self.check_tiles(unit, cells.chunks(HOBB_REGISTERS), |chunk, items| {
-            items.extend(chunk.iter().map(|&c| (grid.cell_addr(c), grid.occupied(c) == Some(true))))
-        })
+        self.check_cells(unit, grid, cells)
     }
 
-    /// 3D counterpart of [`CodaccPool::check_cells_2d`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `unit >= self.units()`.
+    // Pinned by the frozen benchmark: `benchmark/src/ladder.rs` is the only
+    // caller.
+    #[doc(hidden)]
     pub fn check_cells_3d(
         &mut self,
         unit: usize,
         grid: &BitGrid3,
         cells: &[Cell3],
     ) -> CheckOutcome {
-        self.check_tiles(unit, cells.chunks(HOBB_REGISTERS), |chunk, items| {
-            items.extend(chunk.iter().map(|&c| (grid.cell_addr(c), grid.occupied(c) == Some(true))))
-        })
+        self.check_cells(unit, grid, cells)
     }
 }
 
@@ -549,12 +551,12 @@ mod coherence_tests {
 
         let blocked_cell = Cell2::new(12, 11);
         grid.set(blocked_cell, true);
-        pool.notify_grid_write_2d(&grid, blocked_cell);
+        pool.notify_grid_write(&grid, blocked_cell);
         assert_eq!(pool.check_2d(0, &grid, &obb).verdict, Verdict::Collision);
 
         // And clearing it again (with notification) restores Free.
         grid.set(blocked_cell, false);
-        pool.notify_grid_write_2d(&grid, blocked_cell);
+        pool.notify_grid_write(&grid, blocked_cell);
         assert_eq!(pool.check_2d(0, &grid, &obb).verdict, Verdict::Free);
     }
 
@@ -567,7 +569,7 @@ mod coherence_tests {
         pool.check_2d(0, &grid, &near);
         pool.check_2d(0, &grid, &far);
         let before = pool.mem().l0_stats(0);
-        pool.notify_grid_write_2d(&grid, Cell2::new(11, 11));
+        pool.notify_grid_write(&grid, Cell2::new(11, 11));
         let after = pool.mem().l0_stats(0);
         // Exactly the near block dropped; nothing more.
         assert!(after.invalidations >= before.invalidations);

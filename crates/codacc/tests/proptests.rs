@@ -4,16 +4,40 @@
 
 use proptest::prelude::*;
 use racod_codacc::{
-    partition_tiles, software_check_2d, software_check_3d, template_check_2d,
-    template_check_2d_scalar, template_check_3d, template_check_3d_scalar, CodaccPool,
-    ReductionUnit,
+    partition_tiles, software_check_2d, software_check_3d, template_check, template_check_scalar,
+    CodaccPool, ReductionUnit,
 };
 use racod_geom::{
-    Cell2, Cell3, FootprintTemplate2, FootprintTemplate3, Obb2, Obb3, Rotation2, Rotation3, Vec2,
-    Vec3,
+    Cell2, Cell3, FootprintTemplate, FootprintTemplate2, FootprintTemplate3, GridCell, Obb2, Obb3,
+    Rotation2, Rotation3, Vec2, Vec3,
 };
-use racod_grid::{BitGrid2, BitGrid3};
+use racod_grid::{BitGrid, BitGrid2, BitGrid3};
 use racod_mem::BlockAddr;
+
+/// The word-parallel kernel is bit-identical — verdict AND `cells_checked`
+/// — to the scalar walk over the same template.
+fn kernel_matches_scalar<C: GridCell>(
+    grid: &BitGrid<C>,
+    s: C,
+    tpl: &FootprintTemplate<C>,
+) -> Result<(), TestCaseError> {
+    let fast = template_check(grid, s, tpl);
+    let slow = template_check_scalar(grid, s, tpl);
+    prop_assert_eq!(fast, slow, "state {:?} on a {:?} grid", s, grid.extent());
+    Ok(())
+}
+
+/// On a grid with every cell occupied no footprint is free, and the kernel
+/// still agrees with the scalar walk.
+fn kernel_matches_scalar_when_full<C: GridCell>(
+    grid: &BitGrid<C>,
+    s: C,
+    tpl: &FootprintTemplate<C>,
+) -> Result<(), TestCaseError> {
+    kernel_matches_scalar(grid, s, tpl)?;
+    prop_assert!(!template_check(grid, s, tpl).verdict.is_free() || tpl.cell_count() == 0);
+    Ok(())
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -104,10 +128,9 @@ proptest! {
         prop_assert_eq!(covered, nx * ny);
     }
 
-    /// The word-parallel kernel is bit-identical — verdict AND
-    /// `cells_checked` — to the scalar walk over the same template, across
-    /// random rotations, grid shapes, obstacle densities, and states
-    /// including far out-of-bounds placements.
+    /// Kernel vs scalar walk across random rotations, grid shapes,
+    /// obstacle densities, and states including far out-of-bounds
+    /// placements.
     #[test]
     fn word_kernel_matches_scalar_walk_2d(
         gw in 1u32..80, gh in 1u32..40,
@@ -120,49 +143,46 @@ proptest! {
             grid.set(Cell2::new(x % gw as i64, y % gh as i64), true);
         }
         let tpl = FootprintTemplate2::for_box(l, w, Rotation2::from_angle(theta));
-        let s = Cell2::new(sx, sy);
-        let fast = template_check_2d(&grid, s, &tpl);
-        let slow = template_check_2d_scalar(&grid, s, &tpl);
-        prop_assert_eq!(fast, slow, "state {} on {}x{} grid", s, gw, gh);
+        kernel_matches_scalar(&grid, Cell2::new(sx, sy), &tpl)?;
     }
 
-    /// Same bit-identity when every row is fully occupied — the case that
-    /// exercises mask trimming against the grid's padding bits (a filled
-    /// grid sets the storage bits past the row width too).
+    /// Same bit-identity when every cell is occupied — the case that
+    /// exercises mask trimming at the right edge. A filled 2D grid also
+    /// sets the storage bits past the row width; a 3D grid filled box by
+    /// box leaves them clear, across row widths of one to three words.
     #[test]
     fn word_kernel_matches_scalar_on_filled_grid(
-        gw in 1u32..80, gh in 1u32..20,
-        l in 0.0f32..30.0, w in 0.0f32..15.0, theta in -3.2f32..3.2,
-        sx in -8i64..88, sy in -8i64..28,
+        (gw, gh, gd) in (1u32..150, 1u32..20, 1u32..4),
+        (l, w, h) in (0.0f32..140.0, 0.0f32..15.0, 0.0f32..3.0),
+        theta in -3.2f32..3.2,
+        (sx, sy, sz) in (-8i64..158, -8i64..28, -2i64..6),
     ) {
-        let grid = BitGrid2::filled(gw, gh);
-        let tpl = FootprintTemplate2::for_box(l, w, Rotation2::from_angle(theta));
-        let s = Cell2::new(sx, sy);
-        let fast = template_check_2d(&grid, s, &tpl);
-        let slow = template_check_2d_scalar(&grid, s, &tpl);
-        prop_assert_eq!(fast, slow, "state {} on filled {}x{}", s, gw, gh);
-        prop_assert!(!fast.verdict.is_free() || tpl.cell_count() == 0);
+        let tpl2 = FootprintTemplate2::for_box(l, w, Rotation2::from_angle(theta));
+        kernel_matches_scalar_when_full(&BitGrid2::filled(gw, gh), Cell2::new(sx, sy), &tpl2)?;
+        let mut full3 = BitGrid3::new(gw, gh, gd);
+        full3.fill_box(0, 0, 0, gw as i64, gh as i64, gd as i64, true);
+        let tpl3 = FootprintTemplate3::for_box(l, w.min(3.0), h, Rotation3::from_rpy(0.0, 0.0, theta));
+        kernel_matches_scalar_when_full(&full3, Cell3::new(sx, sy, sz), &tpl3)?;
     }
 
-    /// 3D kernel vs scalar walk, same exactness contract.
+    /// 3D kernel vs scalar walk, same exactness contract; x-rows up to
+    /// three grid words wide and templates long enough to reach the SIMD
+    /// lane groups.
     #[test]
     fn word_kernel_matches_scalar_walk_3d(
-        gx in 1u32..40, gy in 1u32..24, gz in 1u32..12,
-        l in 0.0f32..12.0, w in 0.0f32..8.0, h in 0.0f32..6.0,
-        yaw in -3.2f32..3.2,
-        sx in -12i64..52, sy in -12i64..36, sz in -6i64..18,
-        boxes in prop::collection::vec((0i64..40, 0i64..24, 0i64..12), 0..12),
+        gx in 1u32..200, gy in 1u32..24, gz in 1u32..12,
+        l in 0.0f32..150.0, w in 0.0f32..6.0, h in 0.0f32..4.0,
+        yaw in -3.2f32..3.2, pitch in -0.5f32..0.5,
+        sx in -12i64..212, sy in -12i64..36, sz in -6i64..18,
+        boxes in prop::collection::vec((0i64..200, 0i64..24, 0i64..12), 0..12),
     ) {
         let mut grid = BitGrid3::new(gx, gy, gz);
         for (x, y, z) in boxes {
             let (x, y, z) = (x % gx as i64, y % gy as i64, z % gz as i64);
             grid.fill_box(x, y, z, x + 1, y + 1, z + 1, true);
         }
-        let tpl = FootprintTemplate3::for_box(l, w, h, Rotation3::from_rpy(0.0, 0.0, yaw));
-        let s = Cell3::new(sx, sy, sz);
-        let fast = template_check_3d(&grid, s, &tpl);
-        let slow = template_check_3d_scalar(&grid, s, &tpl);
-        prop_assert_eq!(fast, slow, "state {}", s);
+        let tpl = FootprintTemplate3::for_box(l, w, h, Rotation3::from_rpy(0.0, pitch, yaw));
+        kernel_matches_scalar(&grid, Cell3::new(sx, sy, sz), &tpl)?;
     }
 
     /// At the reference placement (state (0, 0), body centered (0.5, 0.5))
@@ -182,7 +202,7 @@ proptest! {
         let rot = Rotation2::from_angle(theta);
         let tpl = FootprintTemplate2::for_box(l, w, rot);
         let obb = Obb2::centered(Vec2::new(0.5, 0.5), l, w, rot);
-        let kernel = template_check_2d(&grid, Cell2::new(0, 0), &tpl);
+        let kernel = template_check(&grid, Cell2::new(0, 0), &tpl);
         let reference = software_check_2d(&grid, &obb);
         prop_assert_eq!(kernel, reference);
     }

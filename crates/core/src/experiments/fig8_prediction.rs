@@ -10,6 +10,7 @@
 use super::Scale;
 use racod_geom::{Cell2, Cell3};
 use racod_grid::gen::{campus_3d, city_map, CityName};
+use racod_grid::BitGrid;
 use racod_rasexp::{RunaheadConfig, RunaheadOracle, VldpPredictor};
 use racod_search::{astar, AstarConfig, FnOracle, SearchSpace};
 use racod_sim::planner::free_near;
@@ -107,13 +108,13 @@ pub fn fig8(scale: Scale) -> Fig8 {
 /// to the one nearest `goal`, over the dimension's default search space.
 fn series<D: Dim>(
     label: &'static str,
-    grid: &D::Grid,
+    grid: &BitGrid<D::Cell>,
     start: D::Cell,
     goal: D::Cell,
 ) -> PredictionSeries {
     let space = Scenario::<D>::new(grid).space;
     let (start, goal) = (free_near::<D>(grid, start), free_near::<D>(grid, goal));
-    let is_free = |c| D::is_free_cell(grid, c);
+    let is_free = |c| grid.get(c) == Some(false);
 
     let mut semantic = Vec::new();
     for &r in &RUNAHEADS {

@@ -67,8 +67,7 @@ pub use racod_viz as viz;
 pub mod prelude {
     pub use racod_arm::{rrt_plan, ArmModel, ArmPlatform, JointConfig, RrtConfig};
     pub use racod_codacc::{
-        software_check_2d, software_check_3d, template_check_2d, template_check_3d, AreaPowerModel,
-        CodaccPool, Verdict,
+        software_check_2d, software_check_3d, template_check, AreaPowerModel, CodaccPool, Verdict,
     };
     pub use racod_geom::{Cell2, Cell3, Obb2, Obb3, Rotation2, Rotation3, Vec2, Vec3};
     pub use racod_grid::gen::{campus_3d, city_map, random_map, CityName};

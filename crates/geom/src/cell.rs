@@ -173,6 +173,85 @@ impl From<(i64, i64, i64)> for Cell3 {
     }
 }
 
+mod sealed {
+    pub trait Sealed {}
+    impl Sealed for super::Cell2 {}
+    impl Sealed for super::Cell3 {}
+}
+
+/// What the word-row grid layout needs to know about a cell. Sealed:
+/// [`Cell2`] and [`Cell3`] are the only two.
+///
+/// Both dimensions store x-rows of `u64` words; a 2D grid is the `z = 0`
+/// slice of a 3D one (the paper's HOBB runs 2D the same way, its idle z
+/// registers extending y). So a cell is a column `x` inside a row — `y` in
+/// 2D, `(z, y)` in 3D — and an *extent* is written as a cell whose
+/// coordinates are the grid's sizes.
+pub trait GridCell:
+    sealed::Sealed + Copy + Eq + Ord + std::hash::Hash + fmt::Debug + Send + Sync + 'static
+{
+    /// The column.
+    fn x(self) -> i64;
+    /// The row the cell lies in, as `(z, y)`; `z` is 0 in 2D.
+    fn row(self) -> (i64, i64);
+    /// Component-wise sum: `self` translated by `by`.
+    fn translate(self, by: Self) -> Self;
+    /// The cell's row index in a grid of sizes `extent` (rows ordered by
+    /// `z`, then `y`), or `None` if the cell lies outside the grid.
+    fn row_in(self, extent: Self) -> Option<usize>;
+
+    /// The canonical scan order: ascending `(z, y, x)`.
+    #[inline]
+    fn scan_key(self) -> ((i64, i64), i64) {
+        (self.row(), self.x())
+    }
+}
+
+impl GridCell for Cell2 {
+    #[inline]
+    fn x(self) -> i64 {
+        self.x
+    }
+    #[inline]
+    fn row(self) -> (i64, i64) {
+        (0, self.y)
+    }
+    #[inline]
+    fn translate(self, by: Cell2) -> Cell2 {
+        self.offset(by.x, by.y)
+    }
+    #[inline]
+    fn row_in(self, extent: Cell2) -> Option<usize> {
+        let inside = self.x >= 0 && self.y >= 0 && self.x < extent.x && self.y < extent.y;
+        inside.then_some(self.y as usize)
+    }
+}
+
+impl GridCell for Cell3 {
+    #[inline]
+    fn x(self) -> i64 {
+        self.x
+    }
+    #[inline]
+    fn row(self) -> (i64, i64) {
+        (self.z, self.y)
+    }
+    #[inline]
+    fn translate(self, by: Cell3) -> Cell3 {
+        self.offset(by.x, by.y, by.z)
+    }
+    #[inline]
+    fn row_in(self, extent: Cell3) -> Option<usize> {
+        let inside = self.x >= 0
+            && self.y >= 0
+            && self.z >= 0
+            && self.x < extent.x
+            && self.y < extent.y
+            && self.z < extent.z;
+        inside.then(|| (self.z * extent.y + self.y) as usize)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -34,7 +34,7 @@ pub mod vec;
 
 pub use aabb::{Aabb2, Aabb3};
 pub use angle::{Rotation2, Rotation3};
-pub use cell::{Cell2, Cell3};
+pub use cell::{Cell2, Cell3, GridCell};
 pub use obb::{Obb2, Obb3, ObbConfig};
-pub use template::{FootprintTemplate2, FootprintTemplate3, TemplateRow2, TemplateRow3};
+pub use template::{FootprintTemplate, FootprintTemplate2, FootprintTemplate3, TemplateRow};
 pub use vec::{Vec2, Vec3};

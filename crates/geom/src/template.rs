@@ -23,30 +23,30 @@
 //!
 //! # Word-parallel rows
 //!
-//! The sorted offsets are compiled into [`TemplateRow2`] spans: for every
-//! distinct `dy`, a base offset `dx0` and a bitmask (`bit b` of `mask[k]`
-//! covers offset `dx0 + 64·k + b`). A checker evaluates a whole row against
+//! The sorted offsets are compiled into [`TemplateRow`] spans: for every
+//! distinct row — `dy` in 2D, `(dz, dy)` in 3D ([`GridCell::row`]) — its
+//! first (lowest-`x`) offset and a bitmask (`bit b` of `mask[k]` covers
+//! column `first.x + 64·k + b`). A checker evaluates a whole row against
 //! the grid's backing `u64` words with shift-and-AND — up to 64 cells per
 //! probe, the common car-sized footprint row in a single op — and
 //! reconstructs the exact scalar early-exit statistics from the first
-//! failing word (see `racod-codacc`'s template kernel).
+//! failing word (see `racod-codacc`'s template kernel). One layout serves
+//! both dimensions: only `for_box` is per dimension.
 
 use crate::angle::{Rotation2, Rotation3};
-use crate::cell::{Cell2, Cell3};
+use crate::cell::{Cell2, Cell3, GridCell};
 use crate::obb::{Obb2, Obb3};
 use crate::raster::{sample_obb2, sample_obb3};
 use crate::vec::{Vec2, Vec3};
 
-/// One grid row of a 2D footprint template, as a maskable span.
+/// One grid row of a footprint template, as a maskable span.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TemplateRow2 {
-    /// Row offset from the state cell.
-    pub dy: i64,
-    /// Column offset of the first (lowest-`x`) cell in the row; bit 0 of
-    /// `mask[0]` corresponds to this offset.
-    pub dx0: i64,
-    /// Occupancy mask of the row: bit `b` of `mask[k]` set means the cell at
-    /// offset `(dx0 + 64·k + b, dy)` belongs to the footprint.
+pub struct TemplateRow<C> {
+    /// Offset of the row's first (lowest-`x`) cell from the state cell; bit
+    /// 0 of `mask[0]` corresponds to it.
+    pub first: C,
+    /// Occupancy mask of the row: bit `b` of `mask[k]` set means the cell
+    /// `64·k + b` columns right of `first` belongs to the footprint.
     pub mask: Vec<u64>,
     /// Number of template cells in rows strictly before this one (prefix sum
     /// in canonical scan order); used to reconstruct `cells_checked`.
@@ -55,42 +55,24 @@ pub struct TemplateRow2 {
     pub cell_count: usize,
 }
 
-impl TemplateRow2 {
-    /// Column offset one past the last cell of the row.
-    pub fn dx_end(&self) -> i64 {
+impl<C> TemplateRow<C> {
+    /// Columns from `first` to one past the last cell of the row.
+    pub fn span(&self) -> i64 {
         let last_word = self.mask.len() - 1;
         let top = 64 - self.mask[last_word].leading_zeros() as i64;
-        self.dx0 + (last_word as i64) * 64 + top
+        (last_word as i64) * 64 + top
     }
 }
 
-fn compile_rows_2d(offsets: &[Cell2]) -> Vec<TemplateRow2> {
-    let mut rows: Vec<TemplateRow2> = Vec::new();
-    let mut i = 0;
-    let mut cells_before = 0;
-    while i < offsets.len() {
-        let dy = offsets[i].y;
-        let mut j = i;
-        while j < offsets.len() && offsets[j].y == dy {
-            j += 1;
-        }
-        let dx0 = offsets[i].x;
-        let span = (offsets[j - 1].x - dx0) as usize + 1;
-        let mut mask = vec![0u64; span.div_ceil(64)];
-        for c in &offsets[i..j] {
-            let b = (c.x - dx0) as usize;
-            mask[b >> 6] |= 1 << (b & 63);
-        }
-        let cell_count = j - i;
-        rows.push(TemplateRow2 { dy, dx0, mask, cells_before, cell_count });
-        cells_before += cell_count;
-        i = j;
-    }
-    rows
-}
-
-/// A 2D footprint rasterized once at the reference cell and compiled into
+/// A footprint rasterized once at the reference cell and compiled into
 /// word-parallel mask rows.
+#[derive(Debug, Clone, PartialEq)]
+pub struct FootprintTemplate<C> {
+    offsets: Vec<C>,
+    rows: Vec<TemplateRow<C>>,
+}
+
+/// A 2D footprint template.
 ///
 /// # Example
 ///
@@ -102,11 +84,9 @@ fn compile_rows_2d(offsets: &[Cell2]) -> Vec<TemplateRow2> {
 /// let cells = tpl.expand(Cell2::new(10, 20));
 /// assert!(cells.contains(&Cell2::new(10, 20)));
 /// ```
-#[derive(Debug, Clone, PartialEq)]
-pub struct FootprintTemplate2 {
-    offsets: Vec<Cell2>,
-    rows: Vec<TemplateRow2>,
-}
+pub type FootprintTemplate2 = FootprintTemplate<Cell2>;
+/// A 3D footprint template.
+pub type FootprintTemplate3 = FootprintTemplate<Cell3>;
 
 impl FootprintTemplate2 {
     /// Builds the template for a `length x width` box with the given
@@ -115,114 +95,6 @@ impl FootprintTemplate2 {
         let obb = Obb2::centered(Vec2::new(0.5, 0.5), length, width, rotation);
         Self::from_offsets(sample_obb2(&obb))
     }
-
-    /// Builds a template from raw cell offsets (relative to the state cell).
-    ///
-    /// Offsets are sorted into canonical grid order and deduplicated.
-    pub fn from_offsets(mut offsets: Vec<Cell2>) -> Self {
-        offsets.sort_unstable_by_key(|c| (c.y, c.x));
-        offsets.dedup();
-        let rows = compile_rows_2d(&offsets);
-        FootprintTemplate2 { offsets, rows }
-    }
-
-    /// The cell offsets in canonical grid order (ascending `(y, x)`).
-    pub fn offsets(&self) -> &[Cell2] {
-        &self.offsets
-    }
-
-    /// The compiled mask rows, one per distinct `dy`, ascending.
-    pub fn rows(&self) -> &[TemplateRow2] {
-        &self.rows
-    }
-
-    /// Total number of cells in the footprint.
-    pub fn cell_count(&self) -> usize {
-        self.offsets.len()
-    }
-
-    /// The absolute cells touched at `state`, in canonical grid order.
-    pub fn expand(&self, state: Cell2) -> Vec<Cell2> {
-        let mut out = Vec::with_capacity(self.offsets.len());
-        self.expand_into(state, &mut out);
-        out
-    }
-
-    /// Appends the absolute cells touched at `state` into `out` (cleared
-    /// first), avoiding reallocation on repeat calls.
-    pub fn expand_into(&self, state: Cell2, out: &mut Vec<Cell2>) {
-        out.clear();
-        out.extend(self.offsets.iter().map(|o| state.offset(o.x, o.y)));
-    }
-
-    /// Approximate heap footprint, for cache budgeting.
-    pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<Cell2>()
-            + self
-                .rows
-                .iter()
-                .map(|r| std::mem::size_of::<TemplateRow2>() + r.mask.len() * 8)
-                .sum::<usize>()
-    }
-}
-
-/// One grid row of a 3D footprint template (distinct `(dz, dy)` pair).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TemplateRow3 {
-    /// Layer offset from the state cell.
-    pub dz: i64,
-    /// Row offset from the state cell.
-    pub dy: i64,
-    /// Column offset of the first cell; bit 0 of `mask[0]`.
-    pub dx0: i64,
-    /// Occupancy mask: bit `b` of `mask[k]` covers offset `dx0 + 64·k + b`.
-    pub mask: Vec<u64>,
-    /// Cells in rows strictly before this one, canonical order.
-    pub cells_before: usize,
-    /// Cells in this row.
-    pub cell_count: usize,
-}
-
-impl TemplateRow3 {
-    /// Column offset one past the last cell of the row.
-    pub fn dx_end(&self) -> i64 {
-        let last_word = self.mask.len() - 1;
-        let top = 64 - self.mask[last_word].leading_zeros() as i64;
-        self.dx0 + (last_word as i64) * 64 + top
-    }
-}
-
-fn compile_rows_3d(offsets: &[Cell3]) -> Vec<TemplateRow3> {
-    let mut rows: Vec<TemplateRow3> = Vec::new();
-    let mut i = 0;
-    let mut cells_before = 0;
-    while i < offsets.len() {
-        let (dz, dy) = (offsets[i].z, offsets[i].y);
-        let mut j = i;
-        while j < offsets.len() && offsets[j].z == dz && offsets[j].y == dy {
-            j += 1;
-        }
-        let dx0 = offsets[i].x;
-        let span = (offsets[j - 1].x - dx0) as usize + 1;
-        let mut mask = vec![0u64; span.div_ceil(64)];
-        for c in &offsets[i..j] {
-            let b = (c.x - dx0) as usize;
-            mask[b >> 6] |= 1 << (b & 63);
-        }
-        let cell_count = j - i;
-        rows.push(TemplateRow3 { dz, dy, dx0, mask, cells_before, cell_count });
-        cells_before += cell_count;
-        i = j;
-    }
-    rows
-}
-
-/// A 3D footprint rasterized once at the reference voxel and compiled into
-/// word-parallel mask rows.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FootprintTemplate3 {
-    offsets: Vec<Cell3>,
-    rows: Vec<TemplateRow3>,
 }
 
 impl FootprintTemplate3 {
@@ -232,51 +104,68 @@ impl FootprintTemplate3 {
         let obb = Obb3::centered(Vec3::new(0.5, 0.5, 0.5), length, width, height, rotation);
         Self::from_offsets(sample_obb3(&obb))
     }
+}
 
-    /// Builds a template from raw voxel offsets (relative to the state).
-    pub fn from_offsets(mut offsets: Vec<Cell3>) -> Self {
-        offsets.sort_unstable_by_key(|c| (c.z, c.y, c.x));
+impl<C: GridCell> FootprintTemplate<C> {
+    /// Builds a template from raw cell offsets (relative to the state cell).
+    ///
+    /// Offsets are sorted into canonical grid order and deduplicated.
+    pub fn from_offsets(mut offsets: Vec<C>) -> Self {
+        offsets.sort_unstable_by_key(|c| c.scan_key());
         offsets.dedup();
-        let rows = compile_rows_3d(&offsets);
-        FootprintTemplate3 { offsets, rows }
+        let mut rows = Vec::new();
+        let mut i = 0;
+        while i < offsets.len() {
+            let first = offsets[i];
+            let run = offsets[i..].iter().take_while(|c| c.row() == first.row()).count();
+            let span = (offsets[i + run - 1].x() - first.x()) as usize + 1;
+            let mut mask = vec![0u64; span.div_ceil(64)];
+            for c in &offsets[i..i + run] {
+                let b = (c.x() - first.x()) as usize;
+                mask[b >> 6] |= 1 << (b & 63);
+            }
+            rows.push(TemplateRow { first, mask, cells_before: i, cell_count: run });
+            i += run;
+        }
+        FootprintTemplate { offsets, rows }
     }
 
-    /// The voxel offsets in canonical grid order (ascending `(z, y, x)`).
-    pub fn offsets(&self) -> &[Cell3] {
+    /// The cell offsets in canonical grid order (ascending `(z, y, x)`).
+    pub fn offsets(&self) -> &[C] {
         &self.offsets
     }
 
-    /// The compiled mask rows, one per distinct `(dz, dy)`, ascending.
-    pub fn rows(&self) -> &[TemplateRow3] {
+    /// The compiled mask rows, one per distinct row, ascending.
+    pub fn rows(&self) -> &[TemplateRow<C>] {
         &self.rows
     }
 
-    /// Total number of voxels in the footprint.
+    /// Total number of cells in the footprint.
     pub fn cell_count(&self) -> usize {
         self.offsets.len()
     }
 
-    /// The absolute voxels touched at `state`, in canonical grid order.
-    pub fn expand(&self, state: Cell3) -> Vec<Cell3> {
+    /// The absolute cells touched at `state`, in canonical grid order.
+    pub fn expand(&self, state: C) -> Vec<C> {
         let mut out = Vec::with_capacity(self.offsets.len());
         self.expand_into(state, &mut out);
         out
     }
 
-    /// Appends the absolute voxels touched at `state` into `out` (cleared
-    /// first).
-    pub fn expand_into(&self, state: Cell3, out: &mut Vec<Cell3>) {
+    /// Appends the absolute cells touched at `state` into `out` (cleared
+    /// first), avoiding reallocation on repeat calls.
+    pub fn expand_into(&self, state: C, out: &mut Vec<C>) {
         out.clear();
-        out.extend(self.offsets.iter().map(|o| state.offset(o.x, o.y, o.z)));
+        out.extend(self.offsets.iter().map(|&o| state.translate(o)));
     }
 
     /// Approximate heap footprint, for cache budgeting.
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<Cell3>()
+        self.offsets.len() * std::mem::size_of::<C>()
             + self
                 .rows
                 .iter()
-                .map(|r| std::mem::size_of::<TemplateRow3>() + r.mask.len() * 8)
+                .map(|r| std::mem::size_of::<TemplateRow<C>>() + r.mask.len() * 8)
                 .sum::<usize>()
     }
 }
@@ -302,7 +191,8 @@ mod tests {
             for (k, &w) in r.mask.iter().enumerate() {
                 for b in 0..64 {
                     if w & (1 << b) != 0 {
-                        from_rows.push(Cell2::new(r.dx0 + (k as i64) * 64 + b as i64, r.dy));
+                        from_rows
+                            .push(Cell2::new(r.first.x + (k as i64) * 64 + b as i64, r.first.y));
                     }
                 }
             }
@@ -339,7 +229,7 @@ mod tests {
         assert_eq!(r.cell_count, 81);
         assert_eq!(r.mask[0], u64::MAX);
         assert_eq!(r.mask[1], (1 << 17) - 1);
-        assert_eq!(r.dx_end() - r.dx0, 81);
+        assert_eq!(r.span(), 81);
     }
 
     #[test]

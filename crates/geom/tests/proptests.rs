@@ -3,10 +3,44 @@
 use proptest::prelude::*;
 use racod_geom::raster::{cover_obb2, sample_obb2, sample_obb3};
 use racod_geom::{
-    Cell2, Cell3, FootprintTemplate2, FootprintTemplate3, Obb2, Obb3, Rotation2, Rotation3, Vec2,
-    Vec3,
+    Cell2, Cell3, FootprintTemplate, FootprintTemplate2, FootprintTemplate3, GridCell, Obb2, Obb3,
+    Rotation2, Rotation3, Vec2, Vec3,
 };
 use std::collections::HashSet;
+
+/// Template expansion is pure integer translation: the cell set at `s` is
+/// `offsets + s`, component by component, in offset order.
+fn expansion_is_translation_exact<C: GridCell>(
+    tpl: &FootprintTemplate<C>,
+    s: C,
+) -> Result<(), TestCaseError> {
+    let expanded = tpl.expand(s);
+    prop_assert_eq!(expanded.len(), tpl.cell_count());
+    let ((sz, sy), sx) = s.scan_key();
+    for (e, o) in expanded.iter().zip(tpl.offsets()) {
+        let ((oz, oy), ox) = o.scan_key();
+        prop_assert_eq!(e.scan_key(), ((oz + sz, oy + sy), ox + sx));
+    }
+    Ok(())
+}
+
+/// The compiled word-mask rows decode back to exactly the offset list, in
+/// the same canonical order, with consistent `cells_before` prefixes.
+fn rows_decode_to_offsets<C: GridCell>(tpl: &FootprintTemplate<C>) -> Result<(), TestCaseError> {
+    let mut decoded = Vec::new();
+    for row in tpl.rows() {
+        prop_assert_eq!(row.cells_before, decoded.len());
+        for (wi, &word) in row.mask.iter().enumerate() {
+            for b in (0..64).filter(|b| word & (1 << b) != 0) {
+                decoded.push((row.first.row(), row.first.x() + (wi as i64) * 64 + b));
+            }
+        }
+        prop_assert_eq!(decoded.len(), row.cells_before + row.cell_count);
+    }
+    let offsets: Vec<_> = tpl.offsets().iter().map(|o| o.scan_key()).collect();
+    prop_assert_eq!(decoded, offsets);
+    Ok(())
+}
 
 fn arb_obb2() -> impl Strategy<Value = Obb2> {
     (-50.0f32..50.0, -50.0f32..50.0, 0.0f32..20.0, 0.0f32..10.0, -3.2f32..3.2).prop_map(
@@ -121,46 +155,30 @@ proptest! {
         prop_assert_eq!(tpl.offsets(), &reference[..]);
     }
 
-    /// Template expansion is pure integer translation: the cell set at any
-    /// state is `offsets + state`, bit-exactly, at any state magnitude.
+    /// Template expansion is translation-exact at any state magnitude, in
+    /// both dimensions.
     #[test]
     fn template_expansion_is_translation_exact(
-        l in 0.0f32..20.0, w in 0.0f32..10.0, theta in -3.2f32..3.2,
-        sx in -100_000i64..100_000, sy in -100_000i64..100_000,
+        (l, w, h) in (0.0f32..20.0, 0.0f32..10.0, 0.0f32..6.0),
+        (theta, pitch) in (-3.2f32..3.2, -1.0f32..1.0),
+        (sx, sy, sz) in (-100_000i64..100_000, -100_000i64..100_000, -100_000i64..100_000),
     ) {
-        let tpl = FootprintTemplate2::for_box(l, w, Rotation2::from_angle(theta));
-        let s = Cell2::new(sx, sy);
-        let expanded = tpl.expand(s);
-        prop_assert_eq!(expanded.len(), tpl.cell_count());
-        for (e, o) in expanded.iter().zip(tpl.offsets()) {
-            prop_assert_eq!(*e, Cell2::new(o.x + sx, o.y + sy));
-        }
+        let tpl2 = FootprintTemplate2::for_box(l, w, Rotation2::from_angle(theta));
+        expansion_is_translation_exact(&tpl2, Cell2::new(sx, sy))?;
+        let tpl3 = FootprintTemplate3::for_box(l, w, h, Rotation3::from_rpy(0.0, pitch, theta));
+        expansion_is_translation_exact(&tpl3, Cell3::new(sx, sy, sz))?;
     }
 
-    /// The compiled word-mask rows decode back to exactly the offset list,
-    /// in the same canonical order, with consistent `cells_before` prefixes.
+    /// The mask rows decode back to the offsets, in both dimensions; rows
+    /// wider than 64 cells span several mask words.
     #[test]
     fn template_rows_decode_to_offsets(
-        l in 0.0f32..30.0, w in 0.0f32..15.0, theta in -3.2f32..3.2,
+        (l, w, h) in (0.0f32..150.0, 0.0f32..15.0, 0.0f32..4.0),
+        (theta, pitch) in (-3.2f32..3.2, -1.0f32..1.0),
     ) {
-        let tpl = FootprintTemplate2::for_box(l, w, Rotation2::from_angle(theta));
-        let mut decoded = Vec::new();
-        let mut cells_before = 0usize;
-        for row in tpl.rows() {
-            prop_assert_eq!(row.cells_before, cells_before);
-            let mut in_row = 0usize;
-            for (wi, &word) in row.mask.iter().enumerate() {
-                for b in 0..64 {
-                    if word & (1 << b) != 0 {
-                        decoded.push(Cell2::new(row.dx0 + (wi as i64) * 64 + b, row.dy));
-                        in_row += 1;
-                    }
-                }
-            }
-            prop_assert_eq!(in_row, row.cell_count);
-            cells_before += in_row;
-        }
-        prop_assert_eq!(&decoded[..], tpl.offsets());
+        rows_decode_to_offsets(&FootprintTemplate2::for_box(l, w, Rotation2::from_angle(theta)))?;
+        let rot = Rotation3::from_rpy(0.0, pitch, theta);
+        rows_decode_to_offsets(&FootprintTemplate3::for_box(l, w.min(4.0), h, rot))?;
     }
 
     /// 3D templates match the reference rasterization too.

@@ -1,23 +1,11 @@
-//! Bit-packed 2D occupancy grid.
+//! The 2D instantiation of the word-row grid.
 
+use crate::bitgrid::BitGrid;
 use crate::Occupancy2;
 use racod_geom::Cell2;
 use std::fmt;
 
-/// Default virtual base address for a grid's bit array.
-///
-/// An arbitrary page-aligned address; the cache models only care about
-/// relative block structure.
-pub const DEFAULT_BASE_ADDR: u64 = 0x1000_0000;
-
-/// A 2D occupancy grid packed one bit per cell into `u64` words, row-major.
-///
-/// This mirrors the memory-layout optimization of paper §3.1.2: packing
-/// eight-fold more cells per cache block than a byte map, at the cost of bit
-/// masking. The wide `u64` backing lets the word-parallel collision kernel
-/// resolve a whole footprint row in one or two masked ANDs. The grid carries a virtual *base address* so cell lookups can be
-/// mapped to byte addresses, which the cache models and the CODAcc reduction
-/// unit consume.
+/// A 2D occupancy grid: one bit per cell, row-major `u64` words.
 ///
 /// # Example
 ///
@@ -30,16 +18,7 @@ pub const DEFAULT_BASE_ADDR: u64 = 0x1000_0000;
 /// g.set(Cell2::new(10, 10), true);
 /// assert_eq!(g.occupied(Cell2::new(10, 10)), Some(true));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitGrid2 {
-    width: u32,
-    height: u32,
-    /// Number of `u64` words per row (rows are word-aligned so that row
-    /// addressing is a simple multiply).
-    row_words: u32,
-    words: Vec<u64>,
-    base_addr: u64,
-}
+pub type BitGrid2 = BitGrid<Cell2>;
 
 impl BitGrid2 {
     /// Creates an all-free grid of the given dimensions.
@@ -49,67 +28,14 @@ impl BitGrid2 {
     /// Panics if either dimension is zero.
     pub fn new(width: u32, height: u32) -> Self {
         assert!(width > 0 && height > 0, "grid dimensions must be positive");
-        let row_words = width.div_ceil(64);
-        BitGrid2 {
-            width,
-            height,
-            row_words,
-            words: vec![0; (row_words as usize) * (height as usize)],
-            base_addr: DEFAULT_BASE_ADDR,
-        }
+        BitGrid::blank(Cell2::new(width as i64, height as i64), height as usize)
     }
 
-    /// Creates an all-occupied grid.
+    /// Creates an all-occupied grid (padding bits included).
     pub fn filled(width: u32, height: u32) -> Self {
         let mut g = BitGrid2::new(width, height);
-        for w in &mut g.words {
-            *w = u64::MAX;
-        }
+        g.words.fill(u64::MAX);
         g
-    }
-
-    /// Sets the virtual base address used for [`BitGrid2::cell_addr`].
-    pub fn set_base_addr(&mut self, addr: u64) {
-        self.base_addr = addr;
-    }
-
-    /// The virtual base address of the bit array.
-    pub fn base_addr(&self) -> u64 {
-        self.base_addr
-    }
-
-    /// Word/bit position of a cell. `None` if out of bounds.
-    #[inline]
-    fn locate(&self, cell: Cell2) -> Option<(usize, u32)> {
-        if !self.in_bounds(cell) {
-            return None;
-        }
-        let (x, y) = (cell.x as u32, cell.y as u32);
-        let word = (y as usize) * (self.row_words as usize) + (x / 64) as usize;
-        Some((word, x % 64))
-    }
-
-    /// Occupancy of a cell; `None` out of bounds.
-    #[inline]
-    pub fn get(&self, cell: Cell2) -> Option<bool> {
-        let (w, b) = self.locate(cell)?;
-        Some((self.words[w] >> b) & 1 == 1)
-    }
-
-    /// Sets the occupancy of a cell. Out-of-bounds writes are ignored and
-    /// reported as `false`.
-    pub fn set(&mut self, cell: Cell2, occupied: bool) -> bool {
-        match self.locate(cell) {
-            Some((w, b)) => {
-                if occupied {
-                    self.words[w] |= 1 << b;
-                } else {
-                    self.words[w] &= !(1 << b);
-                }
-                true
-            }
-            None => false,
-        }
     }
 
     /// Fills the axis-aligned rectangle `[x0, x1] x [y0, y1]` (inclusive,
@@ -117,8 +43,8 @@ impl BitGrid2 {
     pub fn fill_rect(&mut self, x0: i64, y0: i64, x1: i64, y1: i64, occupied: bool) {
         let x0 = x0.max(0);
         let y0 = y0.max(0);
-        let x1 = x1.min(self.width as i64 - 1);
-        let y1 = y1.min(self.height as i64 - 1);
+        let x1 = x1.min(self.width() as i64 - 1);
+        let y1 = y1.min(self.height() as i64 - 1);
         for y in y0..=y1 {
             for x in x0..=x1 {
                 self.set(Cell2::new(x, y), occupied);
@@ -126,86 +52,24 @@ impl BitGrid2 {
         }
     }
 
-    /// The byte address of the `u64` word holding a cell's bit, or `None`
-    /// out of bounds.
-    ///
-    /// Address = base + 8·word_index; all bits of one word share an address,
-    /// which is what gives the accelerator its coalescing opportunities.
-    pub fn cell_addr(&self, cell: Cell2) -> Option<u64> {
-        let (w, _) = self.locate(cell)?;
-        Some(self.base_addr + 8 * w as u64)
-    }
-
-    /// Total number of occupied cells.
-    pub fn count_occupied(&self) -> u64 {
-        // Row padding bits are *stable* but not guaranteed clear (`filled`
-        // sets them), so the last word of each row is masked to in-bounds
-        // columns before the popcount.
-        let tail_bits = self.width % 64;
-        let tail_mask = if tail_bits == 0 { u64::MAX } else { (1u64 << tail_bits) - 1 };
-        let rw = self.row_words as usize;
-        self.words
-            .chunks_exact(rw)
-            .map(|row| {
-                let mut n = 0u64;
-                for (i, &w) in row.iter().enumerate() {
-                    let w = if i + 1 == rw { w & tail_mask } else { w };
-                    n += w.count_ones() as u64;
-                }
-                n
-            })
-            .sum()
-    }
-
-    /// Fraction of occupied cells in `[0, 1]`.
-    pub fn occupancy_ratio(&self) -> f64 {
-        self.count_occupied() as f64 / (self.width as f64 * self.height as f64)
-    }
-
     /// Iterates over all cells, row-major.
     pub fn iter(&self) -> impl Iterator<Item = (Cell2, bool)> + '_ {
-        (0..self.height as i64).flat_map(move |y| {
-            (0..self.width as i64).map(move |x| {
+        (0..self.height() as i64).flat_map(move |y| {
+            (0..self.width() as i64).map(move |x| {
                 let c = Cell2::new(x, y);
                 (c, self.get(c).expect("in bounds by construction"))
             })
         })
     }
-
-    /// Size of the backing bit array in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Number of `u64` words per row (rows are word-aligned).
-    ///
-    /// Together with [`BitGrid2::words`] this exposes the backing layout to
-    /// word-parallel readers: the bit for cell `(x, y)` is bit `x % 64` of
-    /// `words()[y * row_words + x / 64]`.
-    pub fn row_words(&self) -> u32 {
-        self.row_words
-    }
-
-    /// The backing bit array, row-major with [`BitGrid2::row_words`] words
-    /// per row.
-    ///
-    /// Padding bits past `width` in the last word of a row hold whatever
-    /// state the constructor gave them ([`BitGrid2::new`] clears them,
-    /// [`BitGrid2::filled`] sets them) and are *never* disturbed by the
-    /// mutators ([`BitGrid2::set`], `apply_delta`, [`BitGrid2::fill_rect`]);
-    /// word-parallel readers must mask their probes to in-bounds columns.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
 
 impl Occupancy2 for BitGrid2 {
     fn width(&self) -> u32 {
-        self.width
+        self.extent().x as u32
     }
 
     fn height(&self) -> u32 {
-        self.height
+        self.extent().y as u32
     }
 
     fn occupied(&self, cell: Cell2) -> Option<bool> {
@@ -216,8 +80,8 @@ impl Occupancy2 for BitGrid2 {
 impl fmt::Display for BitGrid2 {
     /// Renders the grid as `.` (free) / `#` (occupied) rows, top row first.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        for y in (0..self.height as i64).rev() {
-            for x in 0..self.width as i64 {
+        for y in (0..self.height() as i64).rev() {
+            for x in 0..self.width() as i64 {
                 let ch = if self.get(Cell2::new(x, y)).unwrap_or(true) { '#' } else { '.' };
                 write!(f, "{ch}")?;
             }

@@ -1,6 +1,6 @@
-//! Bit-packed 3D occupancy grid (voxel map).
+//! The 3D instantiation of the word-row grid (voxel map).
 
-use crate::bitgrid2::DEFAULT_BASE_ADDR;
+use crate::bitgrid::BitGrid;
 use crate::Occupancy3;
 use racod_geom::Cell3;
 use std::fmt;
@@ -21,15 +21,7 @@ use std::fmt;
 /// g.set(Cell3::new(1, 2, 3), true);
 /// assert_eq!(g.occupied(Cell3::new(1, 2, 3)), Some(true));
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BitGrid3 {
-    size_x: u32,
-    size_y: u32,
-    size_z: u32,
-    row_words: u32,
-    words: Vec<u64>,
-    base_addr: u64,
-}
+pub type BitGrid3 = BitGrid<Cell3>;
 
 impl BitGrid3 {
     /// Creates an all-free voxel grid.
@@ -39,53 +31,8 @@ impl BitGrid3 {
     /// Panics if any dimension is zero.
     pub fn new(size_x: u32, size_y: u32, size_z: u32) -> Self {
         assert!(size_x > 0 && size_y > 0 && size_z > 0, "grid dimensions must be positive");
-        let row_words = size_x.div_ceil(64);
-        let words = vec![0u64; row_words as usize * size_y as usize * size_z as usize];
-        BitGrid3 { size_x, size_y, size_z, row_words, words, base_addr: DEFAULT_BASE_ADDR }
-    }
-
-    /// Sets the virtual base address used for [`BitGrid3::cell_addr`].
-    pub fn set_base_addr(&mut self, addr: u64) {
-        self.base_addr = addr;
-    }
-
-    /// The virtual base address of the bit array.
-    pub fn base_addr(&self) -> u64 {
-        self.base_addr
-    }
-
-    #[inline]
-    fn locate(&self, cell: Cell3) -> Option<(usize, u32)> {
-        if !self.in_bounds(cell) {
-            return None;
-        }
-        let (x, y, z) = (cell.x as u32, cell.y as u32, cell.z as u32);
-        let row = z as usize * self.size_y as usize + y as usize;
-        let word = row * self.row_words as usize + (x / 64) as usize;
-        Some((word, x % 64))
-    }
-
-    /// Occupancy of a voxel; `None` out of bounds.
-    #[inline]
-    pub fn get(&self, cell: Cell3) -> Option<bool> {
-        let (w, b) = self.locate(cell)?;
-        Some((self.words[w] >> b) & 1 == 1)
-    }
-
-    /// Sets the occupancy of a voxel. Returns `false` (and does nothing) out
-    /// of bounds.
-    pub fn set(&mut self, cell: Cell3, occupied: bool) -> bool {
-        match self.locate(cell) {
-            Some((w, b)) => {
-                if occupied {
-                    self.words[w] |= 1 << b;
-                } else {
-                    self.words[w] &= !(1 << b);
-                }
-                true
-            }
-            None => false,
-        }
+        let extent = Cell3::new(size_x as i64, size_y as i64, size_z as i64);
+        BitGrid::blank(extent, size_y as usize * size_z as usize)
     }
 
     /// Fills an axis-aligned box (inclusive corners, clamped to the grid).
@@ -103,9 +50,9 @@ impl BitGrid3 {
         let x0 = x0.max(0);
         let y0 = y0.max(0);
         let z0 = z0.max(0);
-        let x1 = x1.min(self.size_x as i64 - 1);
-        let y1 = y1.min(self.size_y as i64 - 1);
-        let z1 = z1.min(self.size_z as i64 - 1);
+        let x1 = x1.min(self.size_x() as i64 - 1);
+        let y1 = y1.min(self.size_y() as i64 - 1);
+        let z1 = z1.min(self.size_z() as i64 - 1);
         for z in z0..=z1 {
             for y in y0..=y1 {
                 for x in x0..=x1 {
@@ -114,58 +61,19 @@ impl BitGrid3 {
             }
         }
     }
-
-    /// The byte address of the `u64` word holding a voxel's bit, or `None`
-    /// out of bounds.
-    pub fn cell_addr(&self, cell: Cell3) -> Option<u64> {
-        let (w, _) = self.locate(cell)?;
-        Some(self.base_addr + 8 * w as u64)
-    }
-
-    /// Total number of occupied voxels.
-    pub fn count_occupied(&self) -> u64 {
-        self.words.iter().map(|w| w.count_ones() as u64).sum()
-    }
-
-    /// Fraction of occupied voxels in `[0, 1]`.
-    pub fn occupancy_ratio(&self) -> f64 {
-        self.count_occupied() as f64
-            / (self.size_x as f64 * self.size_y as f64 * self.size_z as f64)
-    }
-
-    /// Size of the backing bit array in bytes.
-    pub fn storage_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Number of `u64` words per x-row (rows are word-aligned).
-    ///
-    /// The bit for voxel `(x, y, z)` is bit `x % 64` of
-    /// `words()[(z * size_y + y) * row_words + x / 64]`.
-    pub fn row_words(&self) -> u32 {
-        self.row_words
-    }
-
-    /// The backing bit array: `size_z * size_y` word-aligned x-rows.
-    ///
-    /// Padding bits past `size_x` in the last word of a row are unspecified;
-    /// word-parallel readers must mask their probes to in-bounds columns.
-    pub fn words(&self) -> &[u64] {
-        &self.words
-    }
 }
 
 impl Occupancy3 for BitGrid3 {
     fn size_x(&self) -> u32 {
-        self.size_x
+        self.extent().x as u32
     }
 
     fn size_y(&self) -> u32 {
-        self.size_y
+        self.extent().y as u32
     }
 
     fn size_z(&self) -> u32 {
-        self.size_z
+        self.extent().z as u32
     }
 
     fn occupied(&self, cell: Cell3) -> Option<bool> {
@@ -178,9 +86,9 @@ impl fmt::Display for BitGrid3 {
         write!(
             f,
             "BitGrid3({} x {} x {}, {:.1}% occupied)",
-            self.size_x,
-            self.size_y,
-            self.size_z,
+            self.size_x(),
+            self.size_y(),
+            self.size_z(),
             self.occupancy_ratio() * 100.0
         )
     }

@@ -1,4 +1,4 @@
-//! Obstacle deltas and map versioning for dynamic worlds.
+//! Obstacle deltas for dynamic worlds.
 //!
 //! A static map is the degenerate case; real deployments watch obstacles
 //! appear (a pallet set down), disappear (a door opened), and move (a
@@ -12,14 +12,13 @@
 //!   collision kernel's masked probes rely on);
 //! * [`affected_cells`] — the Chebyshev-dilated set of cells a delta batch
 //!   can influence, used to decide whether cached work (a prior search, a
-//!   memoized verdict) survives the delta;
-//! * [`VersionedGrid2`] — a copy-on-write, monotonically versioned grid:
-//!   readers snapshot an `Arc` and keep a consistent world while writers
-//!   publish version N+1.
+//!   memoized verdict) survives the delta.
+//!
+//! Versioned, copy-on-write publication of a delta batch is the serving
+//! layer's job (`racod_server::MapEntry::apply_deltas2`).
 
 use crate::bitgrid2::BitGrid2;
 use racod_geom::Cell2;
-use std::sync::Arc;
 
 /// One obstacle event on a 2D occupancy grid.
 ///
@@ -118,54 +117,6 @@ pub fn affected_cells(deltas: &[GridDelta2], radius: i64) -> Vec<Cell2> {
     out
 }
 
-/// A monotonically versioned, copy-on-write 2D grid.
-///
-/// Readers take [`VersionedGrid2::snapshot`] — an `(Arc<BitGrid2>, u64)`
-/// pair that stays internally consistent no matter how many deltas land
-/// afterwards. Writers call [`VersionedGrid2::apply`], which clones the
-/// current grid, applies the batch, and publishes the result under the
-/// next version number. Version 0 is the initial map; every apply — even
-/// a no-op batch — bumps the version, so "version unchanged" always means
-/// "bit-identical world".
-#[derive(Debug, Clone)]
-pub struct VersionedGrid2 {
-    grid: Arc<BitGrid2>,
-    version: u64,
-}
-
-impl VersionedGrid2 {
-    /// Wraps an initial grid as version 0.
-    pub fn new(grid: BitGrid2) -> Self {
-        VersionedGrid2 { grid: Arc::new(grid), version: 0 }
-    }
-
-    /// The current grid (cheap clone of the inner `Arc`).
-    pub fn grid(&self) -> &Arc<BitGrid2> {
-        &self.grid
-    }
-
-    /// The current version.
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
-    /// A consistent `(grid, version)` pair.
-    pub fn snapshot(&self) -> (Arc<BitGrid2>, u64) {
-        (self.grid.clone(), self.version)
-    }
-
-    /// Applies a delta batch copy-on-write and bumps the version by one.
-    /// Returns `(new_version, changed_cells)` where `changed_cells` counts
-    /// in-bounds cells that actually flipped state.
-    pub fn apply(&mut self, deltas: &[GridDelta2]) -> (u64, usize) {
-        let mut next = BitGrid2::clone(&self.grid);
-        let changed = deltas.iter().filter(|d| next.apply_delta(**d)).count();
-        self.grid = Arc::new(next);
-        self.version += 1;
-        (self.version, changed)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -205,22 +156,5 @@ mod tests {
         assert_eq!(cells, sorted, "row-major sorted");
         assert!(cells.contains(&Cell2::new(4, 4)));
         assert!(cells.contains(&Cell2::new(7, 6)));
-    }
-
-    #[test]
-    fn versioned_grid_snapshots_are_immutable() {
-        let mut v = VersionedGrid2::new(BitGrid2::new(16, 16));
-        let (old, ver0) = v.snapshot();
-        assert_eq!(ver0, 0);
-        let (ver1, changed) = v.apply(&[GridDelta2::Appear { cell: Cell2::new(2, 2) }]);
-        assert_eq!(ver1, 1);
-        assert_eq!(changed, 1);
-        assert_eq!(old.get(Cell2::new(2, 2)), Some(false), "snapshot untouched");
-        assert_eq!(v.grid().get(Cell2::new(2, 2)), Some(true));
-        // A no-op batch still bumps the version: unchanged version must
-        // always certify an unchanged world, never the other way around.
-        let (ver2, changed) = v.apply(&[]);
-        assert_eq!(ver2, 2);
-        assert_eq!(changed, 0);
     }
 }

@@ -4,8 +4,10 @@
 //!
 //! The paper's planners consume a bit-packed occupancy grid produced by the
 //! robot's perception unit (§2.1): `'0'` means free, `'1'` means occupied.
-//! The grid is stored in `u32` words, one bit per cell, in row-major order —
-//! exactly the memory-layout optimization described in §3.1.2 — and exposes
+//! The grid is stored in `u64` words, one bit per cell, in word-aligned
+//! x-rows — exactly the memory-layout optimization described in §3.1.2 — in
+//! one layout for both dimensions ([`BitGrid`], keyed by
+//! [`racod_geom::GridCell`]; 2D is the `z = 0` slice of 3D). It exposes
 //! *byte addresses* for each cell so the cache models in `racod-mem` and the
 //! CODAcc reduction unit can operate on real address streams.
 //!
@@ -30,6 +32,7 @@
 //! assert_eq!(g.get(Cell2::new(99, 0)), None); // out of bounds
 //! ```
 
+pub mod bitgrid;
 pub mod bitgrid2;
 pub mod bitgrid3;
 pub mod delta;
@@ -37,9 +40,10 @@ pub mod gen;
 pub mod inflate;
 pub mod io;
 
+pub use bitgrid::BitGrid;
 pub use bitgrid2::BitGrid2;
 pub use bitgrid3::BitGrid3;
-pub use delta::{affected_cells, GridDelta2, VersionedGrid2};
+pub use delta::{affected_cells, GridDelta2};
 
 use racod_geom::{Cell2, Cell3};
 

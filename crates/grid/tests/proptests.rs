@@ -1,9 +1,48 @@
 //! Property-based tests of the grid invariants.
 
 use proptest::prelude::*;
-use racod_geom::Cell2;
+use racod_geom::{Cell2, Cell3, GridCell};
 use racod_grid::io::{parse_map, parse_scen, write_map, ParseMapError};
-use racod_grid::{BitGrid2, BitGrid3, GridDelta2, Occupancy2};
+use racod_grid::{BitGrid, BitGrid2, BitGrid3, GridDelta2, Occupancy2, Occupancy3};
+use std::collections::HashMap;
+
+/// `get` returns the last value `set` at every written cell.
+fn set_get_roundtrips<C: GridCell>(
+    mut g: BitGrid<C>,
+    writes: impl IntoIterator<Item = (C, bool)>,
+) -> Result<(), TestCaseError> {
+    let mut expected = HashMap::new();
+    for (c, v) in writes {
+        prop_assert!(g.set(c, v), "in-bounds write {:?} refused", c);
+        expected.insert(c, v);
+    }
+    for (c, v) in expected {
+        prop_assert_eq!(g.get(c), Some(v));
+    }
+    Ok(())
+}
+
+/// A cell has a word address iff it is in bounds (`inside`, from the
+/// dimension's `Occupancy` trait), and the address is the 8-byte word
+/// `row * row_words + x / 64` past the base; the caller computes `row`
+/// (`y` in 2D, `z * size_y + y` in 3D).
+fn word_address_is_exact<C: GridCell>(
+    g: &BitGrid<C>,
+    c: C,
+    inside: bool,
+    row: i64,
+) -> Result<(), TestCaseError> {
+    match g.cell_addr(c) {
+        Some(addr) => {
+            prop_assert!(inside);
+            let word = row as u64 * g.row_words() as u64 + c.x() as u64 / 64;
+            prop_assert_eq!(addr, g.base_addr() + 8 * word);
+            prop_assert!(addr < g.base_addr() + g.storage_bytes() as u64);
+        }
+        None => prop_assert!(!inside),
+    }
+    Ok(())
+}
 
 /// The padding bits past `width` in each row's last word, as `(word_index,
 /// padding_mask)` pairs. Empty when the width is a multiple of 64.
@@ -29,19 +68,18 @@ fn arbitrary_delta(tag: u8, x: i64, y: i64, x2: i64, y2: i64) -> GridDelta2 {
 proptest! {
     #[test]
     fn set_get_roundtrip(
-        w in 1u32..100, h in 1u32..100,
-        cells in prop::collection::vec((0u32..100, 0u32..100, any::<bool>()), 0..50),
+        (w, h, d) in (1u32..140, 1u32..100, 1u32..8),
+        cells in prop::collection::vec((0u32..140, 0u32..100, 0u32..8, any::<bool>()), 0..50),
     ) {
-        let mut g = BitGrid2::new(w, h);
-        let mut expected = std::collections::HashMap::new();
-        for (x, y, v) in cells {
-            let c = Cell2::new(x as i64 % w as i64, y as i64 % h as i64);
-            g.set(c, v);
-            expected.insert(c, v);
-        }
-        for (c, v) in expected {
-            prop_assert_eq!(g.get(c), Some(v));
-        }
+        let wrap = |v: u32, n: u32| (v % n) as i64;
+        set_get_roundtrips(
+            BitGrid2::new(w, h),
+            cells.iter().map(|&(x, y, _, v)| (Cell2::new(wrap(x, w), wrap(y, h)), v)),
+        )?;
+        set_get_roundtrips(
+            BitGrid3::new(w, h, d),
+            cells.iter().map(|&(x, y, z, v)| (Cell3::new(wrap(x, w), wrap(y, h), wrap(z, d)), v)),
+        )?;
     }
 
     #[test]
@@ -73,19 +111,15 @@ proptest! {
 
     #[test]
     fn word_addresses_are_aligned_and_in_range(
-        w in 1u32..200, h in 1u32..200, x in 0u32..200, y in 0u32..200,
+        (w, h, d) in (1u32..200, 1u32..200, 1u32..8),
+        (x, y, z) in (-2i64..200, -2i64..200, -2i64..8),
     ) {
         let g = BitGrid2::new(w, h);
-        let c = Cell2::new(x as i64, y as i64);
-        match g.cell_addr(c) {
-            Some(addr) => {
-                prop_assert!(g.in_bounds(c));
-                prop_assert_eq!(addr % 4, 0, "word aligned");
-                prop_assert!(addr >= g.base_addr());
-                prop_assert!(addr < g.base_addr() + g.storage_bytes() as u64);
-            }
-            None => prop_assert!(!g.in_bounds(c)),
-        }
+        let c = Cell2::new(x, y);
+        word_address_is_exact(&g, c, g.in_bounds(c), y)?;
+        let g = BitGrid3::new(w, h, d);
+        let c = Cell3::new(x, y, z);
+        word_address_is_exact(&g, c, g.in_bounds(c), z * h as i64 + y)?;
     }
 
     // --- ingestion hardening: hostile inputs must return Err, never panic

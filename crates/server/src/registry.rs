@@ -12,9 +12,10 @@
 //! after the fact, whether the world it planned against still proves its
 //! answer ([`MapEntry::deltas_since`]).
 //!
-//! Invalidation on a delta is *targeted*: the inflated prefilter grid is
-//! patched only in the changed cells' dilation, the speculation memo is
-//! swept only within each entry's own footprint influence radius
+//! Invalidation on a delta is *targeted*: a built reachability bundle is
+//! rebuilt from the new grid (connectivity is global — one closed door can
+//! disconnect half the map), the speculation memo is swept only within
+//! each entry's own footprint influence radius
 //! ([`SpecMemo2::invalidate_cells`]), and the footprint-template caches are
 //! not touched at all — templates are keyed by footprint dimensions and
 //! orientation, never by grid content, so a map delta cannot stale them.
@@ -31,7 +32,6 @@ use crate::speculate::SpecMemo2;
 use parking_lot::{Mutex, RwLock};
 use racod_fault::{fnv1a, fnv1a_with, FaultPlan, FaultSite};
 use racod_geom::Cell2;
-use racod_grid::inflate::inflate_chebyshev;
 use racod_grid::{BitGrid2, BitGrid3, GridDelta2, Occupancy2, Occupancy3};
 use racod_search::{DistanceField, GridSpace2, LandmarkPack2};
 use racod_sim::{TemplateCache2, TemplateCache3};
@@ -71,88 +71,48 @@ impl MapData {
 /// Derived 2D artifacts, built lazily on first request against the map.
 #[derive(Debug)]
 pub struct Artifacts2 {
-    /// The grid inflated by the Chebyshev radius used for the reachability
-    /// prefilter (conservative point-robot clearance).
-    pub inflated: BitGrid2,
-    /// Cell-to-cell hop distance from a seed free cell on the raw grid —
-    /// reachable iff the cell is in the seed's free component.
-    pub reach: DistanceField<Cell2>,
-    /// The seed cell of the reachability field.
+    /// The seed's free component: a cell's bit is set iff it is reachable
+    /// from `reach_seed` through free cells (8-connected).
+    pub reach: BitGrid2,
+    /// The seed cell of the reachability mask.
     pub reach_seed: Cell2,
-    /// Grid dimensions, for row-major lookups into `reach` (the generic
-    /// `DistanceField::distance` helper only handles square grids).
-    pub dims: (u32, u32),
-    /// FNV-1a over the inflated grid's words and the dimensions, stamped
-    /// when the bundle was built. [`verify`](Self::verify) recomputes it.
+    /// FNV-1a over the mask's dimensions and words, stamped when the bundle
+    /// was built. [`verify`](Self::verify) recomputes it.
     pub checksum: u64,
 }
 
 impl Artifacts2 {
     fn build(grid: &BitGrid2) -> Option<Artifacts2> {
         let seed = first_free_cell(grid)?;
-        let space = GridSpace2::eight_connected(grid.width(), grid.height());
-        let reach = DistanceField::compute(&space, seed, |c| grid.occupied(c) == Some(false));
-        let inflated = inflate_chebyshev(grid, 1);
-        let dims = (grid.width(), grid.height());
-        let checksum = Self::content_checksum(&inflated, dims);
-        Some(Artifacts2 { inflated, reach, reach_seed: seed, dims, checksum })
-    }
-
-    fn content_checksum(inflated: &BitGrid2, dims: (u32, u32)) -> u64 {
-        let mut h = fnv1a(&dims.0.to_le_bytes());
-        h = fnv1a_with(h, &dims.1.to_le_bytes());
-        for w in inflated.words() {
-            h = fnv1a_with(h, &w.to_le_bytes());
-        }
-        h
-    }
-
-    /// Rebuilds the bundle after a delta batch, reusing the previous bundle
-    /// where the delta provably cannot have changed it: the inflated grid
-    /// is *patched* — only cells within the inflation radius of a changed
-    /// cell are recomputed from the new grid — while the reachability field
-    /// is recomputed outright (connectivity is a global property; one
-    /// closed door can disconnect half the map). The checksum is restamped
-    /// over the patched content.
-    fn patched(prev: &Artifacts2, grid: &BitGrid2, changed: &[Cell2]) -> Option<Artifacts2> {
-        let seed = first_free_cell(grid)?;
-        let space = GridSpace2::eight_connected(grid.width(), grid.height());
-        let reach = DistanceField::compute(&space, seed, |c| grid.occupied(c) == Some(false));
-        let mut inflated = prev.inflated.clone();
-        for &c in changed {
-            // A change at `c` can only alter inflated cells within the
-            // inflation radius (1) of `c`; each of those is re-derived as
-            // "any occupied neighbor within radius 1" on the new grid.
-            for dy in -1..=1 {
-                for dx in -1..=1 {
-                    let t = c.offset(dx, dy);
-                    if !grid.in_bounds(t) {
-                        continue;
-                    }
-                    let occ = (-1..=1)
-                        .any(|ny| (-1..=1).any(|nx| grid.occupied(t.offset(nx, ny)) == Some(true)));
-                    inflated.set(t, occ);
+        let (w, h) = (grid.width(), grid.height());
+        let space = GridSpace2::eight_connected(w, h);
+        let field = DistanceField::compute(&space, seed, |c| grid.get(c) == Some(false));
+        let mut reach = BitGrid2::new(w, h);
+        for y in 0..h as usize {
+            for x in 0..w as usize {
+                if field.distance_by_index(y * w as usize + x).is_some() {
+                    reach.set(Cell2::new(x as i64, y as i64), true);
                 }
             }
         }
-        let dims = (grid.width(), grid.height());
-        let checksum = Self::content_checksum(&inflated, dims);
-        Some(Artifacts2 { inflated, reach, reach_seed: seed, dims, checksum })
+        let checksum = Self::content_checksum(&reach);
+        Some(Artifacts2 { reach, reach_seed: seed, checksum })
+    }
+
+    fn content_checksum(reach: &BitGrid2) -> u64 {
+        let h = fnv1a_with(fnv1a(&reach.width().to_le_bytes()), &reach.height().to_le_bytes());
+        reach.words().iter().fold(h, |h, w| fnv1a_with(h, &w.to_le_bytes()))
     }
 
     /// Whether the bundle's content still matches the checksum stamped at
     /// build time.
     pub fn verify(&self) -> bool {
-        Self::content_checksum(&self.inflated, self.dims) == self.checksum
+        Self::content_checksum(&self.reach) == self.checksum
     }
 
     /// Whether `c` is in the seed's free component.
     pub fn reachable(&self, c: Cell2) -> bool {
-        let (w, h) = self.dims;
-        if c.x < 0 || c.y < 0 || c.x >= w as i64 || c.y >= h as i64 {
-            return false;
-        }
-        self.reach.distance_by_index(c.y as usize * w as usize + c.x as usize).is_some()
+        self.reach.get(c) == Some(true)
     }
 
     /// Whether both cells sit in the same free component as the seed — a
@@ -235,7 +195,6 @@ pub struct MapEntry {
     alt2: RwLock<Option<AltPackSlot>>,
     alt_builds: AtomicU64,
     artifact_builds: AtomicU64,
-    artifact_patches: AtomicU64,
     corruptions: AtomicU64,
     fault: RwLock<Option<Arc<FaultPlan>>>,
     tcache2: Arc<TemplateCache2>,
@@ -254,7 +213,6 @@ impl MapEntry {
             alt2: RwLock::new(None),
             alt_builds: AtomicU64::new(0),
             artifact_builds: AtomicU64::new(0),
-            artifact_patches: AtomicU64::new(0),
             corruptions: AtomicU64::new(0),
             fault: RwLock::new(fault),
             tcache2: Arc::new(TemplateCache2::default()),
@@ -312,11 +270,12 @@ impl MapEntry {
                 let builds = self.artifact_builds.fetch_add(1, Ordering::Relaxed);
                 let mut art = Artifacts2::build(grid);
                 if let (Some(a), Some(plan)) = (art.as_mut(), self.fault.read().as_ref()) {
-                    // Injected corruption: flip one occupancy bit *after* the
-                    // checksum was stamped, so verification catches it.
+                    // Injected corruption: flip the seed's reach bit *after*
+                    // the checksum was stamped. Unverified, the bundle would
+                    // now call the seed unreachable; verification catches it.
                     if plan.perturb(FaultSite::MapLoad, id_token(&self.id) ^ builds) {
-                        let cur = a.inflated.get(Cell2::new(0, 0)).unwrap_or(false);
-                        a.inflated.set(Cell2::new(0, 0), !cur);
+                        let seed = a.reach_seed;
+                        a.reach.set(seed, !a.reachable(seed));
                     }
                 }
                 art.map(Arc::new)
@@ -399,7 +358,7 @@ impl MapEntry {
         self.version2.load(Ordering::Relaxed)
     }
 
-    /// Grid-content deltas patched since this entry was registered.
+    /// Effective grid-content deltas still in the journal.
     pub fn deltas_applied(&self) -> u64 {
         self.journal.lock().iter().map(|(_, b)| b.len() as u64).sum()
     }
@@ -411,8 +370,7 @@ impl MapEntry {
     ///
     /// 1. the new grid and version are published atomically (both under
     ///    the `data` write lock) and the batch is journaled, then
-    /// 2. the cached artifact bundle is patched in the changed cells'
-    ///    dilation ([`Artifacts2::patched`]), then
+    /// 2. a built artifact bundle is rebuilt from the new grid, then
     /// 3. the speculation memo is version-bumped and swept in the changed
     ///    cells' footprint influence ([`SpecMemo2::invalidate_cells`]) —
     ///    so any precheck that read the *old* grid fails its publish-time
@@ -459,7 +417,7 @@ impl MapEntry {
             journal.push_back((version, effective));
         }
         if !changed_cells.is_empty() {
-            self.patch_artifacts2(&changed_cells);
+            self.rebuild_artifacts2();
             self.spec2.invalidate_cells(&changed_cells);
         }
         Some((version, changed_cells.len()))
@@ -493,30 +451,21 @@ impl MapEntry {
         }
     }
 
-    /// How many times the artifact bundle was incrementally patched after
-    /// a delta (vs full rebuilds counted by
-    /// [`artifact_builds`](Self::artifact_builds)).
-    pub fn artifact_patches(&self) -> u64 {
-        self.artifact_patches.load(Ordering::Relaxed)
-    }
-
-    /// Patches the cached artifact bundle after a delta: unbuilt bundles
-    /// stay lazily unbuilt, built ones are updated in place (inflation
-    /// patched in the dilation of `changed`, reachability recomputed).
-    fn patch_artifacts2(&self, changed: &[Cell2]) {
+    /// Rebuilds a built artifact bundle after a delta; an unbuilt (or
+    /// known-absent) one is dropped so the next reader builds it from the
+    /// current grid. Unlike a reader's build this neither consults the
+    /// `MapLoad` fault site nor counts in
+    /// [`artifact_builds`](Self::artifact_builds).
+    fn rebuild_artifacts2(&self) {
         let mut slot = self.artifacts2.write();
-        let Some(Some(prev)) = slot.as_ref() else {
-            // Not built yet (or known absent): the next reader builds from
-            // the current grid, which already includes the delta.
-            *slot = None;
-            return;
+        let grid = match (slot.as_ref(), &*self.data.read()) {
+            (Some(Some(_)), MapData::Grid2(g)) => g.clone(),
+            _ => {
+                *slot = None;
+                return;
+            }
         };
-        let grid = match &*self.data.read() {
-            MapData::Grid2(g) => g.clone(),
-            MapData::Grid3(_) => return,
-        };
-        self.artifact_patches.fetch_add(1, Ordering::Relaxed);
-        *slot = Some(Artifacts2::patched(prev, &grid, changed).map(Arc::new));
+        *slot = Some(Artifacts2::build(&grid).map(Arc::new));
     }
 
     fn build_landmark_pack(grid: &BitGrid2, k: usize) -> Option<Arc<LandmarkPack2>> {
@@ -732,7 +681,7 @@ mod tests {
         let b = entry.artifacts2().unwrap();
         assert!(Arc::ptr_eq(&a, &b), "cached, not rebuilt");
         assert_eq!(entry.artifact_builds(), 1);
-        assert_eq!((Occupancy2::width(&a.inflated), Occupancy2::height(&a.inflated)), (64, 64));
+        assert_eq!((Occupancy2::width(&a.reach), Occupancy2::height(&a.reach)), (64, 64));
         assert!(a.reachable(a.reach_seed));
     }
 
@@ -842,6 +791,13 @@ mod tests {
         assert_eq!(entry.deltas_since(v1).unwrap(), vec![GridDelta2::Appear { cell: b }]);
         assert_eq!(entry.deltas_since(v2).unwrap(), vec![]);
         assert!(entry.deltas_since(99).is_none(), "future version is a gap");
+
+        // An empty or all-no-op batch still bumps the version and reports
+        // nothing changed: an unchanged version always certifies an
+        // unchanged world, never the other way around.
+        assert_eq!(entry.apply_deltas2(&[]), Some((3, 0)));
+        assert_eq!(entry.apply_deltas2(&[GridDelta2::Appear { cell: a }]), Some((4, 0)));
+        assert_eq!(entry.deltas_since(v2).unwrap(), vec![], "no-op batches journal nothing");
     }
 
     #[test]
@@ -866,7 +822,7 @@ mod tests {
     }
 
     #[test]
-    fn patched_artifacts_match_full_rebuild() {
+    fn delta_rebuilt_artifacts_match_fresh_build() {
         let reg = MapRegistry::new();
         let entry = reg.insert_grid2("m", city_map(CityName::Paris, 96, 96));
         entry.artifacts2().expect("build the bundle before deltas land");
@@ -888,25 +844,52 @@ mod tests {
             };
             entry.apply_deltas2(&[d]).unwrap();
         }
-        assert!(entry.artifact_patches() > 0, "built bundle must be patched, not dropped");
-        assert_eq!(entry.artifact_builds(), 1, "no full rebuild");
+        assert_eq!(entry.artifact_builds(), 1, "delta rebuilds are not reader builds");
 
-        let patched = entry.artifacts2().expect("patched bundle present");
-        assert!(patched.verify(), "checksum restamped over patched content");
+        let rebuilt = entry.artifacts2().expect("a built bundle stays built across deltas");
+        assert!(rebuilt.verify(), "checksum stamped over the rebuilt mask");
         let fresh = Artifacts2::build(&entry.grid2().unwrap()).unwrap();
-        assert_eq!(patched.checksum, fresh.checksum, "patched inflation == full rebuild");
-        assert_eq!(patched.inflated.words(), fresh.inflated.words());
+        assert_eq!(rebuilt.checksum, fresh.checksum);
+        assert_eq!(rebuilt.reach.words(), fresh.reach.words());
         for y in 0..96 {
             for x in 0..96 {
                 let c = Cell2::new(x, y);
-                assert_eq!(patched.reachable(c), fresh.reachable(c), "reachability at {c:?}");
+                assert_eq!(rebuilt.reachable(c), fresh.reachable(c), "reachability at {c:?}");
             }
         }
     }
 
     #[test]
+    fn map_load_fault_flips_a_reachability_answer() {
+        let plan = Arc::new(
+            racod_fault::FaultPlan::builder(7)
+                .always(FaultSite::MapLoad, racod_fault::FaultAction::Corrupt)
+                .build(),
+        );
+        let reg = MapRegistry::new();
+        reg.set_fault_plan(Some(plan));
+        let entry = reg.insert_grid2("m", city_map(CityName::Paris, 64, 64));
+        let clean = Artifacts2::build(&entry.grid2().unwrap()).unwrap();
+
+        // The unverified reader gets the corrupted bundle: the flipped bit
+        // changes exactly one answer, the seed's own.
+        let corrupt = entry.artifacts2().expect("unverified reads hand the bundle out");
+        let flipped: Vec<Cell2> = (0..64 * 64)
+            .map(|i| Cell2::new(i % 64, i / 64))
+            .filter(|&c| corrupt.reachable(c) != clean.reachable(c))
+            .collect();
+        assert_eq!(flipped, vec![clean.reach_seed]);
+        assert!(clean.reachable(clean.reach_seed) && !corrupt.reachable(clean.reach_seed));
+
+        // The verified reader refuses it.
+        assert!(!corrupt.verify());
+        let (art, corrupted) = entry.artifacts2_verified();
+        assert!(art.is_none() && corrupted);
+    }
+
+    #[test]
     fn delta_sweeps_memo_targetedly_and_bumps_its_version() {
-        use racod_codacc::template_check_2d;
+        use racod_codacc::template_check;
         use racod_sim::Footprint2;
 
         let reg = MapRegistry::new();
@@ -919,7 +902,7 @@ mod tests {
         let grid = entry.grid2().unwrap();
         for &c in &[near, far] {
             let key = fp.rot_key(c, goal);
-            memo.insert(&fp, key, c, template_check_2d(grid.as_ref(), c, &fp.template(key)));
+            memo.insert(&fp, key, c, template_check(grid.as_ref(), c, &fp.template(key)));
         }
         let v0 = memo.version();
 

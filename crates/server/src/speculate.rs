@@ -371,7 +371,7 @@ fn precheck_task(task: &SpecTask, cfg: &SpeculationConfig, metrics: &ServerMetri
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racod_codacc::template_check_2d;
+    use racod_codacc::template_check;
     use racod_grid::gen::{city_map, CityName};
 
     fn check_for(
@@ -381,7 +381,7 @@ mod tests {
         goal: Cell2,
     ) -> SoftwareCheck {
         let tpl = fp.template(fp.rot_key(c, goal));
-        template_check_2d(grid, c, &tpl)
+        template_check(grid, c, &tpl)
     }
 
     #[test]

@@ -25,9 +25,10 @@ use crate::metrics::ServerMetrics;
 use crate::request::{MapId, Outcome, Planned, PlannedPath, Platform, TimeoutStage, Workload};
 use crate::scheduler::Admitted;
 use crossbeam::channel::Receiver;
-use racod_codacc::CodaccPool;
+use racod_codacc::{template_check, CodaccPool};
 use racod_fault::{mix64, FaultPlan, FaultSite};
 use racod_geom::{Cell2, Cell3};
+use racod_grid::BitGrid;
 use racod_parallel::{ParallelConfig, ParallelPlanner, WorkerPool};
 use racod_search::{
     Interrupt, InterruptReason, SearchResult, SearchScratch, SearchStats, Termination,
@@ -573,7 +574,7 @@ fn execute(
 /// `memo` answers from the speculation memo, when there is one to consult.
 fn run_platform<D, M>(
     mut sc: Scenario<'_, D>,
-    grid: &Arc<D::Grid>,
+    grid: &Arc<BitGrid<D::Cell>>,
     platform: Platform,
     memo: Option<M>,
     map: &MapId,
@@ -631,7 +632,9 @@ where
                             out.push(free);
                             continue;
                         }
-                        out.push(D::kernel(&grid, s, tpls.template_for(key)).verdict.is_free());
+                        out.push(
+                            template_check(&grid, s, tpls.template_for(key)).verdict.is_free(),
+                        );
                     }
                     // Cache traffic only: a last-key memo hit is not a
                     // lookup on this arm's `/metrics` counters.

@@ -101,7 +101,7 @@ fn delta_between_precheck_and_publish_cannot_poison_the_memo() {
     for c in speculation_targets(start, goal, speculation.radius, speculation.chain_depth) {
         let key = fp.rot_key(c, goal);
         if let Some(check) = memo.lookup(&fp, key, c) {
-            let fresh = racod_codacc::template_check_2d(grid.as_ref(), c, &fp.template(key));
+            let fresh = racod_codacc::template_check(grid.as_ref(), c, &fp.template(key));
             assert_eq!(
                 check, fresh,
                 "memo serves a stale verdict for {c:?}: the precheck batch \

@@ -2,17 +2,20 @@
 //!
 //! The paper points one CODAcc and one RASExp at a 2D car and a 3D drone;
 //! the two differ in address generation, not in design. [`Dim`] names what
-//! differs — cell, grid, footprint, template, search space, and the kernel
-//! and model checks over them — so every layer above the kernel
+//! differs above the grid — the robot body, its orientation, the search
+//! space and its guidance — so every layer above the kernel
 //! ([`crate::tcache`], [`crate::planner`], the serving worker) is written
-//! once. Below it the SIMD kernels and the CODAcc cell walk stay
-//! dimension-specific: that code is tuned per layout and is not the place
-//! to risk genericity.
+//! once. Below it nothing is per dimension but the cell: the grid, the
+//! template, the word kernel and the CODAcc cell walk are
+//! [`BitGrid<D::Cell>`](BitGrid), [`FootprintTemplate<D::Cell>`](FootprintTemplate),
+//! [`racod_codacc::template_check`] and [`racod_codacc::CodaccPool::check_cells`],
+//! generic over [`GridCell`].
 
 use crate::footprint::{Footprint2, Footprint3, RotKey};
-use racod_codacc::{template_check_2d, template_check_3d, CheckOutcome, CodaccPool, SoftwareCheck};
-use racod_geom::{Cell2, Cell3, FootprintTemplate2, FootprintTemplate3};
-use racod_grid::{BitGrid2, BitGrid3, Occupancy2, Occupancy3};
+use racod_geom::{
+    Cell2, Cell3, FootprintTemplate, FootprintTemplate2, FootprintTemplate3, GridCell,
+};
+use racod_grid::{BitGrid, BitGrid2, BitGrid3, Occupancy2, Occupancy3};
 use racod_rasexp::DirectedState;
 use racod_search::{AltSpace2, GridSpace2, GridSpace3, LandmarkPack2, SearchSpace};
 use std::fmt::Debug;
@@ -26,16 +29,12 @@ mod sealed {
 
 /// A planning dimension. Sealed: [`D2`] and [`D3`] are the only two.
 pub trait Dim: sealed::Sealed + Copy + Debug + 'static {
-    /// A planning state.
-    type Cell: DirectedState + Send + Sync + 'static;
-    /// The occupancy grid.
-    type Grid: Clone + Debug + Send + Sync + 'static;
+    /// A planning state, which is also the grid's cell.
+    type Cell: DirectedState + GridCell;
     /// The robot body.
     type Footprint: Copy + Debug + PartialEq + Send + Sync + 'static;
     /// The body's dimensions, bit-exact, as a template-cache key.
     type FootprintKey: Copy + Eq + Hash + Send;
-    /// The body compiled for one orientation.
-    type Template: Send + Sync + 'static;
     /// Connectivity and heuristic.
     type Space: SearchSpace<State = Self::Cell> + Copy + Debug;
     /// Precomputed heuristic guidance (ALT landmarks); uninhabited where
@@ -45,7 +44,9 @@ pub trait Dim: sealed::Sealed + Copy + Debug + 'static {
     type Guided<'a>: SearchSpace<State = Self::Cell>;
 
     /// `(footprint, start, goal, space)` of a fresh scenario on `grid`.
-    fn defaults(grid: &Self::Grid) -> (Self::Footprint, Self::Cell, Self::Cell, Self::Space);
+    fn defaults(
+        grid: &BitGrid<Self::Cell>,
+    ) -> (Self::Footprint, Self::Cell, Self::Cell, Self::Space);
     /// Wraps `space` with `pack`'s bound; `None` is a bit-identical
     /// passthrough.
     fn guided<'a>(space: &Self::Space, pack: Option<&'a Self::Landmarks>) -> Self::Guided<'a>;
@@ -57,26 +58,13 @@ pub trait Dim: sealed::Sealed + Copy + Debug + 'static {
     /// The orientation key of `fp` at `state` heading for `goal`.
     fn rot_key(fp: &Self::Footprint, state: Self::Cell, goal: Self::Cell) -> RotKey;
     /// Compiles `fp` for one orientation.
-    fn template(fp: &Self::Footprint, key: RotKey) -> Self::Template;
-    /// The absolute cells `tpl` touches at `state`, into `out` (cleared).
-    fn expand_into(tpl: &Self::Template, state: Self::Cell, out: &mut Vec<Self::Cell>);
-    /// The word-parallel kernel check.
-    fn kernel(grid: &Self::Grid, state: Self::Cell, tpl: &Self::Template) -> SoftwareCheck;
-    /// The CODAcc timing-model check of an expanded cell set.
-    fn model(
-        pool: &mut CodaccPool,
-        unit: usize,
-        grid: &Self::Grid,
-        cells: &[Self::Cell],
-    ) -> CheckOutcome;
+    fn template(fp: &Self::Footprint, key: RotKey) -> FootprintTemplate<Self::Cell>;
 
-    /// Whether `cell` is inside the grid and unoccupied.
-    fn is_free_cell(grid: &Self::Grid, cell: Self::Cell) -> bool;
     /// The first cell satisfying `ok` in expanding Chebyshev shells around
     /// `at` (each shell scanned in `z`, `y`, `x` order), out to the grid's
     /// largest extent.
     fn nearest(
-        grid: &Self::Grid,
+        grid: &BitGrid<Self::Cell>,
         at: Self::Cell,
         ok: impl FnMut(Self::Cell) -> bool,
     ) -> Option<Self::Cell>;
@@ -96,10 +84,8 @@ pub enum NoLandmarks {}
 
 impl Dim for D2 {
     type Cell = Cell2;
-    type Grid = BitGrid2;
     type Footprint = Footprint2;
     type FootprintKey = (u32, u32);
-    type Template = FootprintTemplate2;
     type Space = GridSpace2;
     type Landmarks = LandmarkPack2;
     type Guided<'a> = AltSpace2<'a>;
@@ -134,19 +120,7 @@ impl Dim for D2 {
     fn template(fp: &Footprint2, key: RotKey) -> FootprintTemplate2 {
         fp.template(key)
     }
-    fn expand_into(tpl: &FootprintTemplate2, state: Cell2, out: &mut Vec<Cell2>) {
-        tpl.expand_into(state, out);
-    }
-    fn kernel(grid: &BitGrid2, state: Cell2, tpl: &FootprintTemplate2) -> SoftwareCheck {
-        template_check_2d(grid, state, tpl)
-    }
-    fn model(pool: &mut CodaccPool, unit: usize, grid: &BitGrid2, cells: &[Cell2]) -> CheckOutcome {
-        pool.check_cells_2d(unit, grid, cells)
-    }
 
-    fn is_free_cell(grid: &BitGrid2, cell: Cell2) -> bool {
-        grid.occupied(cell) == Some(false)
-    }
     fn nearest(grid: &BitGrid2, at: Cell2, mut ok: impl FnMut(Cell2) -> bool) -> Option<Cell2> {
         for radius in 0..grid.width().max(grid.height()) as i64 {
             for dy in -radius..=radius {
@@ -164,10 +138,8 @@ impl Dim for D2 {
 
 impl Dim for D3 {
     type Cell = Cell3;
-    type Grid = BitGrid3;
     type Footprint = Footprint3;
     type FootprintKey = (u32, u32, u32);
-    type Template = FootprintTemplate3;
     type Space = GridSpace3;
     type Landmarks = NoLandmarks;
     type Guided<'a> = GridSpace3;
@@ -199,19 +171,7 @@ impl Dim for D3 {
     fn template(fp: &Footprint3, key: RotKey) -> FootprintTemplate3 {
         fp.template(key)
     }
-    fn expand_into(tpl: &FootprintTemplate3, state: Cell3, out: &mut Vec<Cell3>) {
-        tpl.expand_into(state, out);
-    }
-    fn kernel(grid: &BitGrid3, state: Cell3, tpl: &FootprintTemplate3) -> SoftwareCheck {
-        template_check_3d(grid, state, tpl)
-    }
-    fn model(pool: &mut CodaccPool, unit: usize, grid: &BitGrid3, cells: &[Cell3]) -> CheckOutcome {
-        pool.check_cells_3d(unit, grid, cells)
-    }
 
-    fn is_free_cell(grid: &BitGrid3, cell: Cell3) -> bool {
-        grid.occupied(cell) == Some(false)
-    }
     fn nearest(grid: &BitGrid3, at: Cell3, mut ok: impl FnMut(Cell3) -> bool) -> Option<Cell3> {
         for radius in 0..grid.size_x().max(grid.size_y()).max(grid.size_z()) as i64 {
             for dz in -radius..=radius {

@@ -13,8 +13,9 @@ use crate::oracle::{
     CheckProbe, CheckProbeSlot, PlanTiming, TimedChecker, TimedOracle, TimedOracleConfig,
 };
 use crate::tcache::{TemplateCache, TemplateSource, TemplateStats};
-use racod_codacc::{CodaccPool, CodaccTiming};
+use racod_codacc::{template_check, CodaccPool, CodaccTiming};
 use racod_geom::{Cell2, Cell3};
+use racod_grid::BitGrid;
 use racod_mem::{CacheConfig, CacheStats, LatencyModel};
 use racod_rasexp::RasexpStats;
 use racod_search::{astar_in, AstarConfig, SearchResult, SearchScratch};
@@ -25,7 +26,7 @@ use std::sync::Arc;
 #[derive(Debug, Clone)]
 pub struct Scenario<'g, D: Dim> {
     /// The environment.
-    pub grid: &'g D::Grid,
+    pub grid: &'g BitGrid<D::Cell>,
     /// The robot footprint.
     pub footprint: D::Footprint,
     /// Start state.
@@ -61,7 +62,7 @@ impl<'g, D: Dim> Scenario<'g, D> {
     /// drone), full connectivity, the Euclidean heuristic, and endpoints at
     /// opposite corners (snap them to free space with
     /// [`Scenario::with_free_endpoints`]).
-    pub fn new(grid: &'g D::Grid) -> Self {
+    pub fn new(grid: &'g BitGrid<D::Cell>) -> Self {
         let (footprint, start, goal, space) = D::defaults(grid);
         Scenario {
             grid,
@@ -161,13 +162,13 @@ impl<'g, D: Dim> Scenario<'g, D> {
 ///
 /// Panics if no such cell exists anywhere on the grid.
 pub fn free_near_footprint<D: Dim>(
-    grid: &D::Grid,
+    grid: &BitGrid<D::Cell>,
     footprint: &D::Footprint,
     at: D::Cell,
     toward: D::Cell,
 ) -> D::Cell {
     let cache = TemplateCache::<D>::default();
-    let free = |c, key| D::kernel(grid, c, &cache.get(footprint, key).0).verdict.is_free();
+    let free = |c, key| template_check(grid, c, &cache.get(footprint, key).0).verdict.is_free();
     D::nearest(grid, at, |c| {
         free(c, D::rot_key(footprint, c, toward)) && free(c, D::rot_key(footprint, c, c))
     })
@@ -179,8 +180,8 @@ pub fn free_near_footprint<D: Dim>(
 /// # Panics
 ///
 /// Panics if the grid has no free cell at all.
-pub fn free_near<D: Dim>(grid: &D::Grid, at: D::Cell) -> D::Cell {
-    D::nearest(grid, at, |c| D::is_free_cell(grid, c))
+pub fn free_near<D: Dim>(grid: &BitGrid<D::Cell>, at: D::Cell) -> D::Cell {
+    D::nearest(grid, at, |c| grid.get(c) == Some(false))
         .unwrap_or_else(|| panic!("grid has no free cell near {at:?}"))
 }
 
@@ -270,14 +271,14 @@ trait PlanChecker<D: Dim>: TimedChecker<D::Cell> {
 /// for the cells an early-exiting scalar walk would have visited, so cycle
 /// comparisons against the i3/Xeon baselines are unchanged.
 struct SwChecker<'a, D: Dim> {
-    grid: &'a D::Grid,
+    grid: &'a BitGrid<D::Cell>,
     tpls: TemplateSource<'a, D>,
     cost: CostModel,
 }
 
 impl<D: Dim> TimedChecker<D::Cell> for SwChecker<'_, D> {
     fn check(&mut self, _unit: usize, s: D::Cell) -> (bool, u64) {
-        let out = D::kernel(self.grid, s, self.tpls.template_at(s));
+        let out = template_check(self.grid, s, self.tpls.template_at(s));
         (out.verdict.is_free(), self.cost.sw_check_cycles(out.cells_checked))
     }
 }
@@ -299,7 +300,7 @@ impl<D: Dim> PlanChecker<D> for SwChecker<'_, D> {
 /// allocation-free); the accelerator model then tiles, coalesces, and
 /// charges cycles.
 struct HwChecker<'a, D: Dim, P> {
-    grid: &'a D::Grid,
+    grid: &'a BitGrid<D::Cell>,
     tpls: TemplateSource<'a, D>,
     pool: P,
     cells: Vec<D::Cell>,
@@ -307,8 +308,8 @@ struct HwChecker<'a, D: Dim, P> {
 
 impl<D: Dim, P: BorrowMut<CodaccPool>> TimedChecker<D::Cell> for HwChecker<'_, D, P> {
     fn check(&mut self, unit: usize, s: D::Cell) -> (bool, u64) {
-        D::expand_into(self.tpls.template_at(s), s, &mut self.cells);
-        let out = D::model(self.pool.borrow_mut(), unit, self.grid, &self.cells);
+        self.tpls.template_at(s).expand_into(s, &mut self.cells);
+        let out = self.pool.borrow_mut().check_cells(unit, self.grid, &self.cells);
         (out.verdict.is_free(), out.cycles)
     }
 }

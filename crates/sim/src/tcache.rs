@@ -7,7 +7,7 @@
 //! orientation's template once and caching it makes the steady-state
 //! collision check trig-free and allocation-free: expansion is
 //! `state + offsets`, evaluation is the word-parallel kernel
-//! ([`Dim::kernel`]).
+//! ([`racod_codacc::template_check`]).
 //!
 //! The cache is shared (`Arc`-friendly, interior mutability) so a serving
 //! layer can keep one instance warm per map beside its other artifacts, and
@@ -15,7 +15,9 @@
 
 use crate::dim::{Dim, D2, D3};
 use crate::footprint::RotKey;
-use racod_codacc::SoftwareCheck;
+use racod_codacc::{template_check, SoftwareCheck};
+use racod_geom::FootprintTemplate;
+use racod_grid::BitGrid;
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::{Arc, Mutex, PoisonError};
@@ -79,7 +81,7 @@ impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
 /// assert_eq!(tpl.offsets(), again.offsets());
 /// ```
 pub struct TemplateCache<D: Dim> {
-    inner: Mutex<Lru<Key<D>, D::Template>>,
+    inner: Mutex<Lru<Key<D>, FootprintTemplate<D::Cell>>>,
 }
 
 type Key<D> = (<D as Dim>::FootprintKey, RotKey);
@@ -97,7 +99,11 @@ impl<D: Dim> TemplateCache<D> {
 
     /// The template for `footprint` at orientation `key`, compiling it on
     /// first use. Returns `(template, was_cache_hit)`.
-    pub fn get(&self, footprint: &D::Footprint, key: RotKey) -> (Arc<D::Template>, bool) {
+    pub fn get(
+        &self,
+        footprint: &D::Footprint,
+        key: RotKey,
+    ) -> (Arc<FootprintTemplate<D::Cell>>, bool) {
         self.inner
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
@@ -168,7 +174,7 @@ pub struct TemplateSource<'c, D: Dim> {
     footprint: D::Footprint,
     goal: D::Cell,
     cache: &'c TemplateCache<D>,
-    last: Option<(RotKey, Arc<D::Template>)>,
+    last: Option<(RotKey, Arc<FootprintTemplate<D::Cell>>)>,
     memo_hits: u64,
     lookups: TemplateStats,
 }
@@ -187,14 +193,14 @@ impl<'c, D: Dim> TemplateSource<'c, D> {
     }
 
     /// The template of the body at `state`.
-    pub fn template_at(&mut self, state: D::Cell) -> &D::Template {
+    pub fn template_at(&mut self, state: D::Cell) -> &FootprintTemplate<D::Cell> {
         let key = D::rot_key(&self.footprint, state, self.goal);
         self.template_for(key)
     }
 
     /// The template for orientation `key`, which MUST be this footprint's
     /// key at the state being checked.
-    pub fn template_for(&mut self, key: RotKey) -> &D::Template {
+    pub fn template_for(&mut self, key: RotKey) -> &FootprintTemplate<D::Cell> {
         if matches!(&self.last, Some((k, _)) if *k == key) {
             self.memo_hits += 1;
         } else {
@@ -274,7 +280,7 @@ fn batch_groups(
 /// assert!(checker.is_free(Cell2::new(30, 30)));
 /// ```
 pub struct TemplateChecker<'g, D: Dim> {
-    grid: &'g D::Grid,
+    grid: &'g BitGrid<D::Cell>,
     footprint: D::Footprint,
     goal: D::Cell,
     cache: Arc<TemplateCache<D>>,
@@ -287,13 +293,13 @@ pub type TemplateChecker3<'g> = TemplateChecker<'g, D3>;
 
 impl<'g, D: Dim> TemplateChecker<'g, D> {
     /// A checker with its own fresh cache.
-    pub fn new(grid: &'g D::Grid, footprint: D::Footprint, goal: D::Cell) -> Self {
+    pub fn new(grid: &'g BitGrid<D::Cell>, footprint: D::Footprint, goal: D::Cell) -> Self {
         Self::with_cache(grid, footprint, goal, Arc::new(TemplateCache::default()))
     }
 
     /// A checker backed by a shared (e.g. per-map) cache.
     pub fn with_cache(
-        grid: &'g D::Grid,
+        grid: &'g BitGrid<D::Cell>,
         footprint: D::Footprint,
         goal: D::Cell,
         cache: Arc<TemplateCache<D>>,
@@ -315,7 +321,7 @@ impl<'g, D: Dim> TemplateChecker<'g, D> {
     pub fn check_counted(&self, state: D::Cell) -> (SoftwareCheck, bool) {
         let key = D::rot_key(&self.footprint, state, self.goal);
         let (tpl, hit) = self.cache.get(&self.footprint, key);
-        (D::kernel(self.grid, state, &tpl), hit)
+        (template_check(self.grid, state, &tpl), hit)
     }
 
     /// Whether the footprint is collision-free (and in bounds) at `state`.
@@ -385,7 +391,7 @@ impl<'g, D: Dim> TemplateChecker<'g, D> {
         if keys.iter().all(|&k| k == first) {
             let (tpl, hit) = self.cache.get(&self.footprint, first);
             stats.count(hit);
-            out.extend(states.iter().map(|&s| D::kernel(self.grid, s, &tpl)));
+            out.extend(states.iter().map(|&s| template_check(self.grid, s, &tpl)));
             return stats;
         }
         out.resize(states.len(), BATCH_PLACEHOLDER);
@@ -393,7 +399,7 @@ impl<'g, D: Dim> TemplateChecker<'g, D> {
             let (tpl, hit) = self.cache.get(&self.footprint, key);
             stats.count(hit);
             for &i in group {
-                out[i as usize] = D::kernel(self.grid, states[i as usize], &tpl);
+                out[i as usize] = template_check(self.grid, states[i as usize], &tpl);
             }
         });
         stats
@@ -412,7 +418,7 @@ impl<'g, D: Dim> TemplateChecker<'g, D> {
 mod tests {
     use super::*;
     use crate::footprint::Footprint2;
-    use racod_codacc::template_check_2d_scalar;
+    use racod_codacc::template_check_scalar;
     use racod_geom::Cell2;
     use racod_grid::gen::{city_map, CityName};
     use racod_grid::BitGrid2;
@@ -482,7 +488,7 @@ mod tests {
                 let key = fp.rot_key(s, goal);
                 let (tpl, _) = checker.cache().get(&fp, key);
                 let fast = checker.check(s);
-                let slow = template_check_2d_scalar(&grid, s, &tpl);
+                let slow = template_check_scalar(&grid, s, &tpl);
                 assert_eq!(fast, slow, "state {s}");
             }
         }

@@ -3,7 +3,7 @@
 //! driven through a batched oracle are bit-identical to per-pose searches.
 
 use proptest::prelude::*;
-use racod_codacc::template_check_2d_scalar;
+use racod_codacc::template_check_scalar;
 use racod_geom::Cell2;
 use racod_grid::gen::{city_map, random_map, CityName};
 use racod_grid::BitGrid2;
@@ -54,7 +54,7 @@ proptest! {
             prop_assert_eq!(out[i], single, "pose {} diverged from per-pose check", s);
             let key = fp.rot_key(s, goal);
             let (tpl, _) = checker.cache().get(&fp, key);
-            let scalar = template_check_2d_scalar(&grid, s, &tpl);
+            let scalar = template_check_scalar(&grid, s, &tpl);
             prop_assert_eq!(out[i], scalar, "pose {} diverged from scalar oracle", s);
         }
     }

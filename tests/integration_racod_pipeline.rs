@@ -129,7 +129,7 @@ fn perception_updates_are_coherent_end_to_end() {
     // A new obstacle appears mid-corridor.
     let dropped = Cell2::new(40, 48);
     grid.set(dropped, true);
-    pool.notify_grid_write_2d(&grid, dropped);
+    pool.notify_grid_write(&grid, dropped);
 
     // All units must now see it.
     for unit in 0..4 {
