@@ -2,7 +2,8 @@
 //! `BENCH_codacc.json` with ns/check, checks/s, and the template-cache hit
 //! rate, comparing the per-state OBB rasterization baseline against the
 //! warm-cache word-parallel template kernel (per-pose and batched) on a
-//! planning-style state sweep.
+//! planning-style state sweep, plus the host cost and simulated cycles of
+//! the CODAcc timing model on the same sweep.
 //!
 //! `bench_json --help` lists the flags.
 
@@ -38,9 +39,9 @@ bench_json — collision-check microbenchmark, written as BENCH_codacc.json
 
 usage: bench_json [--checks N] [--out PATH] [--gate PATH]
 
-  --gate PATH  CI-gate mode: write nothing; compare the warm per-pose ns/check
-               against the committed baseline at PATH and exit nonzero on a
-               regression beyond the noise tolerance
+  --gate PATH  CI-gate mode: write nothing; compare the warm per-pose and the
+               timing-model ns/check against the committed baseline at PATH
+               and exit nonzero on a regression beyond the noise tolerance
 
 example:
   cargo run --release -p racod-bench --bin bench_json -- --checks 2000 --out /tmp/b.json";
@@ -202,6 +203,27 @@ fn main() {
     let obb_agreement = obb_agree as f64 / states.len() as f64;
     assert!(obb_agreement > 0.999, "OBB/kernel agreement collapsed: {obb_agreement}");
 
+    // Timing-model leg: the sweep through the CODAcc model on 8 units, each
+    // check expanding its (already cached) template as the simulator does.
+    // The first pass warms the pool's caches and buffers.
+    let templates: Vec<_> =
+        states.iter().map(|&s| checker.cache().get(&fp, fp.rot_key(s, goal)).0).collect();
+    let mut pool = CodaccPool::new(8);
+    let mut cells = Vec::new();
+    let mut model_pass = || {
+        let mut cycles = 0;
+        for (i, (&s, tpl)) in states.iter().zip(&templates).enumerate() {
+            tpl.expand_into(black_box(s), &mut cells);
+            cycles += pool.check_cells(i % 8, &grid, &cells).cycles;
+        }
+        cycles
+    };
+    model_pass();
+    let t3 = Instant::now();
+    let model_cycles = model_pass();
+    let model_ns = t3.elapsed().as_nanos() as f64 / states.len() as f64;
+    let model_cycles_per_check = model_cycles as f64 / states.len() as f64;
+
     let speedup = obb_ns / template_ns;
     let checks_per_sec = 1e9 / template_ns;
     let batch_checks_per_sec = 1e9 / batch_ns;
@@ -215,14 +237,23 @@ fn main() {
             eprintln!("baseline {baseline_path} has no template_ns_per_check");
             std::process::exit(1);
         });
+        let base_model_ns = json_number(&baseline, "model_ns_per_check").unwrap_or_else(|| {
+            eprintln!("baseline {baseline_path} has no model_ns_per_check");
+            std::process::exit(1);
+        });
         eprintln!(
-            "gate: warm {template_ns:.1} ns/check vs baseline {base_ns:.1} ns/check \
+            "gate: warm {template_ns:.1} ns/check vs baseline {base_ns:.1} ns/check, \
+             model {model_ns:.1} ns/check vs baseline {base_model_ns:.1} ns/check \
              (tolerance {GATE_TOLERANCE}x), batched {batch_ns:.1} ns/check, \
              simd_lanes {}",
             simd_lanes()
         );
         if template_ns > base_ns * GATE_TOLERANCE {
             eprintln!("gate FAILED: warm ns/check regressed beyond tolerance");
+            std::process::exit(1);
+        }
+        if model_ns > base_model_ns * GATE_TOLERANCE {
+            eprintln!("gate FAILED: timing-model ns/check regressed beyond tolerance");
             std::process::exit(1);
         }
         eprintln!("gate passed");
@@ -244,6 +275,8 @@ fn main() {
     let _ = writeln!(json, "  \"template_checks_per_sec\": {checks_per_sec:.0},");
     let _ = writeln!(json, "  \"batch_ns_per_check\": {batch_ns:.1},");
     let _ = writeln!(json, "  \"batch_checks_per_sec\": {batch_checks_per_sec:.0},");
+    let _ = writeln!(json, "  \"model_ns_per_check\": {model_ns:.1},");
+    let _ = writeln!(json, "  \"model_cycles_per_check\": {model_cycles_per_check:.4},");
     let _ = writeln!(json, "  \"warm_speedup\": {speedup:.2},");
     let _ = writeln!(json, "  \"template_cache_hit_rate\": {warm_hit_rate:.4},");
     let _ = writeln!(json, "  \"template_cache_entries\": {}", checker.cache().len());

@@ -6,6 +6,11 @@
 //! 1-bit occupancy once it arrives from memory. Unused registers in a
 //! dimension take the address of the last used register in that dimension so
 //! no valid bits are needed (duplicated cells do not change a bitwise OR).
+//!
+//! The model keeps one tile's registers as `(word address, occupied)`
+//! pairs, `None` for an address outside the grid, and hands them straight
+//! to the [`ReductionUnit`](crate::ReductionUnit); by the aliasing rule it
+//! fills only the used registers.
 
 /// HOBB extent along the box's length axis.
 pub const HOBB_L: usize = 10;
@@ -16,138 +21,16 @@ pub const HOBB_H: usize = 3;
 /// Total number of HOBB registers.
 pub const HOBB_REGISTERS: usize = HOBB_L * HOBB_W * HOBB_H;
 
-/// One HOBB register: cell address plus occupancy bit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HobbRegister {
-    /// Byte address of the `u64` word holding this cell's occupancy bit, or
-    /// `None` when the address generation found the cell out of the grid —
-    /// which short-circuits the whole check as invalid.
-    pub addr: Option<u64>,
-    /// Occupancy value once filled from memory.
-    pub value: bool,
-    /// Whether the value has been filled (pending tracking for the RU).
-    pub filled: bool,
-}
-
-/// The register lattice for one partition step.
-///
-/// `load` replicates the paper's trick for small OBBs: unused trailing
-/// registers alias the last used address in their dimension, so the OR over
-/// all 90 registers is always well-defined.
-///
-/// # Example
-///
-/// ```
-/// use racod_codacc::Hobb;
-/// let mut hobb = Hobb::new();
-/// hobb.load(&[Some(0x1000), Some(0x1004)]);
-/// assert_eq!(hobb.distinct_addresses().len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct Hobb {
-    regs: Vec<HobbRegister>,
-}
-
-impl Hobb {
-    /// Creates an empty (cleared) HOBB.
-    pub fn new() -> Self {
-        Hobb { regs: vec![HobbRegister::default(); HOBB_REGISTERS] }
-    }
-
-    /// Loads cell addresses for one partition step.
-    ///
-    /// `addrs` holds at most [`HOBB_REGISTERS`] entries (the scheduler
-    /// guarantees this); `None` entries mark out-of-grid cells. Registers
-    /// beyond `addrs.len()` alias the last provided address, mirroring the
-    /// unused-register aliasing of the hardware.
-    ///
-    /// # Panics
-    ///
-    /// Panics if more addresses are supplied than registers exist or if
-    /// `addrs` is empty.
-    pub fn load(&mut self, addrs: &[Option<u64>]) {
-        assert!(!addrs.is_empty(), "HOBB load needs at least one address");
-        assert!(
-            addrs.len() <= HOBB_REGISTERS,
-            "HOBB overflow: {} addresses for {} registers",
-            addrs.len(),
-            HOBB_REGISTERS
-        );
-        let last = *addrs.last().expect("non-empty");
-        for (i, reg) in self.regs.iter_mut().enumerate() {
-            let addr = if i < addrs.len() { addrs[i] } else { last };
-            *reg = HobbRegister { addr, value: false, filled: false };
-        }
-    }
-
-    /// Whether any register's address generation fell outside the grid
-    /// (invalid configuration → short-circuit, paper §3.1.2 step 8).
-    pub fn has_out_of_range(&self) -> bool {
-        self.regs.iter().any(|r| r.addr.is_none())
-    }
-
-    /// The distinct word addresses requested by the registers, in first-seen
-    /// register order (the hardwired reg0-precedes-reg1 priority).
-    pub fn distinct_addresses(&self) -> Vec<u64> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for r in &self.regs {
-            if let Some(a) = r.addr {
-                if seen.insert(a) {
-                    out.push(a);
-                }
-            }
-        }
-        out
-    }
-
-    /// Fills every register whose address lies in the given cache block with
-    /// its occupancy bit, and returns whether any filled register observed
-    /// an occupied cell (the OR output rising).
-    ///
-    /// `lookup` maps a word address to the occupancy of the register's cell;
-    /// the caller derives it from the grid.
-    pub fn fill_block<F: FnMut(u64) -> bool>(&mut self, block_base: u64, mut lookup: F) -> bool {
-        let mut any = false;
-        for r in &mut self.regs {
-            if let Some(a) = r.addr {
-                if !r.filled && a / 64 == block_base / 64 {
-                    r.value = lookup(a);
-                    r.filled = true;
-                    any |= r.value;
-                }
-            }
-        }
-        any
-    }
-
-    /// OR over all filled register values (the collision output).
-    pub fn or_output(&self) -> bool {
-        self.regs.iter().any(|r| r.filled && r.value)
-    }
-
-    /// Whether all registers with addresses have been filled.
-    pub fn complete(&self) -> bool {
-        self.regs.iter().all(|r| r.addr.is_none() || r.filled)
-    }
-
-    /// Clears all registers (end of a check).
-    pub fn clear(&mut self) {
-        for r in &mut self.regs {
-            *r = HobbRegister::default();
-        }
-    }
-}
-
-impl Default for Hobb {
-    fn default() -> Self {
-        Hobb::new()
-    }
-}
-
+// The register semantics, as the reduction unit reads them.
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ReductionUnit;
+    use racod_mem::BlockAddr;
+
+    fn reduce(regs: &[(Option<u64>, bool)]) -> Option<Vec<(BlockAddr, bool)>> {
+        ReductionUnit::new().reduce_tile(regs).map(<[_]>::to_vec)
+    }
 
     #[test]
     fn constants_match_paper() {
@@ -159,66 +42,50 @@ mod tests {
 
     #[test]
     fn unused_registers_alias_last_address() {
-        let mut h = Hobb::new();
-        h.load(&[Some(100), Some(200)]);
-        let distinct = h.distinct_addresses();
-        assert_eq!(distinct, vec![100, 200], "aliasing adds no new addresses");
+        let used = [(Some(100), false), (Some(200), true)];
+        let mut padded = used.to_vec();
+        padded.resize(HOBB_REGISTERS, used[1]);
+        assert_eq!(reduce(&used), reduce(&padded), "aliasing adds no new requests");
     }
 
     #[test]
     fn out_of_range_detection() {
-        let mut h = Hobb::new();
-        h.load(&[Some(100), None]);
-        assert!(h.has_out_of_range());
-        h.load(&[Some(100), Some(200)]);
-        assert!(!h.has_out_of_range());
+        assert_eq!(reduce(&[(Some(100), false), (None, false)]), None);
+        assert!(reduce(&[(Some(100), false), (Some(200), false)]).is_some());
     }
 
     #[test]
     fn fill_block_sets_values_and_ors() {
-        let mut h = Hobb::new();
-        // Two addresses in block 0, one in block 1.
-        h.load(&[Some(0), Some(32), Some(64)]);
-        let rose = h.fill_block(0, |a| a == 32);
-        assert!(rose, "occupied cell in block 0");
-        assert!(!h.complete(), "block 1 outstanding");
-        let rose2 = h.fill_block(64, |_| false);
-        assert!(!rose2);
-        assert!(h.complete());
-        assert!(h.or_output());
+        // Two registers in block 0, one occupied; one free register in block 1.
+        let blocks = reduce(&[(Some(0), false), (Some(32), true), (Some(64), false)]);
+        assert_eq!(blocks, Some(vec![(BlockAddr(0), true), (BlockAddr(1), false)]));
     }
 
     #[test]
     fn or_output_false_when_all_free() {
-        let mut h = Hobb::new();
-        h.load(&[Some(0), Some(4)]);
-        h.fill_block(0, |_| false);
-        assert!(h.complete());
-        assert!(!h.or_output());
+        let blocks = reduce(&[(Some(0), false), (Some(4), false)]).expect("in range");
+        assert!(blocks.iter().all(|&(_, any)| !any));
     }
 
     #[test]
     fn clear_resets() {
-        let mut h = Hobb::new();
-        h.load(&[Some(8)]);
-        h.fill_block(0, |_| true);
-        h.clear();
-        assert!(!h.or_output());
-        assert!(h.distinct_addresses().is_empty());
+        // The reduction unit reuses its buffer: a second tile starts empty.
+        let mut ru = ReductionUnit::new();
+        ru.reduce_tile(&[(Some(8), true), (Some(640), true)]);
+        let second = ru.reduce_tile(&[(Some(4), false)]).expect("in range");
+        assert_eq!(second, &[(BlockAddr(0), false)]);
     }
 
     #[test]
     #[should_panic(expected = "overflow")]
     fn overflow_panics() {
-        let mut h = Hobb::new();
-        let addrs: Vec<Option<u64>> = (0..=HOBB_REGISTERS as u64).map(Some).collect();
-        h.load(&addrs);
+        let regs: Vec<_> = (0..=HOBB_REGISTERS as u64).map(|a| (Some(a), false)).collect();
+        reduce(&regs);
     }
 
     #[test]
     #[should_panic(expected = "at least one")]
     fn empty_load_panics() {
-        let mut h = Hobb::new();
-        h.load(&[]);
+        reduce(&[]);
     }
 }

@@ -11,8 +11,9 @@
 //!    ([`hobb`]); OBBs larger than the HOBB are tiled by a **greedy
 //!    scheduler** ([`sched`]) that completes x first, then y, then z;
 //! 3. the **reduction unit** coalesces registers whose addresses fall into
-//!    the same cache block and enqueues one request per unique block into an
-//!    8-entry **load queue** ([`reduce`]);
+//!    the same cache block and issues one request per unique block, one per
+//!    cycle ([`reduce`]; the paper's 8-entry load queue never changes that
+//!    rate, so it is not modelled);
 //! 4. returning bits are **OR-ed** in a pipeline that early-exits the moment
 //!    any occupied cell arrives, and an out-of-range address
 //!    **short-circuits** the check as invalid (the [`unit` module](crate::unit)).
@@ -48,9 +49,9 @@ pub mod template;
 pub mod unit;
 
 pub use check::{software_check_2d, software_check_3d, SoftwareCheck};
-pub use hobb::{Hobb, HOBB_H, HOBB_L, HOBB_REGISTERS, HOBB_W};
+pub use hobb::{HOBB_H, HOBB_L, HOBB_REGISTERS, HOBB_W};
 pub use power::AreaPowerModel;
-pub use reduce::{LoadQueue, ReductionUnit, LOAD_QUEUE_ENTRIES};
+pub use reduce::ReductionUnit;
 pub use sched::{partition_tiles, partition_tiles_ordered, PartitionOrder, Tile};
 pub use template::{simd_lanes, simd_level, template_check, template_check_scalar, SimdLevel};
 // Pinned by the frozen benchmark: `benchmark/src/ladder.rs` is the only

@@ -1,94 +1,59 @@
-//! The reduction unit (RU) and load queue (LQ).
+//! The reduction unit (RU).
 //!
 //! The RU performs a parallel associative search over the HOBB registers:
-//! the first non-pending register's cache-block request enters the LQ, every
+//! the first non-pending register's cache-block request is issued, every
 //! register whose address falls into that block is marked pending, and the
 //! process repeats until no register is outstanding (paper §3.1.2, steps
 //! 3–4). Unlike cache MSHRs, the reduction happens *at the source* and in
 //! parallel; unlike GPU coalescers, it is bit-granular and handles oriented
 //! (irregular) address patterns.
+//!
+//! The model does this in one pass per tile: each register either joins
+//! the block an earlier register already requested (OR-ing its occupancy
+//! bit into that block's) or requests a new one. The paper's 8-entry load
+//! queue is not modelled: blocks issue one per cycle whatever its depth,
+//! so its occupancy never changes a cycle.
 
+use crate::hobb::HOBB_REGISTERS;
 use racod_mem::BlockAddr;
-use std::collections::VecDeque;
 
-/// Load-queue depth. The paper notes an 8-entry LQ is rarely filled because
-/// one 512-bit block serves many of the 90 register requests.
-pub const LOAD_QUEUE_ENTRIES: usize = 8;
-
-/// The bounded queue of outstanding cache-block requests.
+/// The reduction unit: reduces one HOBB tile to the unique cache blocks it
+/// must fetch, in the hardwired register priority order, each carrying the
+/// OR of its registers' occupancy bits.
 ///
-/// # Example
-///
-/// ```
-/// use racod_codacc::LoadQueue;
-/// use racod_mem::BlockAddr;
-///
-/// let mut lq = LoadQueue::new();
-/// assert!(lq.enqueue(BlockAddr(7)));
-/// assert_eq!(lq.dequeue(), Some(BlockAddr(7)));
-/// ```
+/// It owns its block buffer, so reducing a tile allocates nothing once the
+/// buffer has grown to a tile's worth of blocks.
 #[derive(Debug, Clone, Default)]
-pub struct LoadQueue {
-    entries: VecDeque<BlockAddr>,
-    /// High-water mark, for utilization statistics.
-    max_depth: usize,
-    /// Number of enqueue attempts that found the queue full (stalls).
-    stalls: u64,
+pub struct ReductionUnit {
+    blocks: Vec<(BlockAddr, bool)>,
 }
-
-impl LoadQueue {
-    /// Creates an empty queue.
-    pub fn new() -> Self {
-        LoadQueue::default()
-    }
-
-    /// Attempts to enqueue a block request; returns `false` (a stall) when
-    /// the queue is full.
-    pub fn enqueue(&mut self, block: BlockAddr) -> bool {
-        if self.entries.len() >= LOAD_QUEUE_ENTRIES {
-            self.stalls += 1;
-            return false;
-        }
-        self.entries.push_back(block);
-        self.max_depth = self.max_depth.max(self.entries.len());
-        true
-    }
-
-    /// Dequeues the oldest request.
-    pub fn dequeue(&mut self) -> Option<BlockAddr> {
-        self.entries.pop_front()
-    }
-
-    /// Current queue depth.
-    pub fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Whether the queue is empty.
-    pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
-    }
-
-    /// Deepest occupancy observed.
-    pub fn max_depth(&self) -> usize {
-        self.max_depth
-    }
-
-    /// Number of full-queue stalls observed.
-    pub fn stalls(&self) -> u64 {
-        self.stalls
-    }
-}
-
-/// The reduction unit: coalesces word addresses into unique cache-block
-/// requests, preserving the hardwired register priority order.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ReductionUnit;
 
 impl ReductionUnit {
-    /// Creates a reduction unit.
+    /// Creates a reduction unit with room for a full tile of blocks.
     pub fn new() -> Self {
-        ReductionUnit
+        ReductionUnit { blocks: Vec::with_capacity(HOBB_REGISTERS) }
+    }
+
+    /// Reduces one HOBB tile, given as one `(word address, occupied)` pair
+    /// per register, to its `(block, any cell occupied)` requests in
+    /// first-seen register order.
+    ///
+    /// Returns `None` when a register's address is out of range (`None`):
+    /// the configuration is invalid and no block is requested (paper
+    /// §3.1.2 step 8).
+    ///
+    /// # Panics
+    ///
+    /// Panics if the tile is empty or holds more than [`HOBB_REGISTERS`]
+    /// registers.
+    pub fn reduce_tile(&mut self, regs: &[(Option<u64>, bool)]) -> Option<&[(BlockAddr, bool)]> {
+        assert!(!regs.is_empty(), "a HOBB tile needs at least one register");
+        assert!(
+            regs.len() <= HOBB_REGISTERS,
+            "HOBB overflow: {} addresses for {HOBB_REGISTERS} registers",
+            regs.len()
+        );
+        self.reduce(regs.iter().copied())
     }
 
     /// Reduces word addresses (one per register, duplicates allowed) to the
@@ -106,44 +71,25 @@ impl ReductionUnit {
     /// let blocks = ReductionUnit::new().coalesce(&[0, 4, 60, 64, 8]);
     /// assert_eq!(blocks, vec![BlockAddr(0), BlockAddr(1)]);
     /// ```
-    pub fn coalesce(&self, addrs: &[u64]) -> Vec<BlockAddr> {
-        let mut seen = std::collections::HashSet::new();
-        let mut out = Vec::new();
-        for &a in addrs {
-            let b = BlockAddr::containing(a);
-            if seen.insert(b) {
-                out.push(b);
-            }
-        }
-        out
+    pub fn coalesce(&mut self, addrs: &[u64]) -> Vec<BlockAddr> {
+        let blocks = self.reduce(addrs.iter().map(|&a| (Some(a), false)));
+        blocks.expect("every address is in range").iter().map(|&(b, _)| b).collect()
     }
 
-    /// Streams coalesced blocks through a bounded load queue, invoking
-    /// `serve` for each dequeued block, modeling the enqueue/dequeue
-    /// interleaving of the hardware (the LQ drains continuously, so a full
-    /// queue simply forces alternating enqueue/serve).
-    ///
-    /// Returns the number of serve operations (== unique blocks).
-    pub fn stream_through_queue<F: FnMut(BlockAddr)>(
-        &self,
-        addrs: &[u64],
-        lq: &mut LoadQueue,
-        mut serve: F,
-    ) -> usize {
-        let blocks = self.coalesce(addrs);
-        let mut served = 0;
-        for b in blocks {
-            while !lq.enqueue(b) {
-                let head = lq.dequeue().expect("full queue has a head");
-                serve(head);
-                served += 1;
+    fn reduce(
+        &mut self,
+        regs: impl Iterator<Item = (Option<u64>, bool)>,
+    ) -> Option<&[(BlockAddr, bool)]> {
+        self.blocks.clear();
+        for (addr, occupied) in regs {
+            let block = BlockAddr::containing(addr?);
+            // Newest first: neighbouring registers mostly share a block.
+            match self.blocks.iter_mut().rev().find(|(b, _)| *b == block) {
+                Some((_, any)) => *any |= occupied,
+                None => self.blocks.push((block, occupied)),
             }
         }
-        while let Some(head) = lq.dequeue() {
-            serve(head);
-            served += 1;
-        }
-        served
+        Some(&self.blocks)
     }
 }
 
@@ -153,7 +99,7 @@ mod tests {
 
     #[test]
     fn coalesce_dedups_within_block() {
-        let ru = ReductionUnit::new();
+        let mut ru = ReductionUnit::new();
         // All within block 0 (bytes 0..64).
         let blocks = ru.coalesce(&[0, 4, 8, 12, 63]);
         assert_eq!(blocks, vec![BlockAddr(0)]);
@@ -161,7 +107,7 @@ mod tests {
 
     #[test]
     fn coalesce_preserves_first_seen_order() {
-        let ru = ReductionUnit::new();
+        let mut ru = ReductionUnit::new();
         let blocks = ru.coalesce(&[128, 0, 130, 64]);
         assert_eq!(blocks, vec![BlockAddr(2), BlockAddr(0), BlockAddr(1)]);
     }
@@ -173,7 +119,7 @@ mod tests {
 
     #[test]
     fn block_count_never_exceeds_address_count() {
-        let ru = ReductionUnit::new();
+        let mut ru = ReductionUnit::new();
         let addrs: Vec<u64> = (0..90).map(|i| (i * 7) % 300).collect();
         let blocks = ru.coalesce(&addrs);
         assert!(blocks.len() <= addrs.len());
@@ -181,51 +127,5 @@ mod tests {
         for &a in &addrs {
             assert_eq!(blocks.iter().filter(|b| **b == BlockAddr::containing(a)).count(), 1);
         }
-    }
-
-    #[test]
-    fn queue_respects_capacity() {
-        let mut lq = LoadQueue::new();
-        for i in 0..LOAD_QUEUE_ENTRIES as u64 {
-            assert!(lq.enqueue(BlockAddr(i)));
-        }
-        assert!(!lq.enqueue(BlockAddr(99)), "ninth enqueue must stall");
-        assert_eq!(lq.stalls(), 1);
-        assert_eq!(lq.max_depth(), LOAD_QUEUE_ENTRIES);
-    }
-
-    #[test]
-    fn queue_is_fifo() {
-        let mut lq = LoadQueue::new();
-        lq.enqueue(BlockAddr(1));
-        lq.enqueue(BlockAddr(2));
-        assert_eq!(lq.dequeue(), Some(BlockAddr(1)));
-        assert_eq!(lq.dequeue(), Some(BlockAddr(2)));
-        assert_eq!(lq.dequeue(), None);
-        assert!(lq.is_empty());
-    }
-
-    #[test]
-    fn stream_serves_every_unique_block_once() {
-        let ru = ReductionUnit::new();
-        let mut lq = LoadQueue::new();
-        let addrs: Vec<u64> = (0..90).map(|i| i * 16).collect(); // 23 blocks
-        let mut served = Vec::new();
-        let n = ru.stream_through_queue(&addrs, &mut lq, |b| served.push(b));
-        assert_eq!(n, served.len());
-        assert_eq!(served.len(), ru.coalesce(&addrs).len());
-        assert!(lq.is_empty());
-        // Stalls occurred because 23 blocks > 8 entries.
-        assert!(lq.stalls() > 0);
-    }
-
-    #[test]
-    fn stream_small_footprint_never_stalls() {
-        let ru = ReductionUnit::new();
-        let mut lq = LoadQueue::new();
-        // The common case from the paper: 90 register requests, few blocks.
-        let addrs: Vec<u64> = (0..90).map(|i| i / 16 * 4).collect(); // 1 block
-        ru.stream_through_queue(&addrs, &mut lq, |_| {});
-        assert_eq!(lq.stalls(), 0);
     }
 }

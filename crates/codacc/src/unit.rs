@@ -4,17 +4,17 @@
 //! instances (paper §3.1.4): each unit has its own L0 cache; all L0s are
 //! backed by the core's L1. A check walks the greedy scheduler's partition
 //! tiles; per tile the AGU generates cell addresses into the HOBB, the
-//! reduction unit coalesces them into unique cache blocks, blocks stream
-//! through the 8-entry load queue to the memory hierarchy, and returning
-//! bits are OR-ed with early exit.
+//! reduction unit coalesces them into unique cache blocks, blocks issue one
+//! per cycle to the memory hierarchy, and returning bits are OR-ed with
+//! early exit.
 //!
 //! Verdicts are computed functionally from the real grid and always match
 //! [`crate::software_check_2d`] / [`crate::software_check_3d`] (and, for
 //! template cell lists, [`crate::template_check`]); cycles are
 //! accumulated from Table 2 latencies plus simulated cache behaviour.
 
-use crate::hobb::{Hobb, HOBB_REGISTERS};
-use crate::reduce::{LoadQueue, ReductionUnit};
+use crate::hobb::HOBB_REGISTERS;
+use crate::reduce::ReductionUnit;
 use crate::sched::partition_tiles;
 use racod_geom::raster::axis_samples;
 use racod_geom::{Cell2, Cell3, GridCell, Obb2, Obb3};
@@ -77,7 +77,7 @@ pub struct CodaccTiming {
     /// integrated; 10 for an SoC co-processor; 100 off-chip — the §5.6
     /// sweep).
     pub dispatch_cycles: u64,
-    /// Cycles to issue one cache-block request from the load queue.
+    /// Cycles to issue one cache-block request to the L0.
     pub issue_per_block: u64,
 }
 
@@ -124,12 +124,9 @@ pub struct CodaccPool {
     mem: MemSystem,
     timing: CodaccTiming,
     ru: ReductionUnit,
-    hobb: Hobb,
     /// The AGU's output for the tile in flight, `(word address, occupied)`
     /// per register; kept across checks so a check allocates nothing here.
     items: Vec<(Option<u64>, bool)>,
-    lq_max_depth: usize,
-    lq_stalls: u64,
     checks: u64,
 }
 
@@ -162,10 +159,7 @@ impl CodaccPool {
             mem: MemSystem::new(units, l0, l1, latency),
             timing,
             ru: ReductionUnit::new(),
-            hobb: Hobb::new(),
             items: Vec::with_capacity(HOBB_REGISTERS),
-            lq_max_depth: 0,
-            lq_stalls: 0,
             checks: 0,
         }
     }
@@ -205,62 +199,29 @@ impl CodaccPool {
         }
     }
 
-    /// Deepest load-queue occupancy observed across all checks.
-    pub fn lq_max_depth(&self) -> usize {
-        self.lq_max_depth
-    }
-
-    /// Load-queue full stalls observed across all checks.
-    pub fn lq_stalls(&self) -> u64 {
-        self.lq_stalls
-    }
-
-    /// Runs one HOBB tile through the datapath: load addresses, validate,
-    /// coalesce into blocks, stream through the load queue, and OR the
+    /// Runs one HOBB tile through the datapath in one pass: validate and
+    /// coalesce the registers into blocks, then issue the blocks and OR the
     /// returning bits with early exit.
     ///
     /// `items` is one `(word address, occupied)` pair per HOBB register of
     /// the tile; `None` addresses are out of range.
     fn exec_tile(&mut self, unit: usize, items: &[(Option<u64>, bool)]) -> TileOutcome {
-        let addrs: Vec<Option<u64>> = items.iter().map(|&(a, _)| a).collect();
-        self.hobb.load(&addrs);
-        if self.hobb.has_out_of_range() {
+        let Some(blocks) = self.ru.reduce_tile(items) else {
             // Short-circuit: invalid configuration, no memory traffic.
-            self.hobb.clear();
             return TileOutcome { result: TileResult::Invalid, blocks: 0 };
-        }
-        let valid_addrs: Vec<u64> = addrs.iter().map(|a| a.expect("validated")).collect();
-        let blocks = self.ru.coalesce(&valid_addrs);
-        let mut lq = LoadQueue::new();
-        for &b in &blocks {
-            // LQ drains continuously; model its occupancy only.
-            if !lq.enqueue(b) {
-                lq.dequeue();
-                lq.enqueue(b);
-            }
-        }
-        self.lq_max_depth = self.lq_max_depth.max(lq.max_depth());
-        self.lq_stalls += lq.stalls();
-
+        };
         // Pipelined load-to-OR: requests issue one per cycle; the step
         // completes at the latest load's return unless the OR rises.
         let mut finish_all = 0u64;
-        let mut blocks_done = 0;
-        for (i, &b) in blocks.iter().enumerate() {
-            blocks_done += 1;
-            let latency = self.mem.access(unit, b.base());
+        for (i, &(block, occupied)) in blocks.iter().enumerate() {
+            let latency = self.mem.access(unit, block.base());
             let finish = (i as u64 + 1) * self.timing.issue_per_block + latency;
-            finish_all = finish_all.max(finish);
-            let hit = items.iter().any(|&(a, occupied)| {
-                a.map(|a| a / 64 == b.base() / 64).unwrap_or(false) && occupied
-            });
-            if hit {
-                self.hobb.clear();
-                return TileOutcome { result: TileResult::Collision(finish), blocks: blocks_done };
+            if occupied {
+                return TileOutcome { result: TileResult::Collision(finish), blocks: i + 1 };
             }
+            finish_all = finish_all.max(finish);
         }
-        self.hobb.clear();
-        TileOutcome { result: TileResult::Free(finish_all), blocks: blocks_done }
+        TileOutcome { result: TileResult::Free(finish_all), blocks: blocks.len() }
     }
 
     /// The one timing loop every check runs: per tile, one AGU step, the

@@ -98,8 +98,7 @@ proptest! {
     /// first-appearance order, and never outputs more blocks than inputs.
     #[test]
     fn reduction_unit_is_exact(addrs in prop::collection::vec(0u64..100_000, 0..200)) {
-        let ru = ReductionUnit::new();
-        let blocks = ru.coalesce(&addrs);
+        let blocks = ReductionUnit::new().coalesce(&addrs);
         prop_assert!(blocks.len() <= addrs.len());
         // Exactly the set of blocks, each once.
         let expected: std::collections::HashSet<BlockAddr> =

@@ -24,38 +24,85 @@ use std::sync::{Arc, Mutex, PoisonError};
 
 /// Default bound on distinct (footprint, rotation) templates kept alive.
 ///
-/// A car template is ~3 KB; 1024 entries bound the cache at a few MB while
-/// comfortably covering every heading a 512-grid planning run produces.
+/// A car template is ~3 KB, so 1024 entries bound the cache at a few MB.
+/// They do not cover every heading: a `TowardGoal` key is the gcd-reduced
+/// direction to the goal, so fresh goals keep meeting keys the cache has
+/// not seen (the served car workloads hit about half the time).
 pub const DEFAULT_TEMPLATE_CAPACITY: usize = 1024;
 
+/// End of a recency list.
+const NIL: usize = usize::MAX;
+
+/// A least-recently-used map in O(1) per lookup: entries live in slots
+/// threaded on a doubly linked recency list, most recent at `head`. A miss
+/// on a full cache evicts the `tail` and reuses its slot, so the victim is
+/// always the entry used longest ago and a lookup never scans.
 struct Lru<K, V> {
-    map: HashMap<K, (Arc<V>, u64)>,
-    tick: u64,
+    index: HashMap<K, usize>,
+    slots: Vec<Slot<K, V>>,
+    head: usize,
+    tail: usize,
     capacity: usize,
+}
+
+struct Slot<K, V> {
+    key: K,
+    value: Arc<V>,
+    prev: usize,
+    next: usize,
 }
 
 impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
     fn new(capacity: usize) -> Self {
-        Lru { map: HashMap::new(), tick: 0, capacity: capacity.max(1) }
+        let capacity = capacity.max(1);
+        Lru { index: HashMap::new(), slots: Vec::new(), head: NIL, tail: NIL, capacity }
     }
 
     fn get_or_insert_with(&mut self, key: K, build: impl FnOnce() -> V) -> (Arc<V>, bool) {
-        self.tick += 1;
-        let tick = self.tick;
-        if let Some((v, used)) = self.map.get_mut(&key) {
-            *used = tick;
-            return (v.clone(), true);
+        if let Some(&i) = self.index.get(&key) {
+            self.unlink(i);
+            self.push_front(i);
+            return (self.slots[i].value.clone(), true);
         }
-        if self.map.len() >= self.capacity {
-            // O(n) eviction of the least-recently-used entry; n is small
-            // and misses are rare once warm.
-            if let Some(&lru) = self.map.iter().min_by_key(|(_, (_, used))| *used).map(|(k, _)| k) {
-                self.map.remove(&lru);
-            }
+        // Build before touching the list: a panicking build leaves it whole
+        // for the next holder of the (poison-recovered) lock.
+        let value = Arc::new(build());
+        let slot = Slot { key, value: value.clone(), prev: NIL, next: NIL };
+        let i = if self.slots.len() < self.capacity {
+            self.slots.push(slot);
+            self.slots.len() - 1
+        } else {
+            let lru = self.tail;
+            self.unlink(lru);
+            self.index.remove(&self.slots[lru].key);
+            self.slots[lru] = slot;
+            lru
+        };
+        self.push_front(i);
+        self.index.insert(key, i);
+        (value, false)
+    }
+
+    fn unlink(&mut self, i: usize) {
+        let Slot { prev, next, .. } = self.slots[i];
+        match prev {
+            NIL => self.head = next,
+            p => self.slots[p].next = next,
         }
-        let v = Arc::new(build());
-        self.map.insert(key, (v.clone(), tick));
-        (v, false)
+        match next {
+            NIL => self.tail = prev,
+            n => self.slots[n].prev = prev,
+        }
+    }
+
+    fn push_front(&mut self, i: usize) {
+        self.slots[i].prev = NIL;
+        self.slots[i].next = self.head;
+        match self.head {
+            NIL => self.tail = i,
+            h => self.slots[h].prev = i,
+        }
+        self.head = i;
     }
 }
 
@@ -112,7 +159,7 @@ impl<D: Dim> TemplateCache<D> {
 
     /// Number of templates currently cached.
     pub fn len(&self) -> usize {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner).map.len()
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner).index.len()
     }
 
     /// Whether the cache is empty.
@@ -418,6 +465,7 @@ impl<'g, D: Dim> TemplateChecker<'g, D> {
 mod tests {
     use super::*;
     use crate::footprint::Footprint2;
+    use proptest::prelude::*;
     use racod_codacc::template_check_scalar;
     use racod_geom::Cell2;
     use racod_grid::gen::{city_map, CityName};
@@ -474,6 +522,53 @@ mod tests {
         cache.get(&fp, RotKey::from_direction(1, 3)); // evicts (3,1)
         let b = cache.get(&fp, RotKey::from_direction(3, 1)).0;
         assert_eq!(a.offsets(), b.offsets());
+    }
+
+    /// The O(capacity) tick scan the cache once evicted with: the oracle.
+    struct ScanLru {
+        entries: Vec<(RotKey, u64)>,
+        tick: u64,
+        capacity: usize,
+    }
+
+    impl ScanLru {
+        fn get(&mut self, key: RotKey) -> bool {
+            self.tick += 1;
+            if let Some(e) = self.entries.iter_mut().find(|(k, _)| *k == key) {
+                e.1 = self.tick;
+                return true;
+            }
+            if self.entries.len() >= self.capacity {
+                let lru = (0..self.entries.len()).min_by_key(|&i| self.entries[i].1);
+                self.entries.swap_remove(lru.expect("full"));
+            }
+            self.entries.push((key, self.tick));
+            false
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        #[test]
+        fn lru_evicts_exactly_what_the_scan_did(
+            capacity in 1usize..=8,
+            stream in prop::collection::vec(1i64..13, 0..80),
+        ) {
+            let cache = TemplateCache2::new(capacity);
+            let mut oracle = ScanLru { entries: Vec::new(), tick: 0, capacity };
+            let fp = Footprint2::point();
+            for dy in stream {
+                let key = RotKey::from_direction(97, dy);
+                prop_assert_eq!(cache.get(&fp, key).1, oracle.get(key), "key {:?}", key);
+                let mut resident: Vec<RotKey> =
+                    cache.inner.lock().unwrap().index.keys().map(|k| k.1).collect();
+                let mut expected: Vec<RotKey> = oracle.entries.iter().map(|e| e.0).collect();
+                resident.sort_unstable();
+                expected.sort_unstable();
+                prop_assert_eq!(resident, expected);
+            }
+        }
     }
 
     #[test]
