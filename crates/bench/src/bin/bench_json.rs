@@ -3,12 +3,15 @@
 //! rate, comparing the per-state OBB rasterization baseline against the
 //! warm-cache word-parallel template kernel (per-pose and batched) on a
 //! planning-style state sweep, plus the host cost and simulated cycles of
-//! the CODAcc timing model on the same sweep.
+//! the CODAcc timing model on the same sweep, and a template leg: every
+//! heading of a 128² map (car) and a 48² campus (drone) through one cache,
+//! counting keys and distinct templates.
 //!
 //! `bench_json --help` lists the flags.
 
 use racod::codacc::{simd_lanes, template_check_scalar};
 use racod::prelude::*;
+use racod::sim::{Dim, TemplateCache, TemplateCensus, D2, D3};
 use std::fmt::Write as _;
 use std::hint::black_box;
 use std::time::Instant;
@@ -41,7 +44,8 @@ usage: bench_json [--checks N] [--out PATH] [--gate PATH]
 
   --gate PATH  CI-gate mode: write nothing; compare the warm per-pose and the
                timing-model ns/check against the committed baseline at PATH
-               and exit nonzero on a regression beyond the noise tolerance
+               and exit nonzero on a regression beyond the noise tolerance,
+               or if any cached template differs from its direct build
 
 example:
   cargo run --release -p racod-bench --bin bench_json -- --checks 2000 --out /tmp/b.json";
@@ -108,6 +112,39 @@ fn sweep_states(n: usize, size: i64) -> Vec<Cell2> {
         states.push(Cell2::new((x - 4).abs(), (y - 4 + (i as i64 % 3)).abs()));
     }
     states
+}
+
+/// Every orientation key a `side`² map produces (the reduced direction
+/// between any two cells, and `Axis`), each once.
+fn map_headings(side: i64) -> Vec<RotKey> {
+    let mut keys: Vec<RotKey> = (1 - side..side)
+        .flat_map(|dy| (1 - side..side).map(move |dx| RotKey::from_direction(dx, dy)))
+        .collect();
+    keys.sort_unstable();
+    keys.dedup();
+    keys
+}
+
+/// What one footprint's headings hold in a cache.
+struct TemplateLeg {
+    census: TemplateCensus,
+    /// Mean time of one direct (uncached) template build.
+    build_us: f64,
+    /// Keys whose cached template differs from a direct build.
+    mismatches: usize,
+}
+
+/// Every heading of a `side`² map through one fresh cache; then each key's
+/// cached template against a timed direct build.
+fn template_leg<D: Dim>(footprint: &D::Footprint, side: i64) -> TemplateLeg {
+    let keys = map_headings(side);
+    let cache = TemplateCache::<D>::new(keys.len());
+    let cached: Vec<_> = keys.iter().map(|&k| cache.get(footprint, k).0).collect();
+    let t = Instant::now();
+    let direct: Vec<_> = keys.iter().map(|&k| black_box(D::template(footprint, k))).collect();
+    let build_us = t.elapsed().as_secs_f64() * 1e6 / keys.len() as f64;
+    let mismatches = cached.iter().zip(&direct).filter(|(c, d)| ***c != **d).count();
+    TemplateLeg { census: cache.census(), build_us, mismatches }
 }
 
 fn main() {
@@ -224,6 +261,10 @@ fn main() {
     let model_ns = t3.elapsed().as_nanos() as f64 / states.len() as f64;
     let model_cycles_per_check = model_cycles as f64 / states.len() as f64;
 
+    let car_templates = template_leg::<D2>(&fp, 128);
+    let drone_templates = template_leg::<D3>(&Footprint3::drone(), 48);
+    let template_mismatches = car_templates.mismatches + drone_templates.mismatches;
+
     let speedup = obb_ns / template_ns;
     let checks_per_sec = 1e9 / template_ns;
     let batch_checks_per_sec = 1e9 / batch_ns;
@@ -245,9 +286,13 @@ fn main() {
             "gate: warm {template_ns:.1} ns/check vs baseline {base_ns:.1} ns/check, \
              model {model_ns:.1} ns/check vs baseline {base_model_ns:.1} ns/check \
              (tolerance {GATE_TOLERANCE}x), batched {batch_ns:.1} ns/check, \
-             simd_lanes {}",
+             simd_lanes {}, {template_mismatches} cached templates differ from a direct build",
             simd_lanes()
         );
+        if template_mismatches > 0 {
+            eprintln!("gate FAILED: a cached template differs from its direct build");
+            std::process::exit(1);
+        }
         if template_ns > base_ns * GATE_TOLERANCE {
             eprintln!("gate FAILED: warm ns/check regressed beyond tolerance");
             std::process::exit(1);
@@ -260,6 +305,7 @@ fn main() {
         return;
     }
 
+    assert_eq!(template_mismatches, 0, "a cached template differs from its direct build");
     let mut json = String::new();
     let _ = writeln!(json, "{{");
     let _ = writeln!(json, "  \"bench\": \"codacc_software_check_2d\",");
@@ -279,7 +325,14 @@ fn main() {
     let _ = writeln!(json, "  \"model_cycles_per_check\": {model_cycles_per_check:.4},");
     let _ = writeln!(json, "  \"warm_speedup\": {speedup:.2},");
     let _ = writeln!(json, "  \"template_cache_hit_rate\": {warm_hit_rate:.4},");
-    let _ = writeln!(json, "  \"template_cache_entries\": {}", checker.cache().len());
+    let _ = writeln!(json, "  \"template_cache_entries\": {},", checker.cache().len());
+    let _ = writeln!(json, "  \"template_keys\": {},", car_templates.census.keys);
+    let _ = writeln!(json, "  \"template_distinct\": {},", car_templates.census.distinct);
+    let _ = writeln!(json, "  \"template_bytes\": {},", car_templates.census.bytes);
+    let _ = writeln!(json, "  \"template_build_us\": {:.2},", car_templates.build_us);
+    let _ = writeln!(json, "  \"drone_template_keys\": {},", drone_templates.census.keys);
+    let _ = writeln!(json, "  \"drone_template_distinct\": {},", drone_templates.census.distinct);
+    let _ = writeln!(json, "  \"drone_template_build_us\": {:.2}", drone_templates.build_us);
     let _ = writeln!(json, "}}");
 
     std::fs::write(&o.out, &json).unwrap_or_else(|e| {

@@ -38,6 +38,7 @@ use crate::cell::{Cell2, Cell3, GridCell};
 use crate::obb::{Obb2, Obb3};
 use crate::raster::{sample_obb2, sample_obb3};
 use crate::vec::{Vec2, Vec3};
+use std::hash::{Hash, Hasher};
 
 /// One grid row of a footprint template, as a maskable span.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -66,7 +67,10 @@ impl<C> TemplateRow<C> {
 
 /// A footprint rasterized once at the reference cell and compiled into
 /// word-parallel mask rows.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Equality and hashing are by content, so a cache can intern templates:
+/// two orientations that rasterize to the same cells share one copy.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FootprintTemplate<C> {
     offsets: Vec<C>,
     rows: Vec<TemplateRow<C>>,
@@ -113,6 +117,9 @@ impl<C: GridCell> FootprintTemplate<C> {
     pub fn from_offsets(mut offsets: Vec<C>) -> Self {
         offsets.sort_unstable_by_key(|c| c.scan_key());
         offsets.dedup();
+        // A template lives in a cache for the whole run: drop the
+        // rasterizer's slack so `heap_bytes` is what it really holds.
+        offsets.shrink_to_fit();
         let mut rows = Vec::new();
         let mut i = 0;
         while i < offsets.len() {
@@ -127,6 +134,7 @@ impl<C: GridCell> FootprintTemplate<C> {
             rows.push(TemplateRow { first, mask, cells_before: i, cell_count: run });
             i += run;
         }
+        rows.shrink_to_fit();
         FootprintTemplate { offsets, rows }
     }
 
@@ -159,14 +167,20 @@ impl<C: GridCell> FootprintTemplate<C> {
         out.extend(self.offsets.iter().map(|&o| state.translate(o)));
     }
 
-    /// Approximate heap footprint, for cache budgeting.
+    /// Heap bytes the template holds (allocated capacity, not length), for
+    /// cache budgeting.
     pub fn heap_bytes(&self) -> usize {
-        self.offsets.len() * std::mem::size_of::<C>()
-            + self
-                .rows
-                .iter()
-                .map(|r| std::mem::size_of::<TemplateRow<C>>() + r.mask.len() * 8)
-                .sum::<usize>()
+        self.offsets.capacity() * std::mem::size_of::<C>()
+            + self.rows.capacity() * std::mem::size_of::<TemplateRow<C>>()
+            + self.rows.iter().map(|r| r.mask.capacity() * 8).sum::<usize>()
+    }
+}
+
+impl<C: Hash> Hash for FootprintTemplate<C> {
+    /// Hashes the offsets only: the rows are compiled from them, so equal
+    /// offsets mean equal templates.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.offsets.hash(state);
     }
 }
 
@@ -230,6 +244,35 @@ mod tests {
         assert_eq!(r.mask[0], u64::MAX);
         assert_eq!(r.mask[1], (1 << 17) - 1);
         assert_eq!(r.span(), 81);
+    }
+
+    #[test]
+    fn heap_bytes_counts_what_is_allocated() {
+        let tpl = FootprintTemplate2::for_box(16.0, 8.0, Rotation2::from_angle(0.3));
+        assert_eq!(tpl.offsets.capacity(), tpl.offsets.len(), "offsets shrunk");
+        assert_eq!(tpl.rows.capacity(), tpl.rows.len(), "rows shrunk");
+        let masks: usize = tpl.rows().iter().map(|r| std::mem::size_of_val(&r.mask[..])).sum();
+        assert_eq!(
+            tpl.heap_bytes(),
+            std::mem::size_of_val(tpl.offsets()) + std::mem::size_of_val(tpl.rows()) + masks
+        );
+    }
+
+    #[test]
+    fn equal_content_hashes_equal() {
+        use std::collections::hash_map::DefaultHasher;
+        let hash = |t: &FootprintTemplate2| {
+            let mut h = DefaultHasher::new();
+            t.hash(&mut h);
+            h.finish()
+        };
+        // Two headings a hair apart rasterize a small box to the same cells.
+        let a = FootprintTemplate2::for_box(3.0, 2.0, Rotation2::from_angle(0.010));
+        let b = FootprintTemplate2::for_box(3.0, 2.0, Rotation2::from_angle(0.011));
+        assert_eq!(a, b);
+        assert_eq!(hash(&a), hash(&b));
+        let c = FootprintTemplate2::for_box(3.0, 2.0, Rotation2::from_angle(0.8));
+        assert_ne!(a, c);
     }
 
     #[test]

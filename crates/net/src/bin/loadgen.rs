@@ -720,6 +720,12 @@ fn print_report(tally: &Tally, elapsed: Duration, metrics: Option<&ServerMetrics
             m.template_hits.load(Ordering::Relaxed) + m.template_misses.load(Ordering::Relaxed)
         );
         println!(
+            "templates          {} keys, {} distinct, {} bytes",
+            m.template_keys.load(Ordering::Relaxed),
+            m.template_distinct.load(Ordering::Relaxed),
+            m.template_bytes.load(Ordering::Relaxed)
+        );
+        println!(
             "speculation        {:.1}% hit rate ({} prechecks, {} hits, {} wasted)",
             m.speculation_hit_rate() * 100.0,
             m.speculation_prechecks.load(Ordering::Relaxed),

@@ -371,8 +371,18 @@ impl PlanServer {
         }
     }
 
-    /// Service metrics (shared; live).
+    /// Service metrics (shared; live). The template-cache gauges
+    /// (`template_keys`, `template_distinct`, `template_bytes`) are read
+    /// from the registry's cache at this call.
     pub fn metrics(&self) -> &Arc<ServerMetrics> {
+        let census = self.registry.template_census();
+        for (gauge, value) in [
+            (&self.metrics.template_keys, census.keys),
+            (&self.metrics.template_distinct, census.distinct),
+            (&self.metrics.template_bytes, census.bytes),
+        ] {
+            gauge.store(value as u64, Ordering::Relaxed);
+        }
         &self.metrics
     }
 

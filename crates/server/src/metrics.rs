@@ -215,10 +215,17 @@ pub struct ServerMetrics {
     pub affinity_hits: AtomicU64,
     /// Dispatches that had to switch the worker to a different map.
     pub affinity_misses: AtomicU64,
-    /// Collision-check template lookups served from a per-map cache.
+    /// Collision-check template lookups served from the registry's cache.
     pub template_hits: AtomicU64,
     /// Collision-check template lookups that compiled a new template.
     pub template_misses: AtomicU64,
+    /// Gauge: `(footprint, orientation)` keys resident in the registry's
+    /// template cache. Read from the cache by [`crate::PlanServer::metrics`].
+    pub template_keys: AtomicU64,
+    /// Gauge: distinct templates behind those keys (interned by content).
+    pub template_distinct: AtomicU64,
+    /// Gauge: bytes the template cache holds, keys and templates.
+    pub template_bytes: AtomicU64,
     /// Searches that began on a warm (reused) scratch arena — the
     /// allocation-free steady state.
     pub scratch_reuses: AtomicU64,
@@ -291,7 +298,7 @@ pub struct ServerMetrics {
 }
 
 /// Number of counters exposed by [`ServerMetrics::counters`].
-const COUNTERS: usize = 48;
+const COUNTERS: usize = 51;
 
 impl ServerMetrics {
     /// Fresh zeroed metrics.
@@ -329,6 +336,9 @@ impl ServerMetrics {
             ("affinity_misses", &self.affinity_misses),
             ("template_hits", &self.template_hits),
             ("template_misses", &self.template_misses),
+            ("template_keys", &self.template_keys),
+            ("template_distinct", &self.template_distinct),
+            ("template_bytes", &self.template_bytes),
             ("scratch_reuses", &self.scratch_reuses),
             ("scratch_cold_starts", &self.scratch_cold_starts),
             ("stale_pops", &self.stale_pops),
@@ -744,6 +754,23 @@ mod tests {
         m.affinity_hits.fetch_add(3, Ordering::Relaxed);
         m.affinity_misses.fetch_add(1, Ordering::Relaxed);
         assert!((m.affinity_hit_rate() - 0.75).abs() < 1e-12);
+    }
+
+    #[test]
+    fn template_cache_gauges_render_and_sum_across_shards() {
+        let a = ServerMetrics::new();
+        a.template_keys.store(40, Ordering::Relaxed);
+        a.template_distinct.store(8, Ordering::Relaxed);
+        a.template_bytes.store(5_000, Ordering::Relaxed);
+        let text = a.render_text();
+        assert!(text.contains("racod_server_template_keys 40"));
+        assert!(text.contains("racod_server_template_distinct 8"));
+        assert!(text.contains("racod_server_template_bytes 5000"));
+        let fleet = ServerMetrics::new();
+        fleet.merge(&a);
+        fleet.merge(&a);
+        assert_eq!(fleet.template_keys.load(Ordering::Relaxed), 80, "each shard has its own cache");
+        assert_eq!(fleet.template_bytes.load(Ordering::Relaxed), 10_000);
     }
 
     #[test]

@@ -16,9 +16,12 @@
 //! rebuilt from the new grid (connectivity is global — one closed door can
 //! disconnect half the map), the speculation memo is swept only within
 //! each entry's own footprint influence radius
-//! ([`SpecMemo2::invalidate_cells`]), and the footprint-template caches are
+//! ([`SpecMemo2::invalidate_cells`]), and the footprint-template cache is
 //! not touched at all — templates are keyed by footprint dimensions and
 //! orientation, never by grid content, so a map delta cannot stale them.
+//! For the same reason there is one template cache per registry, not per
+//! map: every entry hands out a clone of it, so a heading compiled for one
+//! map is warm for all of them and survives a map's replacement.
 //!
 //! Cached artifacts carry an integrity checksum stamped at build time.
 //! Readers that care ([`MapEntry::artifacts2_verified`]) re-verify before
@@ -34,7 +37,7 @@ use racod_fault::{fnv1a, fnv1a_with, FaultPlan, FaultSite};
 use racod_geom::Cell2;
 use racod_grid::{BitGrid2, BitGrid3, GridDelta2, Occupancy2, Occupancy3};
 use racod_search::{DistanceField, GridSpace2, LandmarkPack2};
-use racod_sim::{TemplateCache2, TemplateCache3};
+use racod_sim::{TemplateCache2, TemplateCache3, TemplateCensus};
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -203,7 +206,12 @@ pub struct MapEntry {
 }
 
 impl MapEntry {
-    fn new(id: MapId, data: MapData, fault: Option<Arc<FaultPlan>>) -> Self {
+    fn new(
+        id: MapId,
+        data: MapData,
+        fault: Option<Arc<FaultPlan>>,
+        templates: &TemplateCaches,
+    ) -> Self {
         MapEntry {
             id,
             data: RwLock::new(data),
@@ -215,8 +223,8 @@ impl MapEntry {
             artifact_builds: AtomicU64::new(0),
             corruptions: AtomicU64::new(0),
             fault: RwLock::new(fault),
-            tcache2: Arc::new(TemplateCache2::default()),
-            tcache3: Arc::new(TemplateCache3::default()),
+            tcache2: templates.d2.clone(),
+            tcache3: templates.d3.clone(),
             spec2: Arc::new(SpecMemo2::new()),
         }
     }
@@ -232,15 +240,14 @@ impl MapEntry {
         self.data.read().cells()
     }
 
-    /// The entry's shared 2D footprint-template cache. Every request
-    /// against this map plans through the same cache, so templates compiled
-    /// for one request stay warm for the next (same amortization story as
-    /// the worker's per-map accelerator pools, but shared across workers).
+    /// The registry's 2D footprint-template cache. Every request against
+    /// every map of the registry plans through the same cache, so templates
+    /// compiled for one request stay warm for the next, on any worker.
     pub fn template_cache2(&self) -> Arc<TemplateCache2> {
         self.tcache2.clone()
     }
 
-    /// The entry's shared 3D footprint-template cache.
+    /// The registry's 3D footprint-template cache.
     pub fn template_cache3(&self) -> Arc<TemplateCache3> {
         self.tcache3.clone()
     }
@@ -570,6 +577,29 @@ impl MapEntry {
     }
 }
 
+/// Keys the registry's template cache keeps per dimension. A `TowardGoal`
+/// key is the reduced direction between two cells, so a map of side N
+/// produces about 2.4·N² of them: this covers every heading of a 128² map
+/// (39 665), while a 512² map (636 769) cycles through the LRU. The cache's
+/// byte budget bounds memory either way.
+const TEMPLATE_CAPACITY: usize = 65_536;
+
+/// The registry's footprint-template caches, one per dimension.
+#[derive(Debug)]
+struct TemplateCaches {
+    d2: Arc<TemplateCache2>,
+    d3: Arc<TemplateCache3>,
+}
+
+impl Default for TemplateCaches {
+    fn default() -> Self {
+        TemplateCaches {
+            d2: Arc::new(TemplateCache2::new(TEMPLATE_CAPACITY)),
+            d3: Arc::new(TemplateCache3::new(TEMPLATE_CAPACITY)),
+        }
+    }
+}
+
 /// A concurrent registry of immutable maps keyed by [`MapId`].
 ///
 /// Registration replaces any previous map under the same id (in-flight
@@ -579,6 +609,7 @@ impl MapEntry {
 pub struct MapRegistry {
     maps: RwLock<HashMap<MapId, Arc<MapEntry>>>,
     fault: RwLock<Option<Arc<FaultPlan>>>,
+    templates: TemplateCaches,
 }
 
 impl MapRegistry {
@@ -605,6 +636,7 @@ impl MapRegistry {
             id.clone(),
             MapData::Grid2(Arc::new(grid)),
             self.fault.read().clone(),
+            &self.templates,
         ));
         self.maps.write().insert(id, entry.clone());
         entry
@@ -617,6 +649,7 @@ impl MapRegistry {
             id.clone(),
             MapData::Grid3(Arc::new(grid)),
             self.fault.read().clone(),
+            &self.templates,
         ));
         self.maps.write().insert(id, entry.clone());
         entry
@@ -646,6 +679,16 @@ impl MapRegistry {
     /// All registered ids (unordered).
     pub fn ids(&self) -> Vec<MapId> {
         self.maps.read().keys().cloned().collect()
+    }
+
+    /// What the template caches hold, both dimensions summed.
+    pub fn template_census(&self) -> TemplateCensus {
+        let (a, b) = (self.templates.d2.census(), self.templates.d3.census());
+        TemplateCensus {
+            keys: a.keys + b.keys,
+            distinct: a.distinct + b.distinct,
+            bytes: a.bytes + b.bytes,
+        }
     }
 }
 
@@ -691,8 +734,28 @@ mod tests {
         let entry = reg.insert_grid2("m", city_map(CityName::Paris, 64, 64));
         let a = entry.template_cache2();
         let b = entry.template_cache2();
-        assert!(Arc::ptr_eq(&a, &b), "one cache per map entry");
+        assert!(Arc::ptr_eq(&a, &b), "the same cache every time");
         assert!(a.is_empty(), "nothing compiled until a plan runs");
+
+        // Every map of the registry shares it, and it outlives a map's
+        // replacement: templates never depend on the grid.
+        let other = reg.insert_grid2("n", city_map(CityName::Boston, 64, 64));
+        assert!(Arc::ptr_eq(&a, &other.template_cache2()), "one cache per registry");
+        let car = racod_sim::Footprint2::car();
+        a.get(&car, racod_sim::RotKey::from_direction(3, 1));
+        let replaced = reg.insert_grid2("m", city_map(CityName::Berlin, 64, 64));
+        let (_, hit) =
+            replaced.template_cache2().get(&car, racod_sim::RotKey::from_direction(3, 1));
+        assert!(hit, "the template survives the map's replacement");
+        let campus = reg.insert_grid3("c", campus_3d(1, 24, 24, 12));
+        assert!(Arc::ptr_eq(&campus.template_cache3(), &entry.template_cache3()));
+        let census = reg.template_census();
+        assert_eq!((census.keys, census.distinct), (1, 1));
+        assert_eq!(census, a.census(), "the 3D cache is still empty");
+
+        // A second registry keeps its own.
+        let fresh = MapRegistry::new().insert_grid2("m", city_map(CityName::Paris, 64, 64));
+        assert!(!Arc::ptr_eq(&a, &fresh.template_cache2()));
     }
 
     #[test]

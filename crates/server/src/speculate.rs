@@ -6,7 +6,7 @@
 //! admitted requests from a best-effort side channel, generate the likely
 //! demand set ([`racod_rasexp::speculation_targets`]: start/goal
 //! neighborhoods plus the predicted start→goal chain), run it through the
-//! map's warm [`racod_sim::TemplateCache2`] via the batched kernel, and
+//! registry's warm [`racod_sim::TemplateCache2`] via the batched kernel, and
 //! publish the results into a per-map [`SpecMemo2`]. The real search
 //! consults the memo before dispatching a native check.
 //!
@@ -318,7 +318,7 @@ pub(crate) struct SpecTask {
 }
 
 /// Speculator thread body: drain queued tasks, precheck their target sets
-/// through the map's warm template cache, publish into the per-map memo.
+/// through the registry's warm template cache, publish into the per-map memo.
 pub(crate) fn speculator_loop(
     rx: Receiver<SpecTask>,
     shutdown: Arc<AtomicBool>,
@@ -354,7 +354,7 @@ fn precheck_task(task: &SpecTask, cfg: &SpeculationConfig, metrics: &ServerMetri
     if targets.is_empty() {
         return;
     }
-    // The checker shares the map's template cache, so templates compiled
+    // The checker shares the registry's template cache, so templates compiled
     // here are warm for the real search (and vice versa) — prechecked
     // verdicts come from the identical compiled template the worker uses.
     let checker = TemplateChecker2::with_cache(&grid, fp, task.goal, task.entry.template_cache2());

@@ -53,6 +53,7 @@ pub use footprint::{influence_radius_2d, Footprint2, Footprint3, RotKey};
 pub use oracle::{PlanTiming, TimedChecker, TimedOracle, TimedOracleConfig};
 pub use planner::{plan, plan_in, Backend, PlanOutcome, Scenario, Scenario2, Scenario3};
 pub use tcache::{
-    BatchScratch, TemplateCache, TemplateCache2, TemplateCache3, TemplateChecker, TemplateChecker2,
-    TemplateChecker3, TemplateSource, TemplateStats, DEFAULT_TEMPLATE_CAPACITY,
+    BatchScratch, TemplateCache, TemplateCache2, TemplateCache3, TemplateCensus, TemplateChecker,
+    TemplateChecker2, TemplateChecker3, TemplateSource, TemplateStats, DEFAULT_TEMPLATE_CAPACITY,
+    TEMPLATE_BYTES_BUDGET,
 };

@@ -37,8 +37,8 @@ pub struct Scenario<'g, D: Dim> {
     pub space: D::Space,
     /// Search configuration (weight, recording).
     pub astar: AstarConfig,
-    /// Optional shared template cache (e.g. a serving layer's per-map
-    /// warm artifact). `None` gives every plan a fresh cache.
+    /// Optional shared template cache (e.g. a serving registry's, shared
+    /// by all its maps). `None` gives every plan a fresh cache.
     pub tcache: Option<Arc<TemplateCache<D>>>,
     /// Optional probe run before every collision check (fault injection /
     /// instrumentation). Empty by default and free when empty.
@@ -123,7 +123,7 @@ impl<'g, D: Dim> Scenario<'g, D> {
         self
     }
 
-    /// Shares a template cache across plans (serving-layer map affinity).
+    /// Shares a template cache across plans (a serving registry's).
     pub fn with_template_cache(mut self, cache: Arc<TemplateCache<D>>) -> Self {
         self.tcache = Some(cache);
         self

@@ -10,55 +10,108 @@
 //! ([`racod_codacc::template_check`]).
 //!
 //! The cache is shared (`Arc`-friendly, interior mutability) so a serving
-//! layer can keep one instance warm per map beside its other artifacts, and
-//! real thread-pool planners can check through it concurrently.
+//! layer can keep one instance warm for every map, and real thread-pool
+//! planners can check through it concurrently. A template depends on the
+//! footprint and the orientation only, never on the grid.
+//!
+//! Many keys rasterize to the same cells (the 39 665 car headings of a 128²
+//! map give 804 distinct templates), so the cache interns templates by
+//! content: keys with equal templates share one `Arc`. It is bounded twice,
+//! by key count and by resident bytes.
 
 use crate::dim::{Dim, D2, D3};
 use crate::footprint::RotKey;
 use racod_codacc::{template_check, SoftwareCheck};
-use racod_geom::FootprintTemplate;
+use racod_geom::{FootprintTemplate, GridCell};
 use racod_grid::BitGrid;
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 use std::fmt;
+use std::hash::Hash;
+use std::mem::size_of;
 use std::sync::{Arc, Mutex, PoisonError};
 
-/// Default bound on distinct (footprint, rotation) templates kept alive.
+/// Default bound on the `(footprint, orientation)` keys of a private cache:
+/// one plan's, or one checker's.
 ///
-/// A car template is ~3 KB, so 1024 entries bound the cache at a few MB.
-/// They do not cover every heading: a `TowardGoal` key is the gcd-reduced
-/// direction to the goal, so fresh goals keep meeting keys the cache has
-/// not seen (the served car workloads hit about half the time).
+/// A `TowardGoal` key is the gcd-reduced direction to the goal, so one car
+/// plan across a 128² map meets about 1 600 keys and a cache this size
+/// evicts within the plan (`tests/golden_plans.rs` pins the hit and miss
+/// counts at this bound). A cache shared by many plans is sized to the
+/// headings of its maps instead: a map of side N produces about 2.4·N² keys.
+/// Keys are cheap (the templates behind them are interned); memory is
+/// bounded by [`TEMPLATE_BYTES_BUDGET`].
 pub const DEFAULT_TEMPLATE_CAPACITY: usize = 1024;
+
+/// Bound on the bytes a [`TemplateCache`] keeps resident: every key's slot
+/// plus every distinct template's heap. A key costs 80 bytes and a car
+/// template about 3.4 KB, so every heading of a 128² map fits in 6 MB, while
+/// a client asking for large bodies at fresh headings (a 64³ drone's
+/// template is 6 MB) cannot grow the cache without limit.
+pub const TEMPLATE_BYTES_BUDGET: usize = 16 << 20;
 
 /// End of a recency list.
 const NIL: usize = usize::MAX;
 
-/// A least-recently-used map in O(1) per lookup: entries live in slots
-/// threaded on a doubly linked recency list, most recent at `head`. A miss
-/// on a full cache evicts the `tail` and reuses its slot, so the victim is
-/// always the entry used longest ago and a lookup never scans.
-struct Lru<K, V> {
-    index: HashMap<K, usize>,
-    slots: Vec<Slot<K, V>>,
+/// A least-recently-used map from `(footprint, orientation)` to an interned
+/// template, in O(1) per lookup: entries live in slots threaded on a doubly
+/// linked recency list, most recent at `head`. A miss evicts from the
+/// `tail` while the keys exceed `capacity` or the bytes exceed `budget`, so
+/// the victims are always the entries used longest ago and a lookup never
+/// scans.
+///
+/// `interned` holds every resident template once, keyed by footprint and
+/// content, with the number of keys that point at it; a template leaves
+/// with the last such key.
+struct Lru<F, C> {
+    index: HashMap<(F, RotKey), usize>,
+    slots: Vec<Slot<F, C>>,
     head: usize,
     tail: usize,
     capacity: usize,
+    interned: HashMap<(F, Arc<FootprintTemplate<C>>), usize>,
+    bytes: usize,
+    budget: usize,
 }
 
-struct Slot<K, V> {
-    key: K,
-    value: Arc<V>,
+struct Slot<F, C> {
+    key: (F, RotKey),
+    value: Arc<FootprintTemplate<C>>,
     prev: usize,
     next: usize,
 }
 
-impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
-    fn new(capacity: usize) -> Self {
-        let capacity = capacity.max(1);
-        Lru { index: HashMap::new(), slots: Vec::new(), head: NIL, tail: NIL, capacity }
+impl<F: Hash + Eq + Copy, C: GridCell> Lru<F, C> {
+    /// What one key holds: its slot and its index entry.
+    const KEY_BYTES: usize = size_of::<Slot<F, C>>() + size_of::<((F, RotKey), usize)>();
+
+    fn new(capacity: usize, budget: usize) -> Self {
+        Lru {
+            index: HashMap::new(),
+            slots: Vec::new(),
+            head: NIL,
+            tail: NIL,
+            capacity: capacity.max(1),
+            interned: HashMap::new(),
+            bytes: 0,
+            budget,
+        }
     }
 
-    fn get_or_insert_with(&mut self, key: K, build: impl FnOnce() -> V) -> (Arc<V>, bool) {
+    /// What one distinct template holds: its heap, its `Arc` allocation
+    /// (two counts and the struct) and its intern entry.
+    fn template_bytes(tpl: &FootprintTemplate<C>) -> usize {
+        tpl.heap_bytes()
+            + 2 * size_of::<usize>()
+            + size_of::<FootprintTemplate<C>>()
+            + size_of::<((F, Arc<FootprintTemplate<C>>), usize)>()
+    }
+
+    fn get_or_insert_with(
+        &mut self,
+        key: (F, RotKey),
+        build: impl FnOnce() -> FootprintTemplate<C>,
+    ) -> (Arc<FootprintTemplate<C>>, bool) {
         if let Some(&i) = self.index.get(&key) {
             self.unlink(i);
             self.push_front(i);
@@ -66,21 +119,68 @@ impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
         }
         // Build before touching the list: a panicking build leaves it whole
         // for the next holder of the (poison-recovered) lock.
-        let value = Arc::new(build());
-        let slot = Slot { key, value: value.clone(), prev: NIL, next: NIL };
-        let i = if self.slots.len() < self.capacity {
-            self.slots.push(slot);
-            self.slots.len() - 1
-        } else {
-            let lru = self.tail;
-            self.unlink(lru);
-            self.index.remove(&self.slots[lru].key);
-            self.slots[lru] = slot;
-            lru
-        };
+        let value = self.intern(key.0, Arc::new(build()));
+        self.slots.push(Slot { key, value: value.clone(), prev: NIL, next: NIL });
+        let i = self.slots.len() - 1;
         self.push_front(i);
         self.index.insert(key, i);
+        self.bytes += Self::KEY_BYTES;
+        // The entry just inserted is the head: it is never evicted, so a
+        // single template over the budget is still served.
+        while (self.index.len() > self.capacity || self.bytes > self.budget)
+            && self.tail != self.head
+        {
+            self.evict(self.tail);
+        }
         (value, false)
+    }
+
+    /// The resident copy of `built`'s content, or `built` itself if it is
+    /// new; either way one more key now points at it.
+    fn intern(
+        &mut self,
+        footprint: F,
+        built: Arc<FootprintTemplate<C>>,
+    ) -> Arc<FootprintTemplate<C>> {
+        match self.interned.entry((footprint, built)) {
+            Entry::Occupied(mut e) => {
+                *e.get_mut() += 1;
+                e.key().1.clone()
+            }
+            Entry::Vacant(e) => {
+                self.bytes += Self::template_bytes(&e.key().1);
+                let value = e.key().1.clone();
+                e.insert(1);
+                value
+            }
+        }
+    }
+
+    /// Drops the entry in slot `i`; the last slot moves into its place.
+    fn evict(&mut self, i: usize) {
+        self.unlink(i);
+        let Slot { key, value, .. } = self.slots.swap_remove(i);
+        self.index.remove(&key);
+        self.bytes -= Self::KEY_BYTES;
+        if i < self.slots.len() {
+            let Slot { key: moved, prev, next, .. } = self.slots[i];
+            match prev {
+                NIL => self.head = i,
+                p => self.slots[p].next = i,
+            }
+            match next {
+                NIL => self.tail = i,
+                n => self.slots[n].prev = i,
+            }
+            *self.index.get_mut(&moved).expect("moved slot is indexed") = i;
+        }
+        let class = (key.0, value);
+        let users = self.interned.get_mut(&class).expect("resident template is interned");
+        *users -= 1;
+        if *users == 0 {
+            self.interned.remove(&class);
+            self.bytes -= Self::template_bytes(&class.1);
+        }
     }
 
     fn unlink(&mut self, i: usize) {
@@ -107,7 +207,10 @@ impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
 }
 
 /// A bounded LRU of compiled footprint templates, keyed by footprint
-/// dimensions (bit-exact) and [`RotKey`].
+/// dimensions (bit-exact) and [`RotKey`], with templates interned by
+/// content: keys whose templates are equal share one `Arc`. It keeps at
+/// most `capacity` keys and, beyond the most recent entry, at most
+/// [`TEMPLATE_BYTES_BUDGET`] bytes.
 ///
 /// Thread-safe via interior mutability: `get` takes `&self`, so the cache
 /// can sit behind an `Arc` shared by real planner threads.
@@ -128,10 +231,20 @@ impl<K: std::hash::Hash + Eq + Copy, V> Lru<K, V> {
 /// assert_eq!(tpl.offsets(), again.offsets());
 /// ```
 pub struct TemplateCache<D: Dim> {
-    inner: Mutex<Lru<Key<D>, FootprintTemplate<D::Cell>>>,
+    inner: Mutex<Lru<D::FootprintKey, D::Cell>>,
 }
 
-type Key<D> = (<D as Dim>::FootprintKey, RotKey);
+/// What a [`TemplateCache`] holds at one moment.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TemplateCensus {
+    /// Resident `(footprint, orientation)` keys.
+    pub keys: usize,
+    /// Distinct templates behind them.
+    pub distinct: usize,
+    /// Bytes held by the keys and the templates, as budgeted against
+    /// [`TEMPLATE_BYTES_BUDGET`].
+    pub bytes: usize,
+}
 
 /// The 2D template cache.
 pub type TemplateCache2 = TemplateCache<D2>;
@@ -139,9 +252,15 @@ pub type TemplateCache2 = TemplateCache<D2>;
 pub type TemplateCache3 = TemplateCache<D3>;
 
 impl<D: Dim> TemplateCache<D> {
-    /// Creates a cache bounded to `capacity` templates (min 1).
+    /// Creates a cache bounded to `capacity` keys (min 1) and
+    /// [`TEMPLATE_BYTES_BUDGET`] bytes. Allocates nothing until the first
+    /// lookup.
     pub fn new(capacity: usize) -> Self {
-        TemplateCache { inner: Mutex::new(Lru::new(capacity)) }
+        Self::with_budget(capacity, TEMPLATE_BYTES_BUDGET)
+    }
+
+    fn with_budget(capacity: usize, budget: usize) -> Self {
+        TemplateCache { inner: Mutex::new(Lru::new(capacity, budget)) }
     }
 
     /// The template for `footprint` at orientation `key`, compiling it on
@@ -157,9 +276,15 @@ impl<D: Dim> TemplateCache<D> {
             .get_or_insert_with((D::footprint_key(footprint), key), || D::template(footprint, key))
     }
 
-    /// Number of templates currently cached.
+    /// Number of keys currently cached.
     pub fn len(&self) -> usize {
         self.inner.lock().unwrap_or_else(PoisonError::into_inner).index.len()
+    }
+
+    /// Keys, distinct templates and bytes currently held.
+    pub fn census(&self) -> TemplateCensus {
+        let lru = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
+        TemplateCensus { keys: lru.index.len(), distinct: lru.interned.len(), bytes: lru.bytes }
     }
 
     /// Whether the cache is empty.
@@ -464,12 +589,13 @@ impl<'g, D: Dim> TemplateChecker<'g, D> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::footprint::Footprint2;
+    use crate::footprint::{Footprint2, Footprint3, OrientationPolicy};
     use proptest::prelude::*;
     use racod_codacc::template_check_scalar;
     use racod_geom::Cell2;
     use racod_grid::gen::{city_map, CityName};
     use racod_grid::BitGrid2;
+    use std::collections::HashSet;
 
     #[test]
     fn cache_hits_after_first_lookup() {
@@ -524,6 +650,119 @@ mod tests {
         assert_eq!(a.offsets(), b.offsets());
     }
 
+    /// Every orientation a `side`² map can produce: the reduced direction
+    /// from any cell to any other (with repeats), and `Axis` at the goal.
+    fn headings(side: i64) -> impl Iterator<Item = RotKey> {
+        (1 - side..side)
+            .flat_map(move |dy| (1 - side..side).map(move |dx| RotKey::from_direction(dx, dy)))
+    }
+
+    /// The heading set is quantised by the grid itself: a pure function of
+    /// the rasteriser, so a change in these counts flags a rasteriser change.
+    #[test]
+    fn map_headings_intern_to_few_templates() {
+        let cars = TemplateCache2::new(1 << 16);
+        let car = Footprint2::car();
+        for key in headings(128) {
+            let (tpl, _) = cars.get(&car, key);
+            assert_eq!(*tpl, car.template(key), "{key:?}");
+        }
+        let c = cars.census();
+        assert_eq!((c.keys, c.distinct), (39_665, 804));
+        assert!(c.bytes <= TEMPLATE_BYTES_BUDGET);
+
+        let drones = TemplateCache3::new(1 << 16);
+        let drone = Footprint3::drone();
+        for key in headings(48) {
+            let (tpl, _) = drones.get(&drone, key);
+            assert_eq!(*tpl, drone.template(key), "{key:?}");
+        }
+        let c = drones.census();
+        assert_eq!((c.keys, c.distinct), (5_569, 10));
+    }
+
+    #[test]
+    fn byte_budget_bounds_large_bodies_at_fresh_headings() {
+        // 64 x 64 is the largest admissible 2D body (about 4 000 cells).
+        let body = Footprint2 { length: 64.0, width: 64.0, policy: OrientationPolicy::TowardGoal };
+        let keys: Vec<RotKey> = (0..600i64)
+            .map(|i| {
+                let a = i as f64 * std::f64::consts::FRAC_PI_2 / 600.0;
+                RotKey::from_direction((4096.0 * a.cos()) as i64, (4096.0 * a.sin()) as i64 + 1)
+            })
+            .collect();
+        let distinct: HashSet<_> = keys.iter().map(|&k| body.template(k)).collect();
+        let fed: usize = distinct.iter().map(Lru::<(u32, u32), Cell2>::template_bytes).sum();
+        assert!(fed > 2 * TEMPLATE_BYTES_BUDGET, "feeds {fed} bytes");
+
+        let cache = TemplateCache2::new(keys.len());
+        for &key in &keys {
+            let (tpl, _) = cache.get(&body, key);
+            assert_eq!(*tpl, body.template(key), "the newest template is served");
+            assert!(cache.census().bytes <= TEMPLATE_BYTES_BUDGET, "{:?}", cache.census());
+        }
+        assert!(cache.census().keys < keys.len(), "the budget evicted");
+    }
+
+    #[test]
+    fn a_template_over_the_budget_is_still_served() {
+        let cache = TemplateCache2::with_budget(8, 1);
+        let car = Footprint2::car();
+        for dy in 1..6 {
+            let key = RotKey::from_direction(9, dy);
+            let (tpl, hit) = cache.get(&car, key);
+            assert!(!hit);
+            assert_eq!(*tpl, car.template(key));
+            assert_eq!(cache.census().keys, 1, "only the newest entry stays");
+        }
+    }
+
+    /// What interning promises of every resident entry: its template is the
+    /// one interned copy of its `(footprint, content)`, counted once per key;
+    /// entries of different footprints never share a template; the byte
+    /// count is the sum of what is resident.
+    fn assert_interned<D: Dim>(cache: &TemplateCache<D>) {
+        let lru = cache.inner.lock().unwrap();
+        let mut users: HashMap<*const FootprintTemplate<D::Cell>, usize> = HashMap::new();
+        for s in &lru.slots {
+            let (class, _) = lru.interned.get_key_value(&(s.key.0, s.value.clone())).unwrap();
+            assert!(Arc::ptr_eq(&class.1, &s.value), "equal content, one Arc");
+            *users.entry(Arc::as_ptr(&s.value)).or_default() += 1;
+            for t in &lru.slots {
+                assert!(t.key.0 == s.key.0 || !Arc::ptr_eq(&t.value, &s.value));
+            }
+        }
+        assert_eq!(users.len(), lru.interned.len());
+        for ((_, tpl), &n) in &lru.interned {
+            assert_eq!(users[&Arc::as_ptr(tpl)], n);
+        }
+        let templates: usize = lru
+            .interned
+            .keys()
+            .map(|(_, t)| Lru::<D::FootprintKey, D::Cell>::template_bytes(t))
+            .sum();
+        assert_eq!(
+            lru.bytes,
+            lru.slots.len() * Lru::<D::FootprintKey, D::Cell>::KEY_BYTES + templates
+        );
+        assert_eq!(lru.index.len(), lru.slots.len());
+    }
+
+    fn lookups_are_exact<D: Dim>(
+        cache: &TemplateCache<D>,
+        footprints: &[D::Footprint],
+        lookups: &[(usize, RotKey)],
+    ) {
+        for &(f, key) in lookups {
+            let fp = &footprints[f % footprints.len()];
+            let (tpl, _) = cache.get(fp, key);
+            let direct = D::template(fp, key);
+            assert_eq!(tpl.offsets(), direct.offsets(), "{fp:?} {key:?}");
+            assert_eq!(tpl.rows(), direct.rows(), "{fp:?} {key:?}");
+            assert_interned(cache);
+        }
+    }
+
     /// The O(capacity) tick scan the cache once evicted with: the oracle.
     struct ScanLru {
         entries: Vec<(RotKey, u64)>,
@@ -568,6 +807,42 @@ mod tests {
                 expected.sort_unstable();
                 prop_assert_eq!(resident, expected);
             }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn interning_is_exact(
+            sizes in prop::collection::vec((0.0f32..24.0, 0.0f32..24.0, 0.0f32..6.0), 1..3),
+            lookups in prop::collection::vec((0usize..8, 0usize..3, -511i64..=511, -511i64..=511), 1..60),
+            capacity in 1usize..=8,
+            budget_kib in 4usize..64,
+        ) {
+            // Headings of a 512² map, of a 128² map, and a handful that repeat.
+            let lookups: Vec<(usize, RotKey)> = lookups
+                .iter()
+                .map(|&(f, space, dx, dy)| {
+                    let shrink = [1, 4, 64][space];
+                    (f, RotKey::from_direction(dx / shrink, dy / shrink))
+                })
+                .collect();
+            let toward = OrientationPolicy::TowardGoal;
+            let mut fp2 = vec![Footprint2::car(), Footprint2::small_robot(), Footprint2::point()];
+            fp2.extend(sizes.iter().map(|&(length, width, _)| Footprint2 { length, width, policy: toward }));
+            let mut fp3 = vec![Footprint3::drone(), Footprint3::point()];
+            fp3.extend(sizes.iter().map(|&(l, w, height)| Footprint3 {
+                length: l / 4.0,
+                width: w / 4.0,
+                height,
+                policy: toward,
+            }));
+            let budget = budget_kib << 10;
+            lookups_are_exact(&TemplateCache2::new(lookups.len()), &fp2, &lookups);
+            lookups_are_exact(&TemplateCache2::with_budget(capacity, budget), &fp2, &lookups);
+            lookups_are_exact(&TemplateCache3::new(lookups.len()), &fp3, &lookups);
+            lookups_are_exact(&TemplateCache3::with_budget(capacity, budget), &fp3, &lookups);
         }
     }
 
