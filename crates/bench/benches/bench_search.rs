@@ -1,10 +1,11 @@
 //! Substrate bench: raw search-engine throughput (expansions/second) and
-//! open-list operations, independent of collision costs — the serial
-//! bottleneck RACOD leaves behind after accelerating collision detection.
+//! the engine's open-list ([`IntHeap`]) operations, independent of
+//! collision costs — the serial bottleneck RACOD leaves behind after
+//! accelerating collision detection.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use racod::prelude::*;
-use racod::search::open_list::OpenList;
+use racod::search::IntHeap;
 use std::hint::black_box;
 
 fn bench_search(c: &mut Criterion) {
@@ -37,14 +38,14 @@ fn bench_search(c: &mut Criterion) {
         })
     });
 
-    c.bench_function("open_list_push_pop_10k", |b| {
+    c.bench_function("int_heap_push_pop_10k", |b| {
         b.iter(|| {
-            let mut open = OpenList::new();
-            for i in 0..10_000usize {
+            let mut open = IntHeap::new();
+            for i in 0..10_000u32 {
                 open.push(i, (i % 97) as f64, (i % 13) as f64);
             }
             let mut count = 0;
-            while open.pop(|_| true).is_some() {
+            while open.pop().is_some() {
                 count += 1;
             }
             black_box(count)

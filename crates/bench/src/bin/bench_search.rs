@@ -2,21 +2,13 @@
 //! with ns/expansion and plans/s for A*, Weighted A*, and PA*SE, comparing a
 //! cold scratch arena (fresh allocation per plan, the pre-arena behavior)
 //! against a warm reused arena (epoch-stamped O(1) clear, the steady state a
-//! server worker runs in). A row for the retained reference engine
-//! (`astar_reference`: binary-heap open list, per-call `Vec` allocations)
-//! anchors the comparison to the pre-change code path.
+//! server worker runs in).
 //!
 //! `bench_search --help` lists the flags.
 //!
 //! `--gate` exits non-zero unless warm ns/expansion ≤ cold ns/expansion for
 //! every engine (the CI smoke invariant: reusing the arena can never be
 //! slower than reallocating it).
-//!
-//! A `churn` section measures incremental replanning: standing routes
-//! replanned after every single-cell map delta, [`Replanner`] repair vs a
-//! from-scratch rerun on a warm arena, bit-identical answers asserted on
-//! every replan. `--gate` additionally requires the incremental engine to
-//! clear 2x the from-scratch plans/s on this workload.
 //!
 //! An `alt` section measures the ALT landmark heuristic: the same plan
 //! pairs searched octile-guided and landmark-guided on a warm arena, with
@@ -25,11 +17,9 @@
 //! moves) and the pack build time reported. `--gate` additionally requires
 //! landmarks to cut expansions per plan by at least 2.5x.
 
-use racod::grid::affected_cells;
 use racod::prelude::*;
 use racod::search::{
-    astar_in, astar_reference, canonical_cost_2d, pase_in, AltSpace2, LandmarkPack2, PaseConfig,
-    Replanner, SearchScratch,
+    astar_in, canonical_cost_2d, pase_in, AltSpace2, LandmarkPack2, PaseConfig, SearchScratch,
 };
 use racod::sim::planner::free_near;
 use racod::sim::D2;
@@ -54,8 +44,8 @@ bench_search — search-core microbenchmark, written as BENCH_search.json
 
 usage: bench_search [--plans N] [--out PATH] [--gate]
 
-  --gate  exit nonzero unless warm <= cold ns/expansion for every engine, the
-          incremental replanner clears 2x from-scratch, and ALT cuts expansions 2.5x
+  --gate  exit nonzero unless warm <= cold ns/expansion for every engine and
+          ALT cuts expansions 2.5x
 
 example:
   cargo run --release -p racod-bench --bin bench_search -- --plans 40 --out /tmp/s.json --gate";
@@ -154,89 +144,6 @@ struct EngineRow {
     engine: &'static str,
     cold: Measure,
     warm: Measure,
-}
-
-struct ChurnMeasure {
-    routes: usize,
-    rounds: usize,
-    replans: usize,
-    repairs: usize,
-    scratch_plans_per_sec: f64,
-    incremental_plans_per_sec: f64,
-}
-
-/// Small-delta churn: a handful of standing routes, each replanned after
-/// every single-cell world change, comparing [`Replanner`] repair against
-/// a from-scratch rerun on a warm arena (the strongest honest baseline —
-/// it already has the cold-allocation win priced in). Both branches see
-/// the identical delta schedule and must agree bit-for-bit on every
-/// replan; the speedup is pure work avoidance.
-fn measure_churn(grid: &BitGrid2, space: &GridSpace2, pairs: &[(Cell2, Cell2)]) -> ChurnMeasure {
-    use racod::grid::GridDelta2;
-    let routes = pairs.len().min(8);
-    let rounds = 50;
-    let pairs = &pairs[..routes];
-    let mut churn_grid = grid.clone();
-    let size = churn_grid.width() as i64;
-
-    let cfg = AstarConfig::default();
-    let mut rps: Vec<Replanner<Cell2>> = (0..routes).map(|_| Replanner::new()).collect();
-    for (rp, &(s, g)) in rps.iter_mut().zip(pairs) {
-        let mut oracle = FnOracle::new(|c: Cell2| churn_grid.get(c) == Some(false));
-        rp.plan_in(space, s, g, &cfg, &mut oracle);
-    }
-    let mut base_scratch = SearchScratch::new();
-
-    let mut seed: i64 = 4242;
-    let mut lcg = move || {
-        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-        (seed >> 33).rem_euclid(size)
-    };
-
-    let mut inc_ns = 0u128;
-    let mut base_ns = 0u128;
-    let mut repairs = 0usize;
-    for _ in 0..rounds {
-        let cell = Cell2::new(lcg(), lcg());
-        let delta = if churn_grid.get(cell) == Some(true) {
-            GridDelta2::Disappear { cell }
-        } else {
-            GridDelta2::Appear { cell }
-        };
-        churn_grid.apply_delta(delta);
-        let affected = affected_cells(&[delta], 0);
-        for (rp, &(s, g)) in rps.iter_mut().zip(pairs) {
-            let t = Instant::now();
-            let (inc, repaired) = {
-                let mut oracle = FnOracle::new(|c: Cell2| churn_grid.get(c) == Some(false));
-                rp.replan_in(space, s, g, &cfg, &mut oracle, &affected)
-            };
-            inc_ns += t.elapsed().as_nanos();
-            repairs += usize::from(repaired);
-            let t = Instant::now();
-            let base = {
-                let mut oracle = FnOracle::new(|c: Cell2| churn_grid.get(c) == Some(false));
-                black_box(astar_in(space, s, g, &cfg, &mut oracle, &mut base_scratch))
-            };
-            base_ns += t.elapsed().as_nanos();
-            assert_eq!(
-                inc.cost.to_bits(),
-                base.cost.to_bits(),
-                "incremental replan diverged from from-scratch at ({s:?} -> {g:?})"
-            );
-            assert_eq!(inc.path, base.path, "incremental replan path diverged");
-        }
-    }
-
-    let replans = routes * rounds;
-    ChurnMeasure {
-        routes,
-        rounds,
-        replans,
-        repairs,
-        scratch_plans_per_sec: replans as f64 * 1e9 / base_ns as f64,
-        incremental_plans_per_sec: replans as f64 * 1e9 / inc_ns as f64,
-    }
 }
 
 struct AltMeasure {
@@ -343,20 +250,6 @@ fn main() {
     );
     rows.push(EngineRow { engine: "pase", cold: pase_cold, warm: pase_warm });
 
-    // Pre-change engine datapoint: scalar binary-heap open list plus per-call
-    // `Vec` allocations, exactly as the code stood before the arena.
-    let reference = measure(&pairs, |s, g| {
-        let mut oracle = FnOracle::new(is_free);
-        let r = black_box(astar_reference(&space, s, g, &astar_cfg, &mut oracle));
-        (r.stats.expansions, r.cost)
-    });
-    assert_eq!(
-        reference.cost_sum.to_bits(),
-        rows[0].warm.cost_sum.to_bits(),
-        "reference engine disagrees with arena engine on plan costs"
-    );
-
-    let churn = measure_churn(&grid, &space, &pairs);
     let alt = measure_alt(&grid, &space, &pairs, 8);
 
     let mut json = String::new();
@@ -384,21 +277,6 @@ fn main() {
         let _ = writeln!(json, "    }}{}", if i + 1 < rows.len() { "," } else { "" });
     }
     let _ = writeln!(json, "  ],");
-    let churn_speedup = churn.incremental_plans_per_sec / churn.scratch_plans_per_sec;
-    let _ = writeln!(json, "  \"churn\": {{");
-    let _ = writeln!(json, "    \"routes\": {},", churn.routes);
-    let _ = writeln!(json, "    \"rounds\": {},", churn.rounds);
-    let _ = writeln!(json, "    \"replans\": {},", churn.replans);
-    let _ =
-        writeln!(json, "    \"repair_rate\": {:.3},", churn.repairs as f64 / churn.replans as f64);
-    let _ = writeln!(json, "    \"scratch_plans_per_sec\": {:.0},", churn.scratch_plans_per_sec);
-    let _ = writeln!(
-        json,
-        "    \"incremental_plans_per_sec\": {:.0},",
-        churn.incremental_plans_per_sec
-    );
-    let _ = writeln!(json, "    \"incremental_speedup\": {churn_speedup:.2}");
-    let _ = writeln!(json, "  }},");
     let alt_reduction = alt.off.expansions as f64 / alt.on.expansions as f64;
     let _ = writeln!(json, "  \"alt\": {{");
     let _ = writeln!(json, "    \"landmarks\": {},", alt.landmarks);
@@ -417,9 +295,7 @@ fn main() {
     let _ = writeln!(json, "    \"plans_per_sec_off\": {:.0},", alt.off.plans_per_sec);
     let _ = writeln!(json, "    \"plans_per_sec_on\": {:.0},", alt.on.plans_per_sec);
     let _ = writeln!(json, "    \"expansion_reduction\": {alt_reduction:.2}");
-    let _ = writeln!(json, "  }},");
-    let _ = writeln!(json, "  \"reference_ns_per_expansion\": {:.1},", reference.ns_per_expansion);
-    let _ = writeln!(json, "  \"reference_plans_per_sec\": {:.0}", reference.plans_per_sec);
+    let _ = writeln!(json, "  }}");
     let _ = writeln!(json, "}}");
 
     std::fs::write(&o.out, &json).unwrap_or_else(|e| {
@@ -439,13 +315,6 @@ fn main() {
                 std::process::exit(1);
             }
         }
-        if churn_speedup < 2.0 {
-            eprintln!(
-                "GATE FAIL: incremental replanning {churn_speedup:.2}x over from-scratch \
-                 under small-delta churn (need >= 2x)"
-            );
-            std::process::exit(1);
-        }
         if alt_reduction < 2.5 {
             eprintln!(
                 "GATE FAIL: landmarks cut expansions {alt_reduction:.2}x over octile \
@@ -454,7 +323,6 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("gate ok: warm ns/expansion <= cold for all engines");
-        eprintln!("gate ok: incremental replanning {churn_speedup:.2}x under churn");
         eprintln!("gate ok: landmarks cut expansions {alt_reduction:.2}x");
     }
 }

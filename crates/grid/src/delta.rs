@@ -10,9 +10,9 @@
 //!   [`BitGrid2::set`] so the padding bits past `width` in each row's last
 //!   word are never disturbed (the stability contract the u64/SIMD
 //!   collision kernel's masked probes rely on);
-//! * [`affected_cells`] — the Chebyshev-dilated set of cells a delta batch
-//!   can influence, used to decide whether cached work (a prior search, a
-//!   memoized verdict) survives the delta.
+//! * [`GridDelta2::cells`] / [`GridDelta2::is_appear_only`] — what a delta
+//!   touches, and whether it can only add obstacles, which is what the
+//!   serving layer asks when it decides whether cached work survives it.
 //!
 //! Versioned, copy-on-write publication of a delta batch is the serving
 //! layer's job (`racod_server::MapEntry::apply_deltas2`).
@@ -92,31 +92,6 @@ impl BitGrid2 {
     }
 }
 
-/// The Chebyshev dilation of a delta batch: every cell within `radius` (in
-/// the L∞ metric) of a touched cell, deduplicated and sorted row-major.
-///
-/// A footprint whose circumradius is at most `radius` cells cannot collide
-/// with a changed cell unless its center lies in this set — which makes
-/// the set the exact reuse test for per-state cached work: a prior
-/// search's demand state, or a memoized verdict's center cell, is
-/// unaffected by the batch iff it is not in this set.
-pub fn affected_cells(deltas: &[GridDelta2], radius: i64) -> Vec<Cell2> {
-    let radius = radius.max(0);
-    let mut out = Vec::new();
-    for d in deltas {
-        for c in d.cells() {
-            for dy in -radius..=radius {
-                for dx in -radius..=radius {
-                    out.push(c.offset(dx, dy));
-                }
-            }
-        }
-    }
-    out.sort_unstable_by_key(|c| (c.y, c.x));
-    out.dedup();
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -140,21 +115,5 @@ mod tests {
         assert!(!g.apply_delta(GridDelta2::Appear { cell: Cell2::new(99, 0) }));
         g.set(Cell2::new(1, 1), true);
         assert!(!g.apply_delta(GridDelta2::Appear { cell: Cell2::new(1, 1) }));
-    }
-
-    #[test]
-    fn affected_cells_dilate_and_dedup() {
-        let deltas = [
-            GridDelta2::Appear { cell: Cell2::new(5, 5) },
-            GridDelta2::Appear { cell: Cell2::new(6, 5) }, // overlapping neighborhood
-        ];
-        let cells = affected_cells(&deltas, 1);
-        // Two overlapping 3x3 neighborhoods = 3 rows x 4 columns.
-        assert_eq!(cells.len(), 12);
-        let mut sorted = cells.clone();
-        sorted.sort_unstable_by_key(|c| (c.y, c.x));
-        assert_eq!(cells, sorted, "row-major sorted");
-        assert!(cells.contains(&Cell2::new(4, 4)));
-        assert!(cells.contains(&Cell2::new(7, 6)));
     }
 }

@@ -43,7 +43,7 @@ pub mod io;
 pub use bitgrid::BitGrid;
 pub use bitgrid2::BitGrid2;
 pub use bitgrid3::BitGrid3;
-pub use delta::{affected_cells, GridDelta2};
+pub use delta::GridDelta2;
 
 use racod_geom::{Cell2, Cell3};
 

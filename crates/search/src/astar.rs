@@ -9,7 +9,6 @@
 //! alters the expansion order.
 
 use crate::interrupt::{Interrupt, InterruptReason};
-use crate::open_list::OpenList;
 use crate::oracle::{CollisionOracle, ExpansionContext};
 use crate::scratch::{SearchScratch, NO_PARENT};
 use crate::space::SearchSpace;
@@ -325,145 +324,6 @@ where
                 parent[ni] = slot;
                 state_of[ni] = Some(*ns);
                 open.push(ni as u32, ng + config.weight * space.heuristic(*ns, goal), ng);
-                stats.open_pushes += 1;
-                stats.peak_open = stats.peak_open.max(open.len() as u64);
-            }
-        }
-    }
-    done(stats, expansion_order, Termination::Exhausted)
-}
-
-/// The pre-arena engine, kept verbatim as the equivalence oracle: per-plan
-/// `Vec` allocation, the scalar f64-keyed [`OpenList`], per-expansion
-/// demand `Vec`s. The property suite asserts [`astar_in`] reproduces its
-/// expansion order, path, and cost bit-for-bit.
-pub fn astar_reference<Sp, O>(
-    space: &Sp,
-    start: Sp::State,
-    goal: Sp::State,
-    config: &AstarConfig,
-    oracle: &mut O,
-) -> SearchResult<Sp::State>
-where
-    Sp: SearchSpace,
-    O: CollisionOracle<Sp>,
-{
-    let n = space.state_count();
-    let mut g = vec![f64::INFINITY; n];
-    let mut visited = vec![false; n];
-    let mut parent: Vec<Option<Sp::State>> = vec![None; n];
-    let mut stats = SearchStats::default();
-    let mut expansion_order = Vec::new();
-
-    let done = |stats: SearchStats, order: Vec<Sp::State>, termination: Termination| SearchResult {
-        path: None,
-        cost: f64::INFINITY,
-        stats,
-        expansion_order: order,
-        termination,
-    };
-    let poll_every = config.poll_interval.max(1);
-
-    let (Some(start_idx), Some(goal_idx)) = (space.index(start), space.index(goal)) else {
-        return done(stats, expansion_order, Termination::Exhausted);
-    };
-    // Check the start state itself.
-    let start_ctx = ExpansionContext { expanded: start, parent: None, expansion: 0 };
-    stats.demand_checks += 1;
-    if !oracle.resolve(&start_ctx, &[start])[0] {
-        return done(stats, expansion_order, Termination::Exhausted);
-    }
-    let _ = goal_idx;
-
-    let mut open = OpenList::new();
-    g[start_idx] = 0.0;
-    open.push(start_idx, config.weight * space.heuristic(start, goal), 0.0);
-    stats.open_pushes += 1;
-    stats.peak_open = 1;
-    // Reverse map: dense index → state, filled as states are touched.
-    let mut state_of: Vec<Option<Sp::State>> = vec![None; n];
-    state_of[start_idx] = Some(start);
-
-    let mut neigh: Vec<(Sp::State, f64)> = Vec::with_capacity(32);
-    while let Some((idx, _f, gv)) = open.pop(|&(i, _, pg)| {
-        let fresh = !visited[i] && (pg - g[i]).abs() < 1e-9;
-        if !fresh {
-            stats.stale_pops += 1;
-        }
-        fresh
-    }) {
-        let s = state_of[idx].expect("pushed states are recorded");
-        visited[idx] = true;
-        stats.expansions += 1;
-        if config.record_expansions {
-            expansion_order.push(s);
-        }
-        if idx == goal_idx {
-            // Reconstruct path.
-            let mut path = vec![s];
-            let mut cur = idx;
-            while let Some(p) = parent[cur] {
-                path.push(p);
-                cur = space.index(p).expect("parents are in-space");
-            }
-            path.reverse();
-            return SearchResult {
-                path: Some(path),
-                cost: gv,
-                stats,
-                expansion_order,
-                termination: Termination::Found,
-            };
-        }
-        if stats.expansions >= config.max_expansions {
-            return done(stats, expansion_order, Termination::ExpansionBudget);
-        }
-        if let Some(interrupt) = &config.interrupt {
-            if stats.expansions % poll_every == 0 {
-                if let Some(reason) = interrupt.check() {
-                    return done(stats, expansion_order, Termination::Interrupted(reason));
-                }
-            }
-        }
-
-        // Gather eligible-neighbor candidates: unvisited and in-space.
-        neigh.clear();
-        space.neighbors(s, &mut neigh);
-        let mut demand: Vec<Sp::State> = Vec::with_capacity(neigh.len());
-        let mut demand_edges: Vec<f64> = Vec::with_capacity(neigh.len());
-        for &(ns, cost) in &neigh {
-            match space.index(ns) {
-                Some(ni) if !visited[ni] => {
-                    demand.push(ns);
-                    demand_edges.push(cost);
-                }
-                _ => {}
-            }
-        }
-
-        // Issue demand collision checks (the oracle may overlap speculative
-        // work here — Algorithm 1 lines 03–18).
-        let ctx =
-            ExpansionContext { expanded: s, parent: parent[idx], expansion: stats.expansions - 1 };
-        let free = if demand.is_empty() { Vec::new() } else { oracle.resolve(&ctx, &demand) };
-        debug_assert_eq!(free.len(), demand.len(), "oracle must answer every demand state");
-        stats.demand_checks += demand.len() as u64;
-        if config.record_demand_profile {
-            stats.demand_checks_per_expansion.push(demand.len() as u32);
-        }
-
-        // Evaluate free neighbors (lines 19–21).
-        for ((ns, edge), ok) in demand.iter().zip(&demand_edges).zip(&free) {
-            if !ok {
-                continue;
-            }
-            let ni = space.index(*ns).expect("demand states are in-space");
-            let ng = gv + edge;
-            if ng + 1e-12 < g[ni] {
-                g[ni] = ng;
-                parent[ni] = Some(s);
-                state_of[ni] = Some(*ns);
-                open.push(ni, ng + config.weight * space.heuristic(*ns, goal), ng);
                 stats.open_pushes += 1;
                 stats.peak_open = stats.peak_open.max(open.len() as u64);
             }

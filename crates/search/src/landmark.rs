@@ -14,7 +14,7 @@
 //! array (`dists[cell * k + l]`, so one cell's K entries share a cache
 //! line — for the default K = 8 exactly one 64-byte line per lookup pair),
 //! and [`AltSpace2`] threads the bound through the existing
-//! [`SearchSpace`] plumbing, so `astar_in`/`pase_in`/`Replanner` pick it
+//! [`SearchSpace`] plumbing, so `astar_in`/`pase_in` pick it
 //! up with zero per-expansion allocation and no engine changes.
 //!
 //! Packs are built on the *raw* grid with point-robot 8-connectivity

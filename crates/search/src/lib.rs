@@ -21,10 +21,6 @@
 //! * [`CollisionOracle`] — the seam through which collision detection is
 //!   performed per expansion. The baseline oracle checks each eligible
 //!   neighbor on demand; `racod-rasexp` provides the runahead oracle;
-//! * [`Replanner`] — incremental replanning for dynamic worlds: records
-//!   the demand-checked state set of the previous search and, after a map
-//!   delta, either proves the cached result still holds (bit-identical
-//!   reuse) or reruns on the warm arena;
 //! * [`pase`][crate::pase()] — the PA*SE baseline (parallel A* for slow expansions) in a
 //!   functional form that also reports the independence-check work and the
 //!   available expansion parallelism for the Fig 13 platform models.
@@ -47,10 +43,8 @@
 pub mod astar;
 pub mod distance_field;
 pub mod heuristics;
-pub mod incremental;
 pub mod interrupt;
 pub mod landmark;
-pub mod open_list;
 pub mod oracle;
 pub mod pase;
 pub mod path;
@@ -58,10 +52,9 @@ pub mod scratch;
 pub mod space;
 pub mod stats;
 
-pub use astar::{astar, astar_in, astar_reference, AstarConfig, SearchResult, Termination};
+pub use astar::{astar, astar_in, AstarConfig, SearchResult, Termination};
 pub use distance_field::DistanceField;
 pub use heuristics::{Heuristic2, Heuristic3};
-pub use incremental::Replanner;
 pub use interrupt::{Interrupt, InterruptProbe, InterruptReason};
 pub use landmark::{AltSpace2, LandmarkPack2};
 pub use oracle::{BatchFnOracle, CollisionOracle, Direction, ExpansionContext, FnOracle};

@@ -1,10 +1,11 @@
-//! Path post-processing utilities.
+//! Canonical path costs.
 //!
-//! Grid paths returned by A* are cell-by-cell; downstream controllers
-//! usually want them measured, decimated to waypoints, and smoothed with
-//! line-of-sight shortcuts (the standard "string pulling" pass). The
-//! smoothing here is validated against a caller-provided state checker so
-//! it composes with any footprint/collision model.
+//! A float cost summed edge by edge depends on the order of the additions,
+//! so two optimal paths between the same endpoints need not share its
+//! bits. On a king-move grid the integer step counts of a path are a
+//! canonical form of its cost; the functions here compute them and the
+//! cost re-summed from them, the comparison key of every suite that lets
+//! the engine pick a different equal-cost path.
 
 use crate::heuristics::{SQRT2, SQRT3};
 use racod_geom::{Cell2, Cell3};
@@ -66,108 +67,9 @@ pub fn canonical_cost_3d(path: &[Cell3]) -> Option<f64> {
     canonical_steps_3d(path).map(|(a, b, c)| a as f64 + b as f64 * SQRT2 + c as f64 * SQRT3)
 }
 
-/// Euclidean length of a 2D cell path.
-///
-/// # Example
-///
-/// ```
-/// use racod_search::path::path_length;
-/// use racod_geom::Cell2;
-/// let p = [Cell2::new(0, 0), Cell2::new(1, 1), Cell2::new(2, 1)];
-/// assert!((path_length(&p) - (std::f64::consts::SQRT_2 + 1.0)).abs() < 1e-9);
-/// ```
-pub fn path_length(path: &[Cell2]) -> f64 {
-    path.windows(2).map(|w| w[0].euclidean(w[1])).sum()
-}
-
-/// Collapses runs of collinear steps into single waypoints: the returned
-/// sequence contains the start, every direction change, and the goal.
-pub fn decimate(path: &[Cell2]) -> Vec<Cell2> {
-    if path.len() <= 2 {
-        return path.to_vec();
-    }
-    let mut out = vec![path[0]];
-    for i in 1..path.len() - 1 {
-        let din = (path[i].x - path[i - 1].x, path[i].y - path[i - 1].y);
-        let dout = (path[i + 1].x - path[i].x, path[i + 1].y - path[i].y);
-        if din != dout {
-            out.push(path[i]);
-        }
-    }
-    out.push(*path.last().expect("len > 2"));
-    out
-}
-
-/// The cells visited by a straight line between two cells (supercover
-/// Bresenham: every cell the segment touches, suitable for conservative
-/// line-of-sight tests).
-pub fn line_cells(a: Cell2, b: Cell2) -> Vec<Cell2> {
-    let (mut x0, mut y0) = (a.x, a.y);
-    let (x1, y1) = (b.x, b.y);
-    let dx = (x1 - x0).abs();
-    let dy = (y1 - y0).abs();
-    let sx = (x1 - x0).signum();
-    let sy = (y1 - y0).signum();
-    let mut err = dx - dy;
-    let mut out = Vec::with_capacity((dx + dy + 1) as usize);
-    loop {
-        out.push(Cell2::new(x0, y0));
-        if x0 == x1 && y0 == y1 {
-            break;
-        }
-        let e2 = 2 * err;
-        // Supercover: when the line crosses a corner exactly, include both
-        // adjacent cells so diagonal squeezes are caught.
-        if e2 == 0 {
-            out.push(Cell2::new(x0 + sx, y0));
-            out.push(Cell2::new(x0, y0 + sy));
-        }
-        if e2 > -dy {
-            err -= dy;
-            x0 += sx;
-        }
-        if e2 < dx {
-            err += dx;
-            y0 += sy;
-        }
-    }
-    out
-}
-
-/// Line-of-sight path smoothing ("string pulling"): greedily replaces
-/// chains of waypoints with straight segments whose every touched cell
-/// satisfies `is_free`. The result starts and ends at the original
-/// endpoints and is never longer than the input.
-pub fn smooth<F: FnMut(Cell2) -> bool>(path: &[Cell2], mut is_free: F) -> Vec<Cell2> {
-    if path.len() <= 2 {
-        return path.to_vec();
-    }
-    let mut out = vec![path[0]];
-    let mut anchor = 0usize;
-    let mut i = 1usize;
-    while i + 1 < path.len() {
-        let candidate = path[i + 1];
-        let visible = line_cells(path[anchor], candidate).into_iter().all(&mut is_free);
-        if !visible {
-            out.push(path[i]);
-            anchor = i;
-        }
-        i += 1;
-    }
-    out.push(*path.last().expect("len > 2"));
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use racod_grid::{BitGrid2, Occupancy2};
-
-    #[test]
-    fn length_of_empty_and_single() {
-        assert_eq!(path_length(&[]), 0.0);
-        assert_eq!(path_length(&[Cell2::new(3, 3)]), 0.0);
-    }
 
     #[test]
     fn canonical_steps_count_moves() {
@@ -208,81 +110,5 @@ mod tests {
             canonical_cost_2d(&a).unwrap().to_bits(),
             canonical_cost_2d(&b).unwrap().to_bits()
         );
-    }
-
-    #[test]
-    fn decimate_collapses_straight_runs() {
-        let path: Vec<Cell2> = (0..6).map(|i| Cell2::new(i, 0)).collect();
-        assert_eq!(decimate(&path), vec![Cell2::new(0, 0), Cell2::new(5, 0)]);
-    }
-
-    #[test]
-    fn decimate_keeps_turns() {
-        let path = vec![
-            Cell2::new(0, 0),
-            Cell2::new(1, 0),
-            Cell2::new(2, 0),
-            Cell2::new(2, 1),
-            Cell2::new(2, 2),
-        ];
-        assert_eq!(decimate(&path), vec![Cell2::new(0, 0), Cell2::new(2, 0), Cell2::new(2, 2)]);
-    }
-
-    #[test]
-    fn line_cells_connect_endpoints() {
-        for (a, b) in [
-            (Cell2::new(0, 0), Cell2::new(5, 2)),
-            (Cell2::new(3, 3), Cell2::new(0, 7)),
-            (Cell2::new(2, 2), Cell2::new(2, 2)),
-        ] {
-            let cells = line_cells(a, b);
-            assert_eq!(cells[0], a);
-            assert_eq!(*cells.last().unwrap(), b);
-        }
-    }
-
-    #[test]
-    fn supercover_includes_corner_neighbors() {
-        // A perfect diagonal crosses corners; both side cells must appear.
-        let cells = line_cells(Cell2::new(0, 0), Cell2::new(2, 2));
-        assert!(cells.contains(&Cell2::new(1, 0)));
-        assert!(cells.contains(&Cell2::new(0, 1)));
-    }
-
-    #[test]
-    fn smooth_shortcuts_open_space() {
-        let grid = BitGrid2::new(16, 16);
-        // An L-shaped path in open space smooths to a single segment.
-        let mut path: Vec<Cell2> = (0..8).map(|i| Cell2::new(i, 0)).collect();
-        path.extend((1..8).map(|j| Cell2::new(7, j)));
-        let smoothed = smooth(&path, |c| grid.occupied(c) == Some(false));
-        assert_eq!(smoothed.first(), path.first());
-        assert_eq!(smoothed.last(), path.last());
-        assert!(smoothed.len() <= 3, "open-space L should shortcut: {smoothed:?}");
-        assert!(path_length(&smoothed) <= path_length(&path) + 1e-9);
-    }
-
-    #[test]
-    fn smooth_respects_obstacles() {
-        let mut grid = BitGrid2::new(16, 16);
-        grid.fill_rect(4, 0, 4, 6, true); // wall below a gap at y=7
-                                          // Path that goes up and over the wall.
-        let mut path: Vec<Cell2> = (0..8).map(|j| Cell2::new(0, j)).collect();
-        path.extend((1..9).map(|i| Cell2::new(i, 7)));
-        path.extend((0..7).rev().map(|j| Cell2::new(8, j)));
-        let smoothed = smooth(&path, |c| grid.occupied(c) == Some(false));
-        // Every smoothed segment must stay collision-free.
-        for w in smoothed.windows(2) {
-            for c in line_cells(w[0], w[1]) {
-                assert_eq!(grid.occupied(c), Some(false), "segment crosses the wall at {c}");
-            }
-        }
-        assert!(smoothed.len() >= 3, "the wall forbids a single segment");
-    }
-
-    #[test]
-    fn smooth_is_idempotent_on_two_points() {
-        let p = vec![Cell2::new(0, 0), Cell2::new(3, 3)];
-        assert_eq!(smooth(&p, |_| true), p);
     }
 }

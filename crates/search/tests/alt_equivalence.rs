@@ -5,18 +5,21 @@
 //! every path cost is `a·1 + b·√2` with unique integer step counts, so
 //! two optimal paths always share the exact same canonical sum.
 //!
-//! Covered here: ALT-guided A* vs the retained reference engine across
-//! random and city maps, Weighted A* bounded suboptimality through
-//! [`AltSpace2`], PA*SE optimality through [`AltSpace2`], and the
-//! [`Replanner`] running landmark-guided.
+//! Covered here: ALT-guided A* vs the pre-arena reference engine kept in
+//! `support`, across random and city maps, Weighted A* bounded
+//! suboptimality through [`AltSpace2`], and PA*SE optimality through
+//! [`AltSpace2`].
+
+mod support;
 
 use racod_geom::Cell2;
 use racod_grid::gen::{city_map, random_map, CityName};
 use racod_grid::{BitGrid2, Occupancy2};
 use racod_search::{
-    astar_in, astar_reference, canonical_cost_2d, pase_in, AltSpace2, AstarConfig, FnOracle,
-    GridSpace2, LandmarkPack2, PaseConfig, Replanner, SearchScratch,
+    astar_in, canonical_cost_2d, pase_in, AltSpace2, AstarConfig, FnOracle, GridSpace2,
+    LandmarkPack2, PaseConfig, SearchScratch,
 };
+use support::astar_reference;
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -154,58 +157,6 @@ fn pase_stays_optimal_with_landmarks() {
                 canonical_cost_2d(pp).unwrap().to_bits(),
                 "PA*SE with landmarks must stay optimal at {s}->{g}"
             );
-        }
-    }
-}
-
-/// The incremental replanner runs landmark-guided: a cached plan proven
-/// intact is reused, and a replan after an invalidating delta still
-/// returns the (new) optimal canonical cost.
-#[test]
-fn replanner_composes_with_landmarks() {
-    let grid = city_map(CityName::Paris, 64, 64);
-    let space = GridSpace2::eight_connected(64, 64);
-    let pack = build_pack(&grid, 8).unwrap();
-    let alt_space = AltSpace2::new(space, Some(&pack));
-    let mut rng = 0x51_u64;
-    let s = free_cell(&grid, &mut rng);
-    let g = free_cell(&grid, &mut rng);
-
-    let mut rep = Replanner::new();
-    let mut o = FnOracle::new(|c: Cell2| grid.occupied(c) == Some(false));
-    let first = rep.plan_in(&alt_space, s, g, &AstarConfig::default(), &mut o);
-    let mut o1 = FnOracle::new(|c: Cell2| grid.occupied(c) == Some(false));
-    let reference = astar_reference(&space, s, g, &AstarConfig::default(), &mut o1);
-    assert_eq!(reference.found(), first.found());
-    if let (Some(rp), Some(fp)) = (&reference.path, &first.path) {
-        assert_eq!(
-            canonical_cost_2d(rp).unwrap().to_bits(),
-            canonical_cost_2d(fp).unwrap().to_bits()
-        );
-    }
-
-    // Block a cell on the returned path (if any interior cell exists) and
-    // replan: the landmark pack is *stale* for the new world, but the test
-    // mimics the server's fallback by searching octile-guided — the
-    // replanner itself is heuristic-agnostic.
-    if let Some(path) = &first.path {
-        if path.len() > 2 {
-            let blocked = path[path.len() / 2];
-            let mut changed = grid.clone();
-            changed.set(blocked, true);
-            let plain = AltSpace2::new(space, None);
-            let mut o2 = FnOracle::new(|c: Cell2| changed.occupied(c) == Some(false));
-            let (replanned, _repaired) =
-                rep.replan_in(&plain, s, g, &AstarConfig::default(), &mut o2, &[blocked]);
-            let mut o3 = FnOracle::new(|c: Cell2| changed.occupied(c) == Some(false));
-            let fresh = astar_reference(&space, s, g, &AstarConfig::default(), &mut o3);
-            assert_eq!(fresh.found(), replanned.found());
-            if let (Some(a), Some(b)) = (&fresh.path, &replanned.path) {
-                assert_eq!(
-                    canonical_cost_2d(a).unwrap().to_bits(),
-                    canonical_cost_2d(b).unwrap().to_bits()
-                );
-            }
         }
     }
 }

@@ -1,16 +1,20 @@
-//! Acceptance: the arena-backed engine is bit-identical to the retained
-//! reference engine — same expansion order, same path, same cost bits — and
-//! stays that way when one scratch arena is reused across many plans over
-//! mixed maps, sizes, weights, and an epoch-counter wraparound.
+//! Acceptance: the arena-backed engine is bit-identical to the pre-arena
+//! reference engine kept in `support` — same expansion order, same path,
+//! same cost bits — and stays that way when one scratch arena is reused
+//! across many plans over mixed maps, sizes, weights, and an epoch-counter
+//! wraparound. The reference engine's scalar [`OpenList`] is tested here
+//! too, along with the [`IntHeap`] that must pop in exactly its order.
+
+mod support;
 
 use proptest::prelude::*;
 use racod_geom::Cell2;
 use racod_grid::gen::random_map;
 use racod_grid::Occupancy2;
 use racod_search::{
-    astar_in, astar_reference, pase, pase_in, AstarConfig, FnOracle, GridSpace2, PaseConfig,
-    SearchScratch,
+    astar_in, pase, pase_in, AstarConfig, FnOracle, GridSpace2, IntHeap, PaseConfig, SearchScratch,
 };
+use support::{astar_reference, OpenList};
 
 fn lcg(state: &mut u64) -> u64 {
     *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -119,5 +123,130 @@ proptest! {
         prop_assert_eq!(arena.path, reference.path);
         prop_assert_eq!(arena.cost.to_bits(), reference.cost.to_bits());
         prop_assert_eq!(arena.stats.expansions, reference.stats.expansions);
+    }
+}
+
+/// The engine's integer-keyed heap pops in exactly the scalar open list's
+/// `(f asc, g desc, seq asc)` order, bit for bit.
+#[test]
+fn heap_matches_scalar_open_list_exactly() {
+    // Adversarial key mix: repeated f, repeated (f, g), zero keys.
+    let keys: Vec<(f64, f64)> = (0..500)
+        .map(|i| {
+            let f = ((i * 7919) % 23) as f64 * 0.5;
+            let g = ((i * 104729) % 7) as f64 * 0.25;
+            (f, g)
+        })
+        .collect();
+    let mut scalar = OpenList::new();
+    let mut packed = IntHeap::new();
+    for (i, &(f, g)) in keys.iter().enumerate() {
+        scalar.push(i, f, g);
+        packed.push(i as u32, f, g);
+    }
+    loop {
+        let a = scalar.pop(|_| true);
+        let b = packed.pop();
+        match (a, b) {
+            (None, None) => break,
+            (Some((ai, af, ag)), Some((bi, bf, bg))) => {
+                assert_eq!(ai, bi as usize);
+                assert_eq!(af.to_bits(), bf.to_bits());
+                assert_eq!(ag.to_bits(), bg.to_bits());
+            }
+            (a, b) => panic!("length mismatch: {a:?} vs {b:?}"),
+        }
+    }
+}
+
+/// The scalar open list the reference engine runs on.
+mod open_list {
+    use super::OpenList;
+
+    #[test]
+    fn doc_example_pops_lowest_f() {
+        let mut open = OpenList::new();
+        open.push(3, 10.0, 2.0);
+        open.push(7, 9.0, 1.0);
+        assert_eq!(open.pop(|_| true), Some((7, 9.0, 1.0)));
+    }
+
+    #[test]
+    fn pops_in_f_order() {
+        let mut open = OpenList::new();
+        open.push(1, 5.0, 1.0);
+        open.push(2, 3.0, 1.0);
+        open.push(3, 4.0, 1.0);
+        let order: Vec<usize> =
+            std::iter::from_fn(|| open.pop(|_| true)).map(|(i, _, _)| i).collect();
+        assert_eq!(order, vec![2, 3, 1]);
+    }
+
+    #[test]
+    fn ties_prefer_larger_g() {
+        let mut open = OpenList::new();
+        open.push(1, 5.0, 1.0);
+        open.push(2, 5.0, 4.0);
+        assert_eq!(open.pop(|_| true).unwrap().0, 2);
+    }
+
+    #[test]
+    fn full_ties_prefer_earlier_insertion() {
+        let mut open = OpenList::new();
+        open.push(1, 5.0, 2.0);
+        open.push(2, 5.0, 2.0);
+        assert_eq!(open.pop(|_| true).unwrap().0, 1);
+    }
+
+    #[test]
+    fn lazy_deletion_skips_stale() {
+        let mut open = OpenList::new();
+        open.push(1, 9.0, 3.0); // stale after improvement
+        open.push(1, 7.0, 5.0);
+        let best_g = 5.0;
+        let popped = open.pop(|&(_, _, g)| (g - best_g).abs() < 1e-12).unwrap();
+        assert_eq!(popped, (1, 7.0, 5.0));
+        assert!(open.pop(|&(_, _, g)| (g - best_g).abs() < 1e-12).is_none());
+    }
+
+    #[test]
+    fn empty_and_len() {
+        let mut open = OpenList::new();
+        assert!(open.is_empty());
+        open.push(1, 1.0, 0.0);
+        assert_eq!(open.len(), 1);
+        assert_eq!(open.peek_f(), Some(1.0));
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "finite")]
+    fn nan_key_is_rejected_at_push() {
+        let mut open = OpenList::new();
+        open.push(0, f64::NAN, 0.0);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "finite")]
+    fn infinite_g_is_rejected_at_push() {
+        let mut open = OpenList::new();
+        open.push(0, 1.0, f64::INFINITY);
+    }
+
+    #[test]
+    fn deterministic_across_runs() {
+        let build = || {
+            let mut open = OpenList::new();
+            for i in 0..100usize {
+                open.push(i, (i % 10) as f64, (i % 7) as f64);
+            }
+            let mut order = Vec::new();
+            while let Some((i, _, _)) = open.pop(|_| true) {
+                order.push(i);
+            }
+            order
+        };
+        assert_eq!(build(), build());
     }
 }
