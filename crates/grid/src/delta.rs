@@ -10,9 +10,7 @@
 //!   [`BitGrid2::set`] so the padding bits past `width` in each row's last
 //!   word are never disturbed (the stability contract the u64/SIMD
 //!   collision kernel's masked probes rely on);
-//! * [`GridDelta2::cells`] / [`GridDelta2::is_appear_only`] — what a delta
-//!   touches, and whether it can only add obstacles, which is what the
-//!   serving layer asks when it decides whether cached work survives it.
+//! * [`GridDelta2::cells`] — what a delta touches.
 //!
 //! Versioned, copy-on-write publication of a delta batch is the serving
 //! layer's job (`racod_server::MapEntry::apply_deltas2`).
@@ -54,13 +52,6 @@ impl GridDelta2 {
             GridDelta2::Move { from, to } => [Some(from), Some(to)],
         };
         pair.into_iter().flatten()
-    }
-
-    /// Whether every cell this delta touches only ever *gains* occupancy.
-    /// An appear-only batch can never make an infeasible plan feasible, so
-    /// a path that avoids the touched cells stays valid and optimal.
-    pub fn is_appear_only(&self) -> bool {
-        matches!(self, GridDelta2::Appear { .. })
     }
 }
 

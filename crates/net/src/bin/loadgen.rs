@@ -30,17 +30,11 @@
 //! `MapDeltaReq` wire message. Rounds are barriers: every plan in a round
 //! completes before the world changes, so the digest contract below holds
 //! under churn too, and the report gains a `map churn` line showing cells
-//! changed, map version, in-flight repairs, and forced replans.
-//!
-//! `--speculate on|off` (default `on`, local only) is the A/B switch for
-//! service-scope speculative prechecking: two otherwise-identical runs
-//! isolate its effect, and the report's `speculation` line shows the hit
-//! rate the prechecker earned. Speculation never changes answers (the plan
-//! digest is identical either way) — only latency.
+//! changed and the map version.
 //!
 //! `--alt on|off` (default `off`, local only — a remote shard takes its
-//! own `--alt` flag) is the A/B switch for ALT landmark guidance. Unlike
-//! speculation, landmarks may return a *different equal-cost* optimal
+//! own `--alt` flag) is the A/B switch for ALT landmark guidance.
+//! Landmarks may return a *different equal-cost* optimal
 //! path, so the path-sensitive plan digest legitimately moves; the `cost
 //! digest` line — folding the canonical re-summed optimal cost instead
 //! of path cells — must be identical between `--alt on` and `--alt off`
@@ -67,8 +61,7 @@ use racod_net::digest::{plan_cost_digest, plan_digest};
 use racod_net::{plan_with_retry, standard_world, ClientConfig, MapPool, NetClient, WireResult};
 use racod_server::{
     submit_with_retry, AltConfig, BreakerConfig, Outcome, PlanRequest, PlanServer, Platform,
-    Priority, Rejected, RetryPolicy, ServerConfig, ServerMetrics, SpeculationConfig, TimeoutStage,
-    TraceConfig,
+    Priority, Rejected, RetryPolicy, ServerConfig, ServerMetrics, TimeoutStage, TraceConfig,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -98,7 +91,6 @@ struct Options {
     cancel_rate: f64,
     overshoot_budget: Duration,
     platform: LoadPlatform,
-    speculate: bool,
     alt: bool,
     remote: Option<String>,
     churn: usize,
@@ -121,7 +113,6 @@ impl Default for Options {
             cancel_rate: 0.0,
             overshoot_budget: Duration::from_millis(250),
             platform: LoadPlatform::Racod,
-            speculate: true,
             alt: false,
             remote: None,
             churn: 0,
@@ -164,7 +155,7 @@ loadgen — drive a mixed-map planning workload and report throughput/latency
 usage: loadgen [--requests N] [--clients N | --rate R] [--workers N] [--queue N]
                [--units N] [--seed S] [--map-size N] [--platform racod|threads]
                [--deadline D] [--cancel-rate F] [--overshoot-budget D]
-               [--speculate on|off] [--alt on|off] [--churn N]
+               [--alt on|off] [--churn N]
                [--remote HOST:PORT] [--trace-out PATH] [--fault-seed S]
 
   closed loop (default): --clients N submitters, one request in flight each
@@ -243,19 +234,6 @@ fn parse_args() -> Options {
                 }
             };
             i += 2;
-        } else if let Some(v) = take("--speculate") {
-            // A/B switch for service-scope speculative prechecking: `off`
-            // throws the server's kill switch so two runs differing only in
-            // this flag isolate speculation's latency effect.
-            o.speculate = match v.as_str() {
-                "on" => true,
-                "off" => false,
-                _ => {
-                    eprintln!("invalid value for --speculate: {v} (expected on or off)");
-                    std::process::exit(2);
-                }
-            };
-            i += 2;
         } else if let Some(v) = take("--alt") {
             // A/B switch for ALT landmark guidance: `on` enables packs on
             // the embedded server. The plan *cost* digest is the invariant
@@ -318,12 +296,6 @@ fn parse_args() -> Options {
         }
         if o.cancel_rate > 0.0 {
             eprintln!("--cancel-rate is not supported with --remote (no wire cancel)");
-            std::process::exit(2);
-        }
-        if !o.speculate {
-            eprintln!(
-                "--speculate off is not supported with --remote (the remote owns its config)"
-            );
             std::process::exit(2);
         }
         if o.alt {
@@ -726,13 +698,6 @@ fn print_report(tally: &Tally, elapsed: Duration, metrics: Option<&ServerMetrics
             m.template_bytes.load(Ordering::Relaxed)
         );
         println!(
-            "speculation        {:.1}% hit rate ({} prechecks, {} hits, {} wasted)",
-            m.speculation_hit_rate() * 100.0,
-            m.speculation_prechecks.load(Ordering::Relaxed),
-            m.speculation_hits.load(Ordering::Relaxed),
-            m.speculation_wasted.load(Ordering::Relaxed)
-        );
-        println!(
             "landmarks          {} packs built, {} fenced fallbacks, {} expansions saved",
             m.alt_packs_built.load(Ordering::Relaxed),
             m.alt_pack_fallbacks.load(Ordering::Relaxed),
@@ -740,12 +705,9 @@ fn print_report(tally: &Tally, elapsed: Duration, metrics: Option<&ServerMetrics
         );
         if o.churn > 0 {
             println!(
-                "map churn          {} cells changed (map version {}), {} in-flight repairs, \
-                 {} replans from scratch",
+                "map churn          {} cells changed (map version {})",
                 m.deltas_applied.load(Ordering::Relaxed),
-                m.map_version.load(Ordering::Relaxed),
-                m.incremental_repairs.load(Ordering::Relaxed),
-                m.replans_from_scratch.load(Ordering::Relaxed)
+                m.map_version.load(Ordering::Relaxed)
             );
         }
         println!(
@@ -820,13 +782,12 @@ fn run_local(o: &Options) -> bool {
     let (registry, pools) = standard_world(o.seed, o.map_size);
     println!(
         "racod loadgen: {} requests, {} maps, {} workers, queue {}, {} CODAcc units, \
-         speculation {}, landmarks {}",
+         landmarks {}",
         o.requests,
         registry.len(),
         o.workers,
         o.queue,
         o.units,
-        if o.speculate { "on" } else { "off" },
         if o.alt { "on" } else { "off" }
     );
 
@@ -843,21 +804,11 @@ fn run_local(o: &Options) -> bool {
         if chaos_recording {
             println!("trace: chaos recording; circuit breakers disabled for replayability");
         }
-        if o.fault_seed.is_some() && o.speculate {
-            // Mid-check fault tokens count checks per request, and
-            // speculative memo hits skip checks nondeterministically — the
-            // injected-fault schedule won't replay. Answers still will.
-            eprintln!(
-                "trace: warning: chaos recording with speculation enabled; the injected-fault \
-                 schedule is timing-dependent and may not replay (add --speculate off)"
-            );
-        }
     }
     let server = PlanServer::start(
         ServerConfig {
             workers: o.workers,
             queue_capacity: o.queue,
-            speculation: SpeculationConfig { enabled: o.speculate, ..Default::default() },
             breaker: BreakerConfig { enabled: !chaos_recording, ..Default::default() },
             alt: AltConfig { enabled: o.alt, ..Default::default() },
             fault_plan: o.fault_seed.map(|s| Arc::new(FaultPlan::from_seed(s))),
@@ -908,7 +859,7 @@ fn run_local(o: &Options) -> bool {
     println!();
     println!("-- metrics page --");
     print!("{}", m.render_text());
-    println!("racod_server_build_info{{id=\"{}\"}} 1", racod_server::build_id(o.alt, o.speculate));
+    println!("racod_server_build_info{{id=\"{}\"}} 1", racod_server::build_id(o.alt, false));
 
     let respawns = m.worker_respawns.load(Ordering::Relaxed);
     check_failures(&tally, respawns, o)

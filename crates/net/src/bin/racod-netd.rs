@@ -23,7 +23,7 @@
 
 use racod_fault::{FaultAction, FaultPlan, FaultSite};
 use racod_net::{signals, standard_world, ConnConfig, Netd, NetdConfig};
-use racod_server::{AltConfig, BreakerConfig, ServerConfig, SpeculationConfig, TraceConfig};
+use racod_server::{AltConfig, BreakerConfig, ServerConfig, TraceConfig};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
@@ -179,14 +179,10 @@ fn main() {
             queue_capacity: o.queue,
             alt: AltConfig { enabled: o.alt, ..Default::default() },
             // A chaos-armed daemon is a test target, not a production
-            // shard: speculation and breakers both make the injected-fault
-            // schedule timing-dependent (memo hits skip checks; breaker
-            // cooldowns are wall-clock), so disable them so a recorded or
-            // replayed run against this daemon is deterministic.
-            speculation: SpeculationConfig {
-                enabled: o.chaos_seed.is_none(),
-                ..Default::default()
-            },
+            // shard: breaker cooldowns are wall-clock, which makes the
+            // injected-fault schedule timing-dependent, so disable breakers
+            // so a recorded or replayed run against this daemon is
+            // deterministic.
             breaker: BreakerConfig { enabled: o.chaos_seed.is_none(), ..Default::default() },
             fault_plan: o.chaos_seed.map(|s| Arc::new(FaultPlan::from_seed(s))),
             trace: trace_path.as_ref().map(|path| TraceConfig {
@@ -209,10 +205,7 @@ fn main() {
         }
     };
     if let Some(seed) = o.chaos_seed {
-        println!(
-            "racod-netd chaos armed from seed {seed} (speculation and breakers off for \
-             deterministic replay)"
-        );
+        println!("racod-netd chaos armed from seed {seed} (breakers off for deterministic replay)");
     }
     if let Some(path) = &trace_path {
         println!("racod-netd trace {}", path.display());

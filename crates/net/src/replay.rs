@@ -34,14 +34,6 @@
 //!   exceeds its admission version raced a delta in the recording;
 //!   replay (one request in flight) cannot reproduce the race and
 //!   reports it as a warning alongside any resulting mismatch.
-//! * **Speculation × chaos** — mid-check fault tokens include a
-//!   per-request check counter, and speculative prechecks memoize
-//!   checks the worker then skips, so with *both* a fault seed armed
-//!   and speculation enabled the injected-fault schedule depends on
-//!   speculator timing. Answers stay bit-identical either way
-//!   (speculation is answer-transparent); which requests *panic* does
-//!   not. Replay warns on such traces — record chaos runs with
-//!   `--speculate off` for a reproducible schedule.
 //! * **Breakers × chaos** — the accelerated-platform circuit breakers
 //!   trip on consecutive native failures and recover on a *wall-clock*
 //!   cooldown, routing requests to the uninjected software fallback
@@ -59,7 +51,7 @@ use racod_fault::FaultPlan;
 use racod_server::trace::canonical_planned_cost_bits;
 use racod_server::{
     AltConfig, BreakerConfig, DeltaRecord, MapId, Outcome, OutcomeKind, PlanRecord, PlanRequest,
-    PlanServer, ServerConfig, SpeculationConfig, TraceFile,
+    PlanServer, ServerConfig, TraceFile,
 };
 use std::collections::{HashMap, VecDeque};
 use std::net::SocketAddr;
@@ -216,7 +208,6 @@ pub fn replay_local(trace: &TraceFile, opts: ReplayOptions) -> Result<ReplayRepo
             queue_capacity: (h.queue_capacity as usize).max(1),
             batch_max: (h.batch_max as usize).max(1),
             fault_plan: h.fault_seed.map(|s| Arc::new(FaultPlan::from_seed(s))),
-            speculation: SpeculationConfig { enabled: h.speculation, ..Default::default() },
             // Breakers recover on a wall-clock cooldown and route to the
             // uninjected software fallback while open — replay's schedule
             // would depend on real time. Always replay breakers-off.
@@ -251,14 +242,6 @@ fn run(trace: &TraceFile, mut target: Target<'_>, opts: ReplayOptions) -> Replay
     let mut report =
         ReplayReport { skipped_rejections: trace.rejections().count(), ..Default::default() };
     let fault_armed = trace.header.fault_seed.is_some();
-    if fault_armed && trace.header.speculation {
-        report.warnings.push(
-            "trace recorded with BOTH a fault seed and speculation enabled: the injected-fault \
-             schedule depends on speculator timing and may not reproduce (record chaos runs \
-             with --speculate off)"
-                .to_string(),
-        );
-    }
     if fault_armed && trace.header.breaker {
         report.warnings.push(
             "trace recorded with BOTH a fault seed and circuit breakers enabled: breaker \

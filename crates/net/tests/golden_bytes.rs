@@ -172,7 +172,6 @@ fn trace_header() -> TraceHeader {
         queue_capacity: 16,
         batch_max: 8,
         fault_seed: Some(0xfeed),
-        speculation: false,
         breaker: true,
         alt: false,
         note: "fixture".into(),

@@ -8,7 +8,7 @@ use racod_grid::GridDelta2;
 use racod_net::{replay_local, replay_remote, MapPool, Netd, NetdConfig, ReplayOptions};
 use racod_server::{
     read_trace, read_trace_bytes, BreakerConfig, MapId, OutcomeKind, PlanRequest, PlanServer,
-    Platform, ServerConfig, SpeculationConfig, TraceConfig, TraceFile,
+    Platform, ServerConfig, TraceConfig, TraceFile,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -89,13 +89,11 @@ fn record_run(path: &PathBuf, requests: usize, fault_seed: Option<u64>) -> Trace
             workers: 1,
             queue_capacity: 64,
             fault_plan: fault_seed.map(|s| Arc::new(racod_fault::FaultPlan::from_seed(s))),
-            // Chaos recordings must run speculation-off (memo hits skip
-            // checks, and mid-check fault tokens count checks) and
-            // breaker-off (cooldowns are wall-clock, and an open breaker
-            // routes to the uninjected software fallback) — with either
-            // on, which request panics depends on timing and cannot
-            // replay. This mirrors what loadgen/netd do automatically.
-            speculation: SpeculationConfig { enabled: fault_seed.is_none(), ..Default::default() },
+            // Chaos recordings must run breaker-off (cooldowns are
+            // wall-clock, and an open breaker routes to the uninjected
+            // software fallback) — with breakers on, which request panics
+            // depends on timing and cannot replay. This mirrors what
+            // loadgen/netd do automatically.
             breaker: BreakerConfig { enabled: fault_seed.is_none(), ..Default::default() },
             trace: Some(TraceConfig {
                 tenant: "test".to_string(),

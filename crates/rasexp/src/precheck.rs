@@ -1,12 +1,9 @@
-//! Target generation for *service-scope* speculation.
-//!
-//! RASExp's runahead oracle speculates inside one running search. A serving
-//! layer can speculate one level higher: while a request sits in the ingress
-//! queue, an idle speculator already knows the request's start, goal, and
-//! footprint — enough to precheck the states the search will almost
-//! certainly ask about first. This module computes that target set as a
-//! pure function of the request, so prechecked verdicts are bit-identical
-//! to the ones the real search would compute (same kernel, same template).
+//! The cells a 2D request will most likely demand-check first, computed
+//! from its start and goal alone — a pure function of the request, so a
+//! caller can precheck them before the search runs. RASExp's runahead
+//! oracle speculates inside one running search; nothing in the library
+//! speculates at request scope, and the service benchmark (`benchmark/`)
+//! times this function as `rasexp.targets_us`.
 //!
 //! Three sources, in order:
 //!
@@ -21,9 +18,10 @@ use crate::predictor::LastDirectionPredictor;
 use racod_geom::Cell2;
 use racod_search::Direction;
 
-/// The cells a queued 2D request is most likely to demand-check first:
-/// start and goal Chebyshev neighborhoods of the given `radius`, plus a
+/// The cells a 2D request is most likely to demand-check first: start and
+/// goal Chebyshev neighborhoods of the given `radius`, plus a
 /// `chain_depth`-long predicted chain from the start toward the goal.
+/// Nothing in the library calls it; the service benchmark times it.
 ///
 /// Deterministic and duplicate-free; order is start-neighborhood, then
 /// goal-neighborhood, then chain. Cells are *not* clamped to any grid —

@@ -17,9 +17,8 @@
 //! [`crate::PlanServer::apply_map_deltas`] enqueues the map on a
 //! best-effort channel to the rebuilder thread spawned here. It re-derives
 //! the pack against the current grid off the request path (workers never
-//! block on a rebuild) and republishes under a version-checked write, the
-//! same discipline the speculation memo uses for its prechecked verdicts.
-//! Packs nobody asked for are never rebuilt — laziness survives churn.
+//! block on a rebuild) and republishes under a version-checked write that
+//! never replaces a newer pack with an older one. Packs nobody asked for are never rebuilt — laziness survives churn.
 //!
 //! ALT defaults **off**: a stronger heuristic legitimately settles on a
 //! different equal-cost optimal path, which would break the service's

@@ -48,7 +48,6 @@ pub mod registry;
 pub mod request;
 pub mod retry;
 pub mod scheduler;
-pub mod speculate;
 pub mod trace;
 pub mod wire;
 pub mod worker;
@@ -62,12 +61,43 @@ pub use request::{
     RequestId, TimeoutStage, Workload,
 };
 pub use retry::{submit_with_retry, RetryOutcome, RetryPolicy};
-pub use speculate::{SpecMemo2, SpeculationConfig};
 pub use trace::{
     build_id, read_trace, read_trace_bytes, DeltaRecord, OutcomeKind, PlanRecord, RejectReason,
     RejectedRecord, TraceConfig, TraceError, TraceEvent, TraceFile, TraceHeader, TraceRecorder,
 };
 pub use worker::{RespawnConfig, WorkerContext};
+
+/// The neighbourhood radius and chain depth that
+/// `benchmark/src/ladder.rs` times [`racod_rasexp::speculation_targets`]
+/// with. The server no longer speculates; pinned by
+/// `benchmark/src/ladder.rs`; goes with ROADMAP item 1.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy)]
+pub struct SpeculationConfig {
+    /// Chebyshev radius of the start/goal neighbourhoods.
+    pub radius: i64,
+    /// Length of the predicted start→goal chain.
+    pub chain_depth: usize,
+}
+
+impl Default for SpeculationConfig {
+    fn default() -> Self {
+        SpeculationConfig { radius: 2, chain_depth: 8 }
+    }
+}
+
+/// An empty stand-in for the removed precheck memo: it never wastes a
+/// check. Pinned by `benchmark/src/ladder.rs`; goes with ROADMAP item 1.
+#[doc(hidden)]
+#[derive(Debug, Clone, Copy, Default)]
+pub struct SpecMemo2;
+
+impl SpecMemo2 {
+    /// Always 0.
+    pub fn wasted(&self) -> u64 {
+        0
+    }
+}
 
 use racod_fault::{FaultPlan, FaultSite};
 
@@ -111,10 +141,6 @@ pub struct ServerConfig {
     /// Minimum completed-service samples before the shedding estimate is
     /// trusted (protects cold starts from bogus estimates).
     pub shed_min_samples: u64,
-    /// Service-scope speculative prechecking (see [`speculate`]). The
-    /// `enabled` flag is the kill switch: off means no speculator threads
-    /// and no memo consultation anywhere.
-    pub speculation: SpeculationConfig,
     /// ALT landmark heuristics (see [`alt`]). Off by default: landmarks
     /// keep optimal plan costs bit-identical but may return a different
     /// equal-cost path than a direct planner call.
@@ -139,7 +165,6 @@ impl Default for ServerConfig {
             respawn: RespawnConfig::default(),
             shed_infeasible: true,
             shed_min_samples: 32,
-            speculation: SpeculationConfig::default(),
             alt: AltConfig::default(),
             trace: None,
         }
@@ -214,12 +239,10 @@ pub struct PlanServer {
     breakers: Arc<Breakers>,
     cfg: ServerConfig,
     ingress_tx: Option<Sender<Admitted>>,
-    spec_tx: Option<Sender<speculate::SpecTask>>,
     alt_tx: Option<Sender<alt::AltTask>>,
     shutdown: Arc<AtomicBool>,
     dispatcher: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
-    speculators: Vec<JoinHandle<()>>,
     rebuilders: Vec<JoinHandle<()>>,
     next_id: AtomicU64,
     next_seq: AtomicU64,
@@ -252,7 +275,7 @@ impl PlanServer {
         let mut trace_writer = None;
         if let Some(tc) = &cfg.trace {
             let header = TraceHeader {
-                build: build_id(cfg.alt.enabled, cfg.speculation.enabled),
+                build: build_id(cfg.alt.enabled, false),
                 tenant: tc.tenant.clone(),
                 world_seed: tc.world_seed,
                 map_size: tc.map_size,
@@ -260,7 +283,6 @@ impl PlanServer {
                 queue_capacity: cfg.queue_capacity.min(u32::MAX as usize) as u32,
                 batch_max: cfg.batch_max.min(u32::MAX as usize) as u32,
                 fault_seed: cfg.fault_plan.as_ref().map(|p| p.seed()),
-                speculation: cfg.speculation.enabled,
                 breaker: cfg.breaker.enabled,
                 alt: cfg.alt.enabled,
                 note: tc.note.clone(),
@@ -278,7 +300,6 @@ impl PlanServer {
             breakers: breakers.clone(),
             fault: cfg.fault_plan.clone(),
             respawn: cfg.respawn,
-            speculation: cfg.speculation.clone(),
             alt: cfg.alt,
         };
         let mut worker_txs = Vec::with_capacity(cfg.workers);
@@ -305,29 +326,6 @@ impl PlanServer {
                 .spawn(move || dispatch_loop(ingress_rx, worker_txs, cfg2, metrics))
                 .expect("spawn dispatcher")
         };
-
-        // Speculative prechecking: a best-effort side channel feeds
-        // admitted 2D requests to speculator threads that warm the per-map
-        // memos while the requests queue. Dropped tasks (full channel) just
-        // mean less speculation, never less correctness.
-        let mut spec_tx = None;
-        let mut speculators = Vec::new();
-        if cfg.speculation.enabled && cfg.speculation.threads > 0 && cfg.workers > 0 {
-            let (tx, rx) = bounded::<speculate::SpecTask>(cfg.queue_capacity.max(1));
-            spec_tx = Some(tx);
-            for i in 0..cfg.speculation.threads {
-                let rx = rx.clone();
-                let shutdown = shutdown.clone();
-                let spec_cfg = cfg.speculation.clone();
-                let metrics = metrics.clone();
-                speculators.push(
-                    std::thread::Builder::new()
-                        .name(format!("racod-speculator-{i}"))
-                        .spawn(move || speculate::speculator_loop(rx, shutdown, spec_cfg, metrics))
-                        .expect("spawn speculator"),
-                );
-            }
-        }
 
         // ALT rebuilder: deltas enqueue their map here (best effort), and
         // the rebuilder re-derives any stale landmark pack off the request
@@ -356,12 +354,10 @@ impl PlanServer {
             breakers,
             cfg,
             ingress_tx: Some(ingress_tx),
-            spec_tx,
             alt_tx,
             shutdown,
             dispatcher: Some(dispatcher),
             workers,
-            speculators,
             rebuilders,
             next_id: AtomicU64::new(1),
             next_seq: AtomicU64::new(0),
@@ -401,12 +397,9 @@ impl PlanServer {
     /// map version and the number of cells that actually flipped, or
     /// `None` for an unknown or non-2D map.
     ///
-    /// The registry handles consistency (snapshot swap, artifact patch,
-    /// targeted memo sweep, journal append); this wrapper only folds the
-    /// outcome into the server's metrics. In-flight requests admitted
-    /// before the delta either finish against their own consistent
-    /// snapshot or are replayed by the worker — see the worker's Plan2
-    /// loop for the proof obligations.
+    /// The registry handles consistency (snapshot swap, artifact patch);
+    /// this wrapper only folds the outcome into the server's metrics. A
+    /// request already executing finishes against the snapshot it took.
     pub fn apply_map_deltas(
         &self,
         id: &MapId,
@@ -542,25 +535,10 @@ impl PlanServer {
         let Some(ingress) = &self.ingress_tx else {
             return Err(Rejected::ShuttingDown); // slot released by ReplySlot drop
         };
-        // Tee the admitted request to the speculators (best effort: a full
-        // channel drops the task, costing only a missed precheck). Only 2D
-        // plans are speculated — see the `speculate` module docs.
-        let spec_task = match (&self.spec_tx, &admitted.req.workload) {
-            (Some(_), Workload::Plan2 { start, goal, footprint }) => Some(speculate::SpecTask {
-                entry: admitted.entry.clone(),
-                start: *start,
-                goal: *goal,
-                footprint: *footprint,
-            }),
-            _ => None,
-        };
         if ingress.try_send(admitted).is_err() {
             // Disconnected (shutdown race) — the dropped Admitted's reply
             // slot released the admission slot.
             return Err(Rejected::ShuttingDown);
-        }
-        if let (Some(tx), Some(task)) = (&self.spec_tx, spec_task) {
-            let _ = tx.try_send(task);
         }
         m.accepted.fetch_add(1, Ordering::Relaxed);
         Ok(Ticket::new(id, rx, cancel))
@@ -573,7 +551,7 @@ impl PlanServer {
         let mut out = self.metrics.render_text();
         out.push_str(&format!(
             "racod_server_build_info{{id=\"{}\"}} 1\n",
-            build_id(self.cfg.alt.enabled, self.cfg.speculation.enabled)
+            build_id(self.cfg.alt.enabled, false)
         ));
         out
     }
@@ -584,19 +562,14 @@ impl Drop for PlanServer {
         self.shutdown.store(true, Ordering::Relaxed);
         // Closing ingress wakes the dispatcher; it drains pending requests
         // (answering Cancelled), drops the worker channels, and exits;
-        // workers then see disconnect and exit. Speculators see the closed
-        // side channel (or the shutdown flag) and exit too.
+        // workers then see disconnect and exit.
         self.ingress_tx.take();
-        self.spec_tx.take();
         self.alt_tx.take();
         if let Some(d) = self.dispatcher.take() {
             let _ = d.join();
         }
         for w in self.workers.drain(..) {
             let _ = w.join();
-        }
-        for s in self.speculators.drain(..) {
-            let _ = s.join();
         }
         for r in self.rebuilders.drain(..) {
             let _ = r.join();

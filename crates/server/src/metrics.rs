@@ -237,15 +237,6 @@ pub struct ServerMetrics {
     pub stale_pops: AtomicU64,
     /// Largest open-list population observed in any single search.
     pub peak_open: AtomicU64,
-    /// Collision verdicts prechecked speculatively while their requests
-    /// were still queued (published to per-map memos).
-    pub speculation_prechecks: AtomicU64,
-    /// Native checks skipped because a speculatively prechecked verdict was
-    /// already memoized (verdicts are bit-identical by construction).
-    pub speculation_hits: AtomicU64,
-    /// Prechecks that never paid off: dropped on a full memo shard, or
-    /// cleared unconsumed when a map's memo was invalidated.
-    pub speculation_wasted: AtomicU64,
     /// Batches handed to workers by the dispatcher.
     pub dispatch_batches: AtomicU64,
     /// Dispatched batches of exactly 1 request.
@@ -262,13 +253,6 @@ pub struct ServerMetrics {
     pub in_system: AtomicU64,
     /// Grid cells flipped by applied map deltas across all maps.
     pub deltas_applied: AtomicU64,
-    /// Plans caught by a mid-flight delta but served anyway because the
-    /// journal proved the answer still stands (appear-only deltas clear of
-    /// the returned path).
-    pub incremental_repairs: AtomicU64,
-    /// Plans caught by a mid-flight delta whose answer could not be proven
-    /// valid and were re-planned against the fresh snapshot.
-    pub replans_from_scratch: AtomicU64,
     /// Highest map version observed across all maps (0 while every map is
     /// still at its as-registered state).
     pub map_version: AtomicU64,
@@ -295,10 +279,21 @@ pub struct ServerMetrics {
     pub service: LatencyHistogram,
     /// Time from submission to response.
     pub total: LatencyHistogram,
+    // Never written and in no counter list: the server no longer
+    // speculates or replans. Pinned by `benchmark/src/ladder.rs`; goes with
+    // ROADMAP item 1.
+    #[doc(hidden)]
+    pub speculation_prechecks: AtomicU64,
+    #[doc(hidden)]
+    pub speculation_wasted: AtomicU64,
+    #[doc(hidden)]
+    pub replans_from_scratch: AtomicU64,
+    #[doc(hidden)]
+    pub incremental_repairs: AtomicU64,
 }
 
 /// Number of counters exposed by [`ServerMetrics::counters`].
-const COUNTERS: usize = 51;
+const COUNTERS: usize = 46;
 
 impl ServerMetrics {
     /// Fresh zeroed metrics.
@@ -343,9 +338,6 @@ impl ServerMetrics {
             ("scratch_cold_starts", &self.scratch_cold_starts),
             ("stale_pops", &self.stale_pops),
             ("peak_open", &self.peak_open),
-            ("speculation_prechecks", &self.speculation_prechecks),
-            ("speculation_hits", &self.speculation_hits),
-            ("speculation_wasted", &self.speculation_wasted),
             ("dispatch_batches", &self.dispatch_batches),
             ("batch_size_1", &self.batch_size_1),
             ("batch_size_2", &self.batch_size_2),
@@ -354,8 +346,6 @@ impl ServerMetrics {
             ("batch_size_gt_8", &self.batch_size_gt_8),
             ("in_system", &self.in_system),
             ("deltas_applied", &self.deltas_applied),
-            ("incremental_repairs", &self.incremental_repairs),
-            ("replans_from_scratch", &self.replans_from_scratch),
             ("map_version", &self.map_version),
             ("alt_packs_built", &self.alt_packs_built),
             ("alt_pack_fallbacks", &self.alt_pack_fallbacks),
@@ -414,21 +404,11 @@ impl ServerMetrics {
         }
     }
 
-    /// Fraction of planner collision checks served from the speculative
-    /// precheck memo instead of a native kernel dispatch (0 when no checks
-    /// ran). The denominator is the checks the planner actually asked for:
-    /// memo hits plus template-cache lookups (each native check performs at
-    /// most one lookup; batched chunks amortize lookups, so this is a
-    /// conservative lower bound on native checks).
+    /// Always 0: the server no longer speculates. Pinned by
+    /// `benchmark/src/ladder.rs`; goes with ROADMAP item 1.
+    #[doc(hidden)]
     pub fn speculation_hit_rate(&self) -> f64 {
-        let hits = self.speculation_hits.load(Ordering::Relaxed) as f64;
-        let native = (self.template_hits.load(Ordering::Relaxed)
-            + self.template_misses.load(Ordering::Relaxed)) as f64;
-        if hits + native == 0.0 {
-            0.0
-        } else {
-            hits / (hits + native)
-        }
+        0.0
     }
 
     /// Records a dispatched batch's size into the coarse histogram
@@ -683,28 +663,19 @@ mod tests {
     }
 
     #[test]
-    fn speculation_and_batch_size_keys_render() {
+    fn batch_size_keys_render() {
         let m = ServerMetrics::new();
         for n in [1, 1, 2, 3, 4, 6, 8, 9, 40] {
             m.record_batch_size(n);
         }
-        m.speculation_prechecks.fetch_add(50, Ordering::Relaxed);
-        m.speculation_hits.fetch_add(30, Ordering::Relaxed);
-        m.speculation_wasted.fetch_add(5, Ordering::Relaxed);
-        m.template_hits.fetch_add(60, Ordering::Relaxed);
-        m.template_misses.fetch_add(10, Ordering::Relaxed);
         let text = m.render_text();
-        assert!(text.contains("racod_server_speculation_prechecks 50"));
-        assert!(text.contains("racod_server_speculation_hits 30"));
-        assert!(text.contains("racod_server_speculation_wasted 5"));
+        assert!(!text.contains("speculation"), "the removed speculation counters stay off");
         assert!(text.contains("racod_server_dispatch_batches 9"));
         assert!(text.contains("racod_server_batch_size_1 2"));
         assert!(text.contains("racod_server_batch_size_2 1"));
         assert!(text.contains("racod_server_batch_size_3_4 2"));
         assert!(text.contains("racod_server_batch_size_5_8 2"));
         assert!(text.contains("racod_server_batch_size_gt_8 2"));
-        // 30 memo hits over 30 + 70 native lookups.
-        assert!((m.speculation_hit_rate() - 0.3).abs() < 1e-12);
     }
 
     #[test]
@@ -739,12 +710,6 @@ mod tests {
             17,
             "high water is maxed, not summed"
         );
-    }
-
-    #[test]
-    fn speculation_hit_rate_is_zero_when_idle() {
-        let m = ServerMetrics::new();
-        assert_eq!(m.speculation_hit_rate(), 0.0);
     }
 
     #[test]

@@ -7,17 +7,12 @@
 //! grid `Arc` under the next version. Readers take
 //! [`MapEntry::snapshot2`] — a `(grid, version)` pair that stays internally
 //! consistent no matter how many deltas land afterwards — so an in-flight
-//! plan keeps planning against the exact world it was admitted under.
-//! A bounded journal of recent delta batches lets such a plan decide,
-//! after the fact, whether the world it planned against still proves its
-//! answer ([`MapEntry::deltas_since`]).
+//! plan keeps planning against the exact world it took its snapshot of.
 //!
 //! Invalidation on a delta is *targeted*: a built reachability bundle is
 //! rebuilt from the new grid (connectivity is global — one closed door can
-//! disconnect half the map), the speculation memo is swept only within
-//! each entry's own footprint influence radius
-//! ([`SpecMemo2::invalidate_cells`]), and the footprint-template cache is
-//! not touched at all — templates are keyed by footprint dimensions and
+//! disconnect half the map), and the footprint-template cache is not
+//! touched at all — templates are keyed by footprint dimensions and
 //! orientation, never by grid content, so a map delta cannot stale them.
 //! For the same reason there is one template cache per registry, not per
 //! map: every entry hands out a clone of it, so a heading compiled for one
@@ -31,21 +26,15 @@
 //! never derived from an unverified artifact.
 
 use crate::request::MapId;
-use crate::speculate::SpecMemo2;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::RwLock;
 use racod_fault::{fnv1a, fnv1a_with, FaultPlan, FaultSite};
 use racod_geom::Cell2;
 use racod_grid::{BitGrid2, BitGrid3, GridDelta2, Occupancy2, Occupancy3};
 use racod_search::{DistanceField, GridSpace2, LandmarkPack2};
 use racod_sim::{TemplateCache2, TemplateCache3, TemplateCensus};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Journal depth: delta batches kept per map for in-flight replan
-/// decisions. A plan that straddles more than this many batches simply
-/// replans from scratch (`deltas_since` reports the gap).
-const JOURNAL_DEPTH: usize = 64;
 
 /// The raw occupancy data of a registered map.
 #[derive(Debug, Clone)]
@@ -179,13 +168,11 @@ fn first_free_cell(grid: &BitGrid2) -> Option<Cell2> {
 pub struct MapEntry {
     /// The map id.
     pub id: MapId,
-    // Copy-on-write occupancy data, current version, and the bounded
-    // journal of recent delta batches `(version_after, effective_deltas)`.
-    // `version2` is only written under the `data` write lock, so a
-    // `snapshot2` read lock always observes a consistent pair.
+    // Copy-on-write occupancy data and its current version. `version2` is
+    // only written under the `data` write lock, so a `snapshot2` read lock
+    // always observes a consistent pair.
     data: RwLock<MapData>,
     version2: AtomicU64,
-    journal: Mutex<VecDeque<(u64, Vec<GridDelta2>)>>,
     // `None` = not built yet; `Some(None)` = built and known absent (3D map
     // or no free cell); `Some(Some(_))` = cached bundle. An `RwLock` rather
     // than a `OnceLock` so that checksum verification can *invalidate* a
@@ -202,7 +189,6 @@ pub struct MapEntry {
     fault: RwLock<Option<Arc<FaultPlan>>>,
     tcache2: Arc<TemplateCache2>,
     tcache3: Arc<TemplateCache3>,
-    spec2: Arc<SpecMemo2>,
 }
 
 impl MapEntry {
@@ -216,7 +202,6 @@ impl MapEntry {
             id,
             data: RwLock::new(data),
             version2: AtomicU64::new(0),
-            journal: Mutex::new(VecDeque::new()),
             artifacts2: RwLock::new(None),
             alt2: RwLock::new(None),
             alt_builds: AtomicU64::new(0),
@@ -225,7 +210,6 @@ impl MapEntry {
             fault: RwLock::new(fault),
             tcache2: templates.d2.clone(),
             tcache3: templates.d3.clone(),
-            spec2: Arc::new(SpecMemo2::new()),
         }
     }
 
@@ -252,11 +236,11 @@ impl MapEntry {
         self.tcache3.clone()
     }
 
-    /// The entry's speculative-precheck memo (2D plans only). Speculators
-    /// fill it while requests queue; planner threads consult it before
-    /// dispatching native checks.
-    pub fn spec_memo2(&self) -> Arc<SpecMemo2> {
-        self.spec2.clone()
+    /// An empty stand-in for the removed precheck memo. Pinned by
+    /// `benchmark/src/ladder.rs`; goes with ROADMAP item 1.
+    #[doc(hidden)]
+    pub fn spec_memo2(&self) -> crate::SpecMemo2 {
+        crate::SpecMemo2
     }
 
     /// The 2D artifact bundle, built on first call and cached. Returns
@@ -304,10 +288,6 @@ impl MapEntry {
             Some(_) => {
                 self.corruptions.fetch_add(1, Ordering::Relaxed);
                 *self.artifacts2.write() = None;
-                // Composes with speculation: verdicts prechecked against a
-                // map whose integrity is now suspect must not be served, so
-                // the memo version bumps and every shard clears.
-                self.spec2.invalidate();
                 (None, true)
             }
         }
@@ -365,30 +345,20 @@ impl MapEntry {
         self.version2.load(Ordering::Relaxed)
     }
 
-    /// Effective grid-content deltas still in the journal.
-    pub fn deltas_applied(&self) -> u64 {
-        self.journal.lock().iter().map(|(_, b)| b.len() as u64).sum()
-    }
-
     /// Applies a delta batch to a 2D map copy-on-write and returns
     /// `(new_version, changed_cells)`; `None` for 3D maps.
     ///
-    /// Publication order is what makes in-flight semantics sound:
-    ///
-    /// 1. the new grid and version are published atomically (both under
-    ///    the `data` write lock) and the batch is journaled, then
-    /// 2. a built artifact bundle is rebuilt from the new grid, then
-    /// 3. the speculation memo is version-bumped and swept in the changed
-    ///    cells' footprint influence ([`SpecMemo2::invalidate_cells`]) —
-    ///    so any precheck that read the *old* grid fails its publish-time
-    ///    version test and drops instead of poisoning the fresh memo.
+    /// The new grid and version are published atomically (both under the
+    /// `data` write lock), then a built artifact bundle is rebuilt from the
+    /// new grid. A plan holding an older snapshot keeps it; the
+    /// reachability prefilter trusts the bundle only at its own snapshot
+    /// version.
     ///
     /// Footprint-template caches are deliberately untouched: templates are
     /// a function of footprint dimensions and orientation only, so no grid
     /// delta can invalidate them.
     pub fn apply_deltas2(&self, deltas: &[GridDelta2]) -> Option<(u64, usize)> {
         let mut changed_cells: Vec<Cell2> = Vec::new();
-        let mut effective: Vec<GridDelta2> = Vec::new();
         let version = {
             let mut data = self.data.write();
             let MapData::Grid2(grid) = &*data else {
@@ -401,7 +371,6 @@ impl MapEntry {
                 let before: Vec<(Cell2, Option<bool>)> =
                     d.cells().map(|c| (c, next.get(c))).collect();
                 if next.apply_delta(d) {
-                    effective.push(d);
                     for (c, b) in before {
                         if next.get(c) != b {
                             changed_cells.push(c);
@@ -416,46 +385,10 @@ impl MapEntry {
             self.version2.store(version, Ordering::Relaxed);
             version
         };
-        {
-            let mut journal = self.journal.lock();
-            if journal.len() == JOURNAL_DEPTH {
-                journal.pop_front();
-            }
-            journal.push_back((version, effective));
-        }
         if !changed_cells.is_empty() {
             self.rebuild_artifacts2();
-            self.spec2.invalidate_cells(&changed_cells);
         }
         Some((version, changed_cells.len()))
-    }
-
-    /// The deltas applied after `version`, oldest first, or `None` if the
-    /// journal no longer reaches back that far (the caller should replan
-    /// from scratch). An empty vector means every batch since `version`
-    /// was a no-op: the world is bit-identical.
-    pub fn deltas_since(&self, version: u64) -> Option<Vec<GridDelta2>> {
-        let current = self.version2();
-        if version > current {
-            return None;
-        }
-        if version == current {
-            return Some(Vec::new());
-        }
-        let journal = self.journal.lock();
-        // Coverage check: every batch in (version, current] must still be
-        // journaled. Batches are contiguous, so it suffices that the
-        // oldest retained batch is at most version + 1.
-        match journal.front() {
-            Some(&(oldest, _)) if oldest <= version + 1 => Some(
-                journal
-                    .iter()
-                    .filter(|(v, _)| *v > version)
-                    .flat_map(|(_, b)| b.iter().copied())
-                    .collect(),
-            ),
-            _ => None,
-        }
     }
 
     /// Rebuilds a built artifact bundle after a delta; an unbuilt (or
@@ -818,11 +751,11 @@ mod tests {
     }
 
     #[test]
-    fn deltas_bump_version_and_journal_replays_them() {
+    fn deltas_bump_version_and_leave_snapshots_untouched() {
         let reg = MapRegistry::new();
         let entry = reg.insert_grid2("m", city_map(CityName::Boston, 64, 64));
         assert_eq!(entry.version2(), 0);
-        let (g0, v0) = entry.snapshot2().unwrap();
+        let (g0, _) = entry.snapshot2().unwrap();
 
         // Pick two free cells to toggle.
         let free = |g: &BitGrid2, from: i64| {
@@ -835,6 +768,7 @@ mod tests {
         let b = free(&g0, 64 * 32);
         let (v1, changed) = entry.apply_deltas2(&[GridDelta2::Appear { cell: a }]).unwrap();
         assert_eq!((v1, changed), (1, 1));
+        let (g1, _) = entry.snapshot2().unwrap();
         let (v2, changed) = entry
             .apply_deltas2(&[GridDelta2::Appear { cell: a }, GridDelta2::Appear { cell: b }])
             .unwrap();
@@ -843,45 +777,19 @@ mod tests {
 
         // Snapshots are immutable point-in-time views.
         assert_eq!(g0.occupied(a), Some(false), "v0 snapshot untouched");
+        assert_eq!(g1.occupied(b), Some(false), "v1 snapshot untouched");
         let (g2, v) = entry.snapshot2().unwrap();
         assert_eq!(v, 2);
         assert_eq!(g2.occupied(a), Some(true));
         assert_eq!(g2.occupied(b), Some(true));
-        assert_eq!(entry.deltas_applied(), 2, "only effective deltas journal");
-
-        // Journal replay semantics.
-        assert_eq!(entry.deltas_since(v0).unwrap().len(), 2);
-        assert_eq!(entry.deltas_since(v1).unwrap(), vec![GridDelta2::Appear { cell: b }]);
-        assert_eq!(entry.deltas_since(v2).unwrap(), vec![]);
-        assert!(entry.deltas_since(99).is_none(), "future version is a gap");
 
         // An empty or all-no-op batch still bumps the version and reports
         // nothing changed: an unchanged version always certifies an
         // unchanged world, never the other way around.
         assert_eq!(entry.apply_deltas2(&[]), Some((3, 0)));
         assert_eq!(entry.apply_deltas2(&[GridDelta2::Appear { cell: a }]), Some((4, 0)));
-        assert_eq!(entry.deltas_since(v2).unwrap(), vec![], "no-op batches journal nothing");
-    }
-
-    #[test]
-    fn journal_depth_gap_forces_replan_signal() {
-        let reg = MapRegistry::new();
-        let mut g = BitGrid2::new(16, 16);
-        g.set(Cell2::new(0, 0), true);
-        let entry = reg.insert_grid2("m", g);
-        for _ in 0..JOURNAL_DEPTH + 3 {
-            // Toggle one cell back and forth; every batch is effective.
-            let occ = entry.grid2().unwrap().occupied(Cell2::new(1, 1)) == Some(true);
-            let d = if occ {
-                GridDelta2::Disappear { cell: Cell2::new(1, 1) }
-            } else {
-                GridDelta2::Appear { cell: Cell2::new(1, 1) }
-            };
-            entry.apply_deltas2(&[d]).unwrap();
-        }
-        assert!(entry.deltas_since(0).is_none(), "evicted batches mean a gap");
-        let current = entry.version2();
-        assert!(entry.deltas_since(current - 1).is_some(), "recent suffix still covered");
+        let (g4, _) = entry.snapshot2().unwrap();
+        assert_eq!(g4.words(), g2.words(), "no-op batches leave the grid as it was");
     }
 
     #[test]
@@ -948,33 +856,6 @@ mod tests {
         assert!(!corrupt.verify());
         let (art, corrupted) = entry.artifacts2_verified();
         assert!(art.is_none() && corrupted);
-    }
-
-    #[test]
-    fn delta_sweeps_memo_targetedly_and_bumps_its_version() {
-        use racod_codacc::template_check;
-        use racod_sim::Footprint2;
-
-        let reg = MapRegistry::new();
-        let entry = reg.insert_grid2("m", BitGrid2::new(64, 64));
-        let memo = entry.spec_memo2();
-        let fp = Footprint2::small_robot();
-        let goal = Cell2::new(60, 60);
-        let near = Cell2::new(10, 10);
-        let far = Cell2::new(50, 50);
-        let grid = entry.grid2().unwrap();
-        for &c in &[near, far] {
-            let key = fp.rot_key(c, goal);
-            memo.insert(&fp, key, c, template_check(grid.as_ref(), c, &fp.template(key)));
-        }
-        let v0 = memo.version();
-
-        // A delta next to `near` (within its influence radius) but far from
-        // `far` sweeps only the near verdict.
-        entry.apply_deltas2(&[GridDelta2::Appear { cell: Cell2::new(11, 10) }]).unwrap();
-        assert_eq!(memo.version(), v0 + 1, "delta bumps the memo version");
-        assert!(memo.lookup(&fp, fp.rot_key(near, goal), near).is_none(), "near entry swept");
-        assert!(memo.lookup(&fp, fp.rot_key(far, goal), far).is_some(), "far entry survives");
     }
 
     #[test]

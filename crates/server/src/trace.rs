@@ -26,14 +26,14 @@
 //!   `trace_buffer_high_water`.
 //! * **Replayability** — the header carries everything needed to rebuild
 //!   the world (`world_seed`, `map_size`), re-create the server shape
-//!   (workers, queue, speculation/ALT switches), and re-arm the exact
+//!   (workers, queue, breaker/ALT switches), and re-arm the exact
 //!   [`racod_fault::FaultPlan`] seed; each plan record carries the full
 //!   request, the map version fence at admission, and the outcome's
 //!   canonical cost bits. Delta records pin churn to version boundaries.
 //!   `racod-net`'s `replay` module (and the `racod-cli replay` command)
 //!   consume this to assert bit-identical outcome sequences.
 //! * **Build identification** — the header stamps [`build_id`] (git hash,
-//!   detected [`racod_codacc::SimdLevel`], ALT/speculation switches) so a
+//!   detected [`racod_codacc::SimdLevel`], ALT switch) so a
 //!   replay mismatch can distinguish "the build changed" from "the build
 //!   is nondeterministic".
 
@@ -62,17 +62,18 @@ pub const TRACE_VERSION: u8 = 1;
 
 /// The build identifier stamped into trace headers and the `/metrics`
 /// page: git revision, runtime-detected SIMD level (respects
-/// `RACOD_FORCE_SCALAR`), and the answer-affecting config switches. Two
-/// runs whose build ids differ are allowed to disagree on replay; two
-/// runs with the same id are not.
-pub fn build_id(alt: bool, speculation: bool) -> String {
-    let onoff = |b: bool| if b { "on" } else { "off" };
+/// `RACOD_FORCE_SCALAR`), and the answer-affecting ALT switch. Two runs
+/// whose build ids differ are allowed to disagree on replay; two runs with
+/// the same id are not.
+///
+/// The second argument is ignored: it was the removed speculation switch,
+/// pinned by `benchmark/src/child.rs`; goes with ROADMAP item 1.
+pub fn build_id(alt: bool, _: bool) -> String {
     format!(
-        "git:{} simd:{:?} alt:{} spec:{}",
+        "git:{} simd:{:?} alt:{}",
         env!("RACOD_GIT_HASH"),
         racod_codacc::simd_level(),
-        onoff(alt),
-        onoff(speculation),
+        if alt { "on" } else { "off" },
     )
 }
 
@@ -131,8 +132,6 @@ pub struct TraceHeader {
     /// Seed of the armed fault plan, if chaos injection was on. Replay
     /// re-arms `FaultPlan::from_seed` with this exact value.
     pub fault_seed: Option<u64>,
-    /// Whether speculative prechecking was enabled.
-    pub speculation: bool,
     /// Whether the accelerated-platform circuit breakers were enabled.
     /// Breaker cooldowns are wall-clock, so a chaos recording made with
     /// breakers live may route differently on replay — replayable chaos
@@ -540,7 +539,8 @@ fn encode_header(h: &TraceHeader) -> Vec<u8> {
             w.put_u64(s);
         }
     }
-    w.put_bool(h.speculation);
+    // The removed speculation switch: written as 0, ignored on read.
+    w.put_bool(false);
     w.put_bool(h.breaker);
     w.put_bool(h.alt);
     w.put_str(&h.note);
@@ -637,8 +637,12 @@ fn decode_header(payload: &[u8]) -> Result<TraceHeader, ProtocolError> {
             1 => Some(r.u64("fault_seed")?),
             tag => return Err(ProtocolError::BadTag { what: "fault_seed", tag }),
         },
-        speculation: r.bool("speculation")?,
-        breaker: r.bool("breaker")?,
+        // Traces recorded with speculation on still replay: the byte is read
+        // and ignored.
+        breaker: {
+            r.bool("speculation")?;
+            r.bool("breaker")?
+        },
         alt: r.bool("alt")?,
         note: r.str("note")?,
     };
@@ -893,7 +897,6 @@ mod tests {
             queue_capacity: 16,
             batch_max: 8,
             fault_seed: Some(0xfeed),
-            speculation: true,
             breaker: true,
             alt: false,
             note: "unit".into(),
@@ -940,6 +943,18 @@ mod tests {
         // the codec has no lossy fields.
         let again = encode_trace(&back.header, &back.events);
         assert_eq!(again, bytes);
+    }
+
+    #[test]
+    fn header_speculation_byte_is_written_as_zero_and_ignored() {
+        let header = sample_header();
+        let mut payload = encode_header(&header);
+        // Three switch bytes, then the note's u32 length prefix and bytes.
+        let at = payload.len() - 3 - 4 - header.note.len();
+        assert_eq!(&payload[at..at + 3], &[0, 1, 0], "speculation 0, breaker on, alt off");
+        // A trace recorded with speculation on decodes to the same header.
+        payload[at] = 1;
+        assert_eq!(decode_header(&payload).unwrap(), header);
     }
 
     #[test]
@@ -998,6 +1013,7 @@ mod tests {
         assert!(id.starts_with("git:"), "{id}");
         assert!(id.contains("simd:"), "{id}");
         assert!(id.contains("alt:on"), "{id}");
-        assert!(id.contains("spec:off"), "{id}");
+        assert!(!id.contains("spec"), "{id}");
+        assert_eq!(id, build_id(true, true), "the second argument is ignored");
     }
 }

@@ -35,8 +35,8 @@ use racod_search::{
 };
 use racod_sim::oracle::{CheckProbe, CheckProbeSlot};
 use racod_sim::{
-    plan_in, Backend, CostModel, Dim, Footprint2, Footprint3, RotKey, Scenario, Scenario2,
-    Scenario3, TemplateSource, TemplateStats, D2, D3,
+    plan_in, Backend, CostModel, Dim, Scenario, Scenario2, Scenario3, TemplateSource,
+    TemplateStats, D2, D3,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -82,9 +82,6 @@ pub struct WorkerContext {
     pub fault: Option<Arc<FaultPlan>>,
     /// Respawn-storm guard tuning.
     pub respawn: RespawnConfig,
-    /// Service-scope speculation tuning; `enabled: false` keeps workers
-    /// from ever consulting the precheck memos (the kill switch).
-    pub speculation: crate::speculate::SpeculationConfig,
     /// ALT landmark-heuristic tuning; `enabled: false` (the default) keeps
     /// every search octile-guided and bit-identical to a direct planner
     /// call.
@@ -94,37 +91,59 @@ pub struct WorkerContext {
 /// A batch of same-map requests handed to one worker.
 pub type Batch = Vec<Admitted>;
 
+/// Distinct [`Platform::Threads`] thread counts whose check pools one
+/// worker keeps per dimension. Admission caps a request at 64 threads but
+/// not the number of distinct counts a client sends, so without this bound
+/// a client cycling through 1..=64 would leave every worker holding 2 080
+/// threads.
+const MAX_CHECK_POOLS: usize = 4;
+
 /// What one worker keeps warm per planning dimension: persistent
-/// per-thread-count collision-check thread pools for [`Platform::Threads`]
-/// (map-agnostic — the check closure travels with each planning episode, so
-/// no OS threads are spawned per request) and the epoch-stamped search
-/// arena reused across every request — after the first plan on the largest
-/// map, the steady-state search allocates nothing.
+/// collision-check thread pools for [`Platform::Threads`], one per thread
+/// count for the [`MAX_CHECK_POOLS`] most recently used counts (map-agnostic
+/// — the check closure travels with each planning episode, so no OS threads
+/// are spawned per request) and the epoch-stamped search arena reused across
+/// every request — after the first plan on the largest map, the
+/// steady-state search allocates nothing.
 struct WarmDim<D: Dim> {
-    check_pools: HashMap<usize, Arc<WorkerPool<D::Cell>>>,
+    /// `(threads, pool)`, least recently used first.
+    check_pools: Vec<(usize, Arc<WorkerPool<D::Cell>>)>,
+    pool_cap: usize,
     scratch: SearchScratch<D::Cell>,
 }
 
 impl<D: Dim> WarmDim<D> {
     fn new() -> Self {
-        WarmDim { check_pools: HashMap::new(), scratch: SearchScratch::new() }
+        Self::with_pool_cap(MAX_CHECK_POOLS)
+    }
+
+    fn with_pool_cap(pool_cap: usize) -> Self {
+        WarmDim { check_pools: Vec::new(), pool_cap, scratch: SearchScratch::new() }
     }
 
     /// The persistent check pool for `threads` workers, spawning it on
-    /// first use. A panicking check only poisons its own episode, so pools
-    /// stay reusable across requests.
+    /// first use. When that makes more than `pool_cap` pools, the least
+    /// recently used one is dropped, which joins its threads. A panicking
+    /// check only poisons its own episode, so pools stay reusable across
+    /// requests.
     fn check_pool(&mut self, threads: usize, metrics: &ServerMetrics) -> Arc<WorkerPool<D::Cell>> {
         let threads = threads.max(1);
-        self.check_pools
-            .entry(threads)
-            .or_insert_with(|| {
+        let entry = match self.check_pools.iter().position(|(n, _)| *n == threads) {
+            Some(i) => self.check_pools.remove(i),
+            None => {
+                if self.check_pools.len() == self.pool_cap {
+                    self.check_pools.remove(0);
+                }
                 let pool = WorkerPool::new(threads);
                 metrics
                     .check_threads_spawned
                     .fetch_add(pool.census().spawned() as u64, Ordering::Relaxed);
-                Arc::new(pool)
-            })
-            .clone()
+                (threads, Arc::new(pool))
+            }
+        };
+        let pool = entry.1.clone();
+        self.check_pools.push(entry);
+        pool
     }
 }
 
@@ -341,7 +360,6 @@ fn worker_loop(
                     &entry,
                     &mut warm,
                     metrics,
-                    ctx.speculation.enabled,
                     ctx.alt,
                 )
             }));
@@ -442,7 +460,6 @@ fn execute(
     entry: &crate::registry::MapEntry,
     warm: &mut WarmState,
     metrics: &Arc<ServerMetrics>,
-    speculation: bool,
     alt: crate::alt::AltConfig,
 ) -> (Planned, Termination) {
     // Thread the request's interrupt into the search configuration; the
@@ -459,100 +476,59 @@ fn execute(
             std::panic::resume_unwind(Box::new(WorkerPoison));
         }
         Workload::Plan2 { start, goal, footprint } => {
-            // In-flight delta semantics: every attempt plans against one
-            // consistent `(grid, version)` snapshot. Platforms that never
-            // consult the speculation memo are consistent-by-construction
-            // (every oracle answer comes from the immutable snapshot), so
-            // they serve unconditionally. The memo-consulting path rechecks
-            // the version after planning: if a delta landed mid-plan the
-            // memo may have mixed post-delta verdicts into the answers, so
-            // the answer is served only if the journaled deltas provably
-            // cannot have changed it (appear-only, away from the returned
-            // path) — otherwise the request replans, with the memo disabled
-            // on the final attempt to guarantee a consistent result.
-            let mut replans = 0u32;
-            loop {
-                let (grid, v0) = entry.snapshot2().expect("dimension checked at admission");
-                // Definite-infeasibility prefilter from the cached per-map
-                // reachability artifact: if exactly one endpoint is in the
-                // seed's free component no path can exist, and a direct
-                // planner call would also return an empty path — skip the
-                // search. The bundle is checksum-verified first; a
-                // corrupted one is discarded and the request plans without
-                // the prefilter, so correctness never rests on an
-                // unverified artifact. The artifact tracks the *current*
-                // grid, so its verdict is only trusted while the map still
-                // sits at our snapshot version.
-                let (art, corrupted) = entry.artifacts2_verified();
-                if corrupted {
-                    metrics.map_corruptions_detected.fetch_add(1, Ordering::Relaxed);
-                }
-                if let Some(art) = art {
-                    if entry.version2() == v0 && art.definitely_disconnected(*start, *goal) {
-                        return (
-                            planned(PlannedPath::P2(None), f64::INFINITY, 0, 0, false),
-                            Termination::Exhausted,
-                        );
-                    }
-                }
-                // Version-fenced landmark fetch: the pack guides this plan
-                // only if it was derived from exactly the snapshot grid
-                // (`v0`). A stale or still-building pack means an octile
-                // fallback — counted, never blocked on: the background
-                // rebuilder republishes off the request path.
-                let alt_pack = if alt.enabled {
-                    let (fetch, built) = entry.landmark_pack2(alt.landmarks, v0);
-                    if built {
-                        metrics.alt_packs_built.fetch_add(1, Ordering::Relaxed);
-                    }
-                    match fetch {
-                        crate::registry::AltFetch::Ready(p) => Some(p),
-                        crate::registry::AltFetch::Stale => {
-                            metrics.alt_pack_fallbacks.fetch_add(1, Ordering::Relaxed);
-                            None
-                        }
-                        crate::registry::AltFetch::Absent => None,
-                    }
-                } else {
-                    None
-                };
-                let mut sc = Scenario2::new(&grid)
-                    .with_astar(astar.clone())
-                    .with_template_cache(entry.template_cache2())
-                    .with_footprint(*footprint);
-                (sc.start, sc.goal, sc.alt) = (*start, *goal, alt_pack);
-                sc.check_probe = CheckProbeSlot(check_probe.clone());
-                // Only the real-threads arm consults the speculation memo.
-                let consulted = speculation
-                    && replans < MAX_INFLIGHT_REPLANS
-                    && matches!(platform, Platform::Threads { .. });
-                let memo = consulted.then(|| {
-                    let memo = entry.spec_memo2();
-                    move |fp: &Footprint2, key, s| {
-                        memo.lookup(fp, key, s).map(|c| c.verdict.is_free())
-                    }
-                });
-                let out = run_platform(sc, &grid, platform, memo, &entry.id, warm, metrics);
-                if !consulted || entry.version2() == v0 {
-                    return out;
-                }
-                // A delta landed while we planned with the memo on. Serve
-                // anyway if the journal proves the answer still stands;
-                // otherwise pay for a replan.
-                let path = match &out.0.path {
-                    PlannedPath::P2(p) => p.as_deref(),
-                    PlannedPath::P3(_) => None,
-                };
-                let survives = entry
-                    .deltas_since(v0)
-                    .is_some_and(|ds| plan2_survives_deltas(&ds, path, *footprint));
-                if survives {
-                    metrics.incremental_repairs.fetch_add(1, Ordering::Relaxed);
-                    return out;
-                }
-                replans += 1;
-                metrics.replans_from_scratch.fetch_add(1, Ordering::Relaxed);
+            // One consistent `(grid, version)` snapshot: every oracle answer
+            // comes from this immutable grid, so a delta landing mid-plan
+            // cannot touch the answer.
+            let (grid, v0) = entry.snapshot2().expect("dimension checked at admission");
+            // Definite-infeasibility prefilter from the cached per-map
+            // reachability artifact: if exactly one endpoint is in the
+            // seed's free component no path can exist, and a direct planner
+            // call would also return an empty path — skip the search. The
+            // bundle is checksum-verified first; a corrupted one is
+            // discarded and the request plans without the prefilter, so
+            // correctness never rests on an unverified artifact. The
+            // artifact tracks the *current* grid, so its verdict is only
+            // trusted while the map still sits at our snapshot version.
+            let (art, corrupted) = entry.artifacts2_verified();
+            if corrupted {
+                metrics.map_corruptions_detected.fetch_add(1, Ordering::Relaxed);
             }
+            if let Some(art) = art {
+                if entry.version2() == v0 && art.definitely_disconnected(*start, *goal) {
+                    return (
+                        planned(PlannedPath::P2(None), f64::INFINITY, 0, 0, false),
+                        Termination::Exhausted,
+                    );
+                }
+            }
+            // Version-fenced landmark fetch: the pack guides this plan only
+            // if it was derived from exactly the snapshot grid (`v0`). A
+            // stale or still-building pack means an octile fallback —
+            // counted, never blocked on: the background rebuilder
+            // republishes off the request path.
+            let alt_pack = if alt.enabled {
+                let (fetch, built) = entry.landmark_pack2(alt.landmarks, v0);
+                if built {
+                    metrics.alt_packs_built.fetch_add(1, Ordering::Relaxed);
+                }
+                match fetch {
+                    crate::registry::AltFetch::Ready(p) => Some(p),
+                    crate::registry::AltFetch::Stale => {
+                        metrics.alt_pack_fallbacks.fetch_add(1, Ordering::Relaxed);
+                        None
+                    }
+                    crate::registry::AltFetch::Absent => None,
+                }
+            } else {
+                None
+            };
+            let mut sc = Scenario2::new(&grid)
+                .with_astar(astar)
+                .with_template_cache(entry.template_cache2())
+                .with_footprint(*footprint);
+            (sc.start, sc.goal, sc.alt) = (*start, *goal, alt_pack);
+            sc.check_probe = CheckProbeSlot(check_probe);
+            run_platform(sc, &grid, platform, &entry.id, warm, metrics)
         }
         Workload::Plan3 { start, goal, footprint } => {
             let grid = entry.grid3().expect("dimension checked at admission");
@@ -562,29 +538,21 @@ fn execute(
                 .with_footprint(*footprint);
             (sc.start, sc.goal) = (*start, *goal);
             sc.check_probe = CheckProbeSlot(check_probe);
-            // 3D plans are not speculated: there is no memo to consult.
-            let memo = None::<fn(&Footprint3, RotKey, Cell3) -> Option<bool>>;
-            run_platform(sc, &grid, platform, memo, &entry.id, warm, metrics)
+            run_platform(sc, &grid, platform, &entry.id, warm, metrics)
         }
     }
 }
 
 /// Plans `sc` (whose `grid` borrows from `grid`) on `platform`, once for
-/// both dimensions. `sc.check_probe` carries the mid-check fault site;
-/// `memo` answers from the speculation memo, when there is one to consult.
-fn run_platform<D, M>(
+/// both dimensions. `sc.check_probe` carries the mid-check fault site.
+fn run_platform<D: Served>(
     mut sc: Scenario<'_, D>,
     grid: &Arc<BitGrid<D::Cell>>,
     platform: Platform,
-    memo: Option<M>,
     map: &MapId,
     warm: &mut WarmState,
     metrics: &Arc<ServerMetrics>,
-) -> (Planned, Termination)
-where
-    D: Served,
-    M: Fn(&D::Footprint, RotKey, D::Cell) -> Option<bool> + Send + Sync + 'static,
-{
+) -> (Planned, Termination) {
     let (out, was_warm) = match platform {
         Platform::SimSoftware { threads, runahead } => {
             // The mid-check fault site instruments the *accelerated*
@@ -609,15 +577,12 @@ where
             let probe = sc.check_probe.0.take();
             let lookups = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
             let counted = lookups.clone();
-            let mtr = metrics.clone();
             let pool = D::warm(warm).check_pool(threads, metrics);
             let pool_panics_before = pool.check_panics();
             // The check threads come from the worker's persistent pool;
             // only the episode-specific closure is new per request. Chunks
             // of the demand wavefront arrive whole, so one template lookup
-            // amortizes over each same-orientation run, and speculatively
-            // prechecked verdicts (bit-identical by construction)
-            // short-circuit the native kernel.
+            // amortizes over each same-orientation run.
             let planner = ParallelPlanner::with_pool_batched(
                 ParallelConfig { threads, runahead },
                 move |states: &[D::Cell], out: &mut Vec<bool>| {
@@ -627,11 +592,6 @@ where
                             p();
                         }
                         let key = D::rot_key(&fp, s, goal);
-                        if let Some(free) = memo.as_ref().and_then(|m| m(&fp, key, s)) {
-                            mtr.speculation_hits.fetch_add(1, Ordering::Relaxed);
-                            out.push(free);
-                            continue;
-                        }
                         out.push(
                             template_check(&grid, s, tpls.template_for(key)).verdict.is_free(),
                         );
@@ -671,44 +631,6 @@ where
 /// catch re-raises it so the worker loop itself dies and the supervisor
 /// respawns the slot.
 pub struct WorkerPoison;
-
-/// Attempts a memo-consulting plan makes before falling back to a
-/// memo-free (consistent-by-construction) final attempt. Two retries is
-/// enough that only a map under *sustained* churn ever hits the fallback.
-const MAX_INFLIGHT_REPLANS: u32 = 2;
-
-/// Whether a plan computed at version `v0` provably still stands after
-/// `deltas` (the journal suffix since `v0`) landed mid-flight.
-///
-/// The only cross-version channel into a memo-consulting plan is the
-/// speculation memo, so each oracle answer was taken either against the
-/// `v0` snapshot or against the post-delta grid. Under *appear-only*
-/// deltas every post-delta blocked set is a superset of the `v0` blocked
-/// set, so this mixed oracle is sandwiched between the two grids and the
-/// mixed-optimal cost is ≤ the post-delta optimal. If the returned path's
-/// swept volume avoids every changed cell (checked conservatively via the
-/// footprint's influence radius), the path stays feasible post-delta, and
-/// a feasible path at ≤ the post-delta optimum *is* the post-delta
-/// optimum. An infeasible verdict carries over unconditionally: adding
-/// obstacles cannot create a path. Disappear/Move deltas void both
-/// arguments, so the caller must replan.
-fn plan2_survives_deltas(
-    deltas: &[racod_grid::GridDelta2],
-    path: Option<&[Cell2]>,
-    footprint: Footprint2,
-) -> bool {
-    if !deltas.iter().all(|d| d.is_appear_only()) {
-        return false;
-    }
-    let Some(path) = path else {
-        return true;
-    };
-    let r = footprint.influence_radius_cells();
-    deltas
-        .iter()
-        .flat_map(|d| d.cells())
-        .all(|c| path.iter().all(|p| (c.x - p.x).abs().max((c.y - p.y).abs()) > r))
-}
 
 fn record_tstats(metrics: &ServerMetrics, t: TemplateStats) {
     metrics.template_hits.fetch_add(t.hits, Ordering::Relaxed);
@@ -755,4 +677,43 @@ fn finish<D: Served>(
         planned(D::path(result.path), result.cost, expansions, sim_cycles, warm_start),
         result.termination,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn check_pools_are_bounded_and_evicted_pools_are_joined() {
+        let metrics = ServerMetrics::new();
+        let mut dim = WarmDim::<D2>::with_pool_cap(2);
+        // 1 and 2 fill the cache; touching 1 makes 2 the least recently
+        // used, so 3 evicts 2, 4 evicts 1, 5 evicts 3 and the second 1
+        // evicts 4. Sixteen threads are started in all, at most nine at
+        // once.
+        let order = [1, 2, 1, 3, 4, 5, 1];
+        let census: Vec<_> = order
+            .iter()
+            .map(|&threads| {
+                let pool = dim.check_pool(threads, &metrics);
+                assert_eq!(pool.threads(), threads);
+                pool.census().clone()
+            })
+            .collect();
+
+        assert!(Arc::ptr_eq(&census[0], &census[2]), "a resident count reuses its pool");
+        assert!(!Arc::ptr_eq(&census[0], &census[6]), "an evicted count gets a new pool");
+        let resident: Vec<usize> = dim.check_pools.iter().map(|(n, _)| *n).collect();
+        assert_eq!(resident, [5, 1], "least recently used first");
+        for (i, c) in census.iter().enumerate() {
+            assert_eq!(c.spawned(), order[i], "pool {i} started its own threads only");
+            let live = if i >= 5 { order[i] } else { 0 };
+            assert_eq!(c.live(), live, "pool {i}: an evicted pool has joined its threads");
+        }
+        let started: usize = [1, 2, 3, 4, 5, 1].iter().sum();
+        assert_eq!(metrics.check_threads_spawned.load(Ordering::Relaxed), started as u64);
+
+        drop(dim);
+        assert!(census.iter().all(|c| c.live() == 0), "dropping the warm state joins the rest");
+    }
 }

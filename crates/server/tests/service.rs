@@ -197,3 +197,24 @@ fn out_of_range_requests_are_refused_at_admission() {
         assert!(server.submit(req.clone()).is_ok(), "case {i} is within bounds");
     }
 }
+
+#[test]
+fn dispatch_batch_sizes_are_recorded() {
+    let (reg, start, goal) = boston_world();
+    let server = PlanServer::start(ServerConfig { workers: 2, ..Default::default() }, reg);
+    for _ in 0..5 {
+        let req = PlanRequest::plan2("boston", start, goal)
+            .with_platform(Platform::Threads { threads: 2, runahead: 2 });
+        let outcome = server.submit(req).expect("admitted").wait().outcome;
+        assert!(matches!(outcome, Outcome::Planned(_)), "expected Planned, got {outcome:?}");
+    }
+    let m = server.metrics();
+    let batches = m.dispatch_batches.load(Ordering::Relaxed);
+    assert!(batches > 0, "dispatches must be counted");
+    let bucketed = m.batch_size_1.load(Ordering::Relaxed)
+        + m.batch_size_2.load(Ordering::Relaxed)
+        + m.batch_size_3_4.load(Ordering::Relaxed)
+        + m.batch_size_5_8.load(Ordering::Relaxed)
+        + m.batch_size_gt_8.load(Ordering::Relaxed);
+    assert_eq!(bucketed, batches, "every batch lands in exactly one size bucket");
+}

@@ -41,7 +41,6 @@ fn sample_header(g: &mut Gen) -> TraceHeader {
         queue_capacity: 1 + g.pct(1024) as u32,
         batch_max: 1 + g.pct(8) as u32,
         fault_seed: if g.pct(2) == 0 { None } else { Some(g.next()) },
-        speculation: g.pct(2) == 0,
         breaker: g.pct(2) == 0,
         alt: g.pct(2) == 0,
         note: if g.pct(2) == 0 { String::new() } else { format!("run-{}", g.pct(1000)) },

@@ -182,30 +182,6 @@ impl Footprint2 {
     pub fn template(&self, key: RotKey) -> FootprintTemplate2 {
         FootprintTemplate2::for_box(self.length, self.width, key.rotation2())
     }
-
-    /// The Chebyshev radius, in cells, within which an occupancy change can
-    /// alter this body's collision verdict at *any* orientation. See
-    /// [`influence_radius_2d`].
-    pub fn influence_radius_cells(&self) -> i64 {
-        influence_radius_2d(self.length, self.width)
-    }
-}
-
-/// The delta-influence radius of a `length x width` body, in cells.
-///
-/// The body's OBB, at any rotation, lies within the box circumradius
-/// `R = √((length/2)² + (width/2)²)` of the state cell's center, and the
-/// template rasterizer only includes a cell if some point of it is inside
-/// the OBB — a cell at Chebyshev offset `d ≥ 1` keeps every point at
-/// Euclidean distance `> d − 1` from the center. So a map cell at Chebyshev
-/// distance greater than `⌈R + 1⌉` from a pose can never appear in that
-/// pose's template, for any orientation: dilating changed cells by this
-/// radius yields a conservative set of poses whose cached verdicts
-/// (memoized checks, recorded searches) could have changed.
-pub fn influence_radius_2d(length: f32, width: f32) -> i64 {
-    let half_l = length as f64 / 2.0;
-    let half_w = width as f64 / 2.0;
-    (half_l.hypot(half_w) + 1.0).ceil() as i64
 }
 
 /// A cuboid robot footprint in 3D, in voxel units.

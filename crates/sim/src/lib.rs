@@ -49,7 +49,7 @@ pub mod tcache;
 pub use cost::CostModel;
 pub use dim::{Dim, D2, D3};
 pub use engine::UnitPool;
-pub use footprint::{influence_radius_2d, Footprint2, Footprint3, RotKey};
+pub use footprint::{Footprint2, Footprint3, RotKey};
 pub use oracle::{PlanTiming, TimedChecker, TimedOracle, TimedOracleConfig};
 pub use planner::{plan, plan_in, Backend, PlanOutcome, Scenario, Scenario2, Scenario3};
 pub use tcache::{
