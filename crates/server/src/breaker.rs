@@ -186,7 +186,7 @@ impl CircuitBreaker {
 pub struct Breakers {
     /// Breaker for the `Platform::Racod` accelerator path.
     pub racod: CircuitBreaker,
-    /// Breaker for the `Platform::Threads` pooled-checker path.
+    /// Breaker for the `Platform::Threads` kernel path.
     pub threads: CircuitBreaker,
 }
 

@@ -200,13 +200,6 @@ pub struct ServerMetrics {
     pub breaker_probes: AtomicU64,
     /// Breakers closed again after a successful half-open probe.
     pub breaker_recovered: AtomicU64,
-    /// Collision-check worker panics absorbed by episode poisoning inside
-    /// the persistent `Threads` pools (contained; the search aborts with a
-    /// poisoned verdict instead of hanging).
-    pub check_pool_panics: AtomicU64,
-    /// OS threads spawned into the persistent `Threads` check pools; flat
-    /// once every thread count in use has its pool.
-    pub check_threads_spawned: AtomicU64,
     /// Cached map artifacts whose integrity checksum failed verification;
     /// the artifact was discarded and rebuilt, and the affected request
     /// planned without the reachability prefilter.
@@ -293,7 +286,7 @@ pub struct ServerMetrics {
 }
 
 /// Number of counters exposed by [`ServerMetrics::counters`].
-const COUNTERS: usize = 46;
+const COUNTERS: usize = 44;
 
 impl ServerMetrics {
     /// Fresh zeroed metrics.
@@ -324,8 +317,6 @@ impl ServerMetrics {
             ("breaker_fallbacks", &self.breaker_fallbacks),
             ("breaker_probes", &self.breaker_probes),
             ("breaker_recovered", &self.breaker_recovered),
-            ("check_pool_panics", &self.check_pool_panics),
-            ("check_threads_spawned", &self.check_threads_spawned),
             ("map_corruptions_detected", &self.map_corruptions_detected),
             ("affinity_hits", &self.affinity_hits),
             ("affinity_misses", &self.affinity_misses),
@@ -649,7 +640,6 @@ mod tests {
         m.breaker_probes.fetch_add(2, Ordering::Relaxed);
         m.breaker_recovered.fetch_add(1, Ordering::Relaxed);
         m.workers_abandoned.fetch_add(1, Ordering::Relaxed);
-        m.check_pool_panics.fetch_add(3, Ordering::Relaxed);
         m.map_corruptions_detected.fetch_add(2, Ordering::Relaxed);
         let text = m.render_text();
         assert!(text.contains("racod_server_shed_infeasible 4"));
@@ -658,7 +648,7 @@ mod tests {
         assert!(text.contains("racod_server_breaker_probes 2"));
         assert!(text.contains("racod_server_breaker_recovered 1"));
         assert!(text.contains("racod_server_workers_abandoned 1"));
-        assert!(text.contains("racod_server_check_pool_panics 3"));
+        assert!(!text.contains("racod_server_check_"), "the removed check-pool counters stay off");
         assert!(text.contains("racod_server_map_corruptions_detected 2"));
     }
 

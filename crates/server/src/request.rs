@@ -90,12 +90,15 @@ pub enum Platform {
         /// CODAcc unit count.
         units: usize,
     },
-    /// Real OS threads via `racod-parallel` (wall-clock execution, no
-    /// simulated cycle attribution).
+    /// Wall-clock execution of the template kernel, no simulated cycle
+    /// attribution. The serving worker checks on its own thread: a
+    /// hand-off to a pool thread costs more than the check it carries.
+    /// Both fields are validated, carried on the wire and in traces, and
+    /// otherwise unused.
     Threads {
-        /// Worker thread count.
+        /// Requested check thread count (recorded, not used for serving).
         threads: usize,
-        /// Runahead depth; `0` disables speculation.
+        /// Requested runahead depth (recorded, not used for serving).
         runahead: usize,
     },
 }

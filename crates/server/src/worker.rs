@@ -28,10 +28,9 @@ use crossbeam::channel::Receiver;
 use racod_codacc::{template_check, CodaccPool};
 use racod_fault::{mix64, FaultPlan, FaultSite};
 use racod_geom::{Cell2, Cell3};
-use racod_grid::BitGrid;
-use racod_parallel::{ParallelConfig, ParallelPlanner, WorkerPool};
 use racod_search::{
-    Interrupt, InterruptReason, SearchResult, SearchScratch, SearchStats, Termination,
+    astar_in, BatchFnOracle, Interrupt, InterruptReason, SearchResult, SearchScratch, SearchSpace,
+    SearchStats, Termination,
 };
 use racod_sim::oracle::{CheckProbe, CheckProbeSlot};
 use racod_sim::{
@@ -91,67 +90,59 @@ pub struct WorkerContext {
 /// A batch of same-map requests handed to one worker.
 pub type Batch = Vec<Admitted>;
 
-/// Distinct [`Platform::Threads`] thread counts whose check pools one
-/// worker keeps per dimension. Admission caps a request at 64 threads but
-/// not the number of distinct counts a client sends, so without this bound
-/// a client cycling through 1..=64 would leave every worker holding 2 080
-/// threads.
-const MAX_CHECK_POOLS: usize = 4;
-
-/// What one worker keeps warm per planning dimension: persistent
-/// collision-check thread pools for [`Platform::Threads`], one per thread
-/// count for the [`MAX_CHECK_POOLS`] most recently used counts (map-agnostic
-/// — the check closure travels with each planning episode, so no OS threads
-/// are spawned per request) and the epoch-stamped search arena reused across
-/// every request — after the first plan on the largest map, the
-/// steady-state search allocates nothing.
+/// What one worker keeps warm per planning dimension, reused across every
+/// request: the epoch-stamped search arena and the [`Platform::Threads`]
+/// verdict memo. After the first plan on the largest map, the steady-state
+/// search allocates nothing.
 struct WarmDim<D: Dim> {
-    /// `(threads, pool)`, least recently used first.
-    check_pools: Vec<(usize, Arc<WorkerPool<D::Cell>>)>,
-    pool_cap: usize,
     scratch: SearchScratch<D::Cell>,
+    verdicts: VerdictMemo,
 }
 
 impl<D: Dim> WarmDim<D> {
     fn new() -> Self {
-        Self::with_pool_cap(MAX_CHECK_POOLS)
+        WarmDim { scratch: SearchScratch::new(), verdicts: VerdictMemo::default() }
+    }
+}
+
+/// The collision verdicts of one [`Platform::Threads`] plan, by dense state
+/// index. The engine demands a state again from every parent that reaches
+/// it before it closes; the memo checks it once per plan. An entry is
+/// `epoch << 1 | free` and is live only while `epoch` is the current plan's,
+/// so opening a plan is one increment and no verdict outlives the snapshot
+/// it was computed on. A 63-bit epoch does not wrap.
+#[derive(Default)]
+struct VerdictMemo {
+    epoch: u64,
+    entries: Vec<u64>,
+}
+
+impl VerdictMemo {
+    /// Opens a plan over `states` dense indices.
+    fn begin(&mut self, states: usize) {
+        self.epoch += 1;
+        if self.entries.len() < states {
+            self.entries.resize(states, 0);
+        }
     }
 
-    fn with_pool_cap(pool_cap: usize) -> Self {
-        WarmDim { check_pools: Vec::new(), pool_cap, scratch: SearchScratch::new() }
-    }
-
-    /// The persistent check pool for `threads` workers, spawning it on
-    /// first use. When that makes more than `pool_cap` pools, the least
-    /// recently used one is dropped, which joins its threads. A panicking
-    /// check only poisons its own episode, so pools stay reusable across
-    /// requests.
-    fn check_pool(&mut self, threads: usize, metrics: &ServerMetrics) -> Arc<WorkerPool<D::Cell>> {
-        let threads = threads.max(1);
-        let entry = match self.check_pools.iter().position(|(n, _)| *n == threads) {
-            Some(i) => self.check_pools.remove(i),
-            None => {
-                if self.check_pools.len() == self.pool_cap {
-                    self.check_pools.remove(0);
-                }
-                let pool = WorkerPool::new(threads);
-                metrics
-                    .check_threads_spawned
-                    .fetch_add(pool.census().spawned() as u64, Ordering::Relaxed);
-                (threads, Arc::new(pool))
-            }
-        };
-        let pool = entry.1.clone();
-        self.check_pools.push(entry);
-        pool
+    /// This plan's verdict for `idx`, computed by `check` on first demand.
+    fn get_or_check(&mut self, idx: usize, check: impl FnOnce() -> bool) -> bool {
+        let entry = self.entries[idx];
+        if entry >> 1 == self.epoch {
+            return entry & 1 == 1;
+        }
+        let free = check();
+        self.entries[idx] = self.epoch << 1 | u64::from(free);
+        free
     }
 }
 
 /// Warm execution state owned by one worker: per-`(map, units)` CODAcc
 /// pools whose L0/L1 caches hold lines of that map's grid, plus the
-/// per-dimension pools and arenas. A panicking request discards the whole
-/// `WarmState` with the dying loop, so a poisoned arena never leaks into a
-/// later search.
+/// per-dimension arenas and verdict memos. A panicking request discards the
+/// whole `WarmState` with the dying loop, so a poisoned arena never leaks
+/// into a later search.
 struct WarmState {
     pools: HashMap<(MapId, usize), CodaccPool>,
     d2: WarmDim<D2>,
@@ -366,13 +357,11 @@ fn worker_loop(
             let service_time = Instant::now().duration_since(now);
             metrics.service.record(service_time);
 
-            // Feed the breaker: native panics, poisoned check pools, and
-            // deadline blowouts mid-search are platform failures;
-            // cancellations and clean completions are not. Fallback
-            // outcomes never count.
+            // Feed the breaker: native panics and deadline blowouts
+            // mid-search are platform failures; cancellations and clean
+            // completions are not. Fallback outcomes never count.
             let native_failure = match &exec {
                 Err(payload) => !payload.is::<WorkerPoison>(),
-                Ok((_, Termination::Interrupted(InterruptReason::Poisoned))) => true,
                 Ok((_, Termination::Interrupted(InterruptReason::Deadline))) => true,
                 Ok(_) => false,
             };
@@ -398,9 +387,6 @@ fn worker_loop(
                         metrics.interrupted_mid_search.fetch_add(1, Ordering::Relaxed);
                         Outcome::TimedOut { queued_for: queue_wait, stage: TimeoutStage::MidSearch }
                     }
-                    Termination::Interrupted(InterruptReason::Poisoned) => Outcome::Panicked {
-                        message: "collision-check pool poisoned mid-search".to_string(),
-                    },
                     _ => {
                         let mut planned = planned;
                         planned.queue_wait = queue_wait;
@@ -528,7 +514,7 @@ fn execute(
                 .with_footprint(*footprint);
             (sc.start, sc.goal, sc.alt) = (*start, *goal, alt_pack);
             sc.check_probe = CheckProbeSlot(check_probe);
-            run_platform(sc, &grid, platform, &entry.id, warm, metrics)
+            run_platform(sc, platform, &entry.id, warm, metrics)
         }
         Workload::Plan3 { start, goal, footprint } => {
             let grid = entry.grid3().expect("dimension checked at admission");
@@ -538,16 +524,15 @@ fn execute(
                 .with_footprint(*footprint);
             (sc.start, sc.goal) = (*start, *goal);
             sc.check_probe = CheckProbeSlot(check_probe);
-            run_platform(sc, &grid, platform, &entry.id, warm, metrics)
+            run_platform(sc, platform, &entry.id, warm, metrics)
         }
     }
 }
 
-/// Plans `sc` (whose `grid` borrows from `grid`) on `platform`, once for
-/// both dimensions. `sc.check_probe` carries the mid-check fault site.
+/// Plans `sc` on `platform`, once for both dimensions. `sc.check_probe`
+/// carries the mid-check fault site.
 fn run_platform<D: Served>(
     mut sc: Scenario<'_, D>,
-    grid: &Arc<BitGrid<D::Cell>>,
     platform: Platform,
     map: &MapId,
     warm: &mut WarmState,
@@ -556,7 +541,7 @@ fn run_platform<D: Served>(
     let (out, was_warm) = match platform {
         Platform::SimSoftware { threads, runahead } => {
             // The mid-check fault site instruments the *accelerated*
-            // checker paths (RACOD's timed oracle, the Threads pool
+            // checker paths (RACOD's timed oracle, the Threads check
             // closure); the plain software path stays trusted so breaker
             // fallbacks demonstrably work while faults are armed.
             sc.check_probe = CheckProbeSlot::default();
@@ -571,55 +556,33 @@ fn run_platform<D: Served>(
             warm.put_back(map, units, pool);
             (out, was_warm)
         }
-        Platform::Threads { threads, runahead } => {
-            let (grid, fp, goal) = (grid.clone(), sc.footprint, sc.goal);
+        Platform::Threads { .. } => {
+            // Served on this thread: a kernel check costs a fraction of a
+            // microsecond and a hand-off to a pool thread several, so no
+            // pool pays (EXPERIMENTS.md). One template source serves the
+            // whole plan.
             let cache = sc.tcache.clone().unwrap_or_default();
-            let probe = sc.check_probe.0.take();
-            let lookups = Arc::new((AtomicU64::new(0), AtomicU64::new(0)));
-            let counted = lookups.clone();
-            let pool = D::warm(warm).check_pool(threads, metrics);
-            let pool_panics_before = pool.check_panics();
-            // The check threads come from the worker's persistent pool;
-            // only the episode-specific closure is new per request. Chunks
-            // of the demand wavefront arrive whole, so one template lookup
-            // amortizes over each same-orientation run.
-            let planner = ParallelPlanner::with_pool_batched(
-                ParallelConfig { threads, runahead },
-                move |states: &[D::Cell], out: &mut Vec<bool>| {
-                    let mut tpls = TemplateSource::new(fp, goal, &cache);
-                    for &s in states {
-                        if let Some(p) = &probe {
+            let mut tpls = TemplateSource::new(sc.footprint, sc.goal, &cache);
+            let space = D::guided(&sc.space, sc.alt.as_deref());
+            let WarmDim { scratch, verdicts } = D::warm(warm);
+            verdicts.begin(space.state_count());
+            let mut oracle = BatchFnOracle::new(|states: &[D::Cell], out: &mut Vec<bool>| {
+                for &s in states {
+                    let idx = space.index(s).expect("demand states are in-space");
+                    out.push(verdicts.get_or_check(idx, || {
+                        if let Some(p) = &sc.check_probe.0 {
                             p();
                         }
-                        let key = D::rot_key(&fp, s, goal);
-                        out.push(
-                            template_check(&grid, s, tpls.template_for(key)).verdict.is_free(),
-                        );
-                    }
-                    // Cache traffic only: a last-key memo hit is not a
-                    // lookup on this arm's `/metrics` counters.
-                    let TemplateStats { hits, misses } = tpls.lookups();
-                    counted.0.fetch_add(hits, Ordering::Relaxed);
-                    counted.1.fetch_add(misses, Ordering::Relaxed);
-                },
-                pool.clone(),
-            );
-            let space = D::guided(&sc.space, sc.alt.as_deref());
-            let scratch = &mut D::warm(warm).scratch;
-            let run = planner.plan_config_in(&space, sc.start, sc.goal, &sc.astar, scratch);
+                        template_check(sc.grid, s, tpls.template_at(s)).verdict.is_free()
+                    }));
+                }
+            });
+            let result = astar_in(&space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
             metrics.alt_expansions_saved.fetch_add(D::tightened(&space), Ordering::Relaxed);
-            metrics.check_pool_panics.fetch_add(
-                pool.check_panics().saturating_sub(pool_panics_before),
-                Ordering::Relaxed,
-            );
-            record_tstats(
-                metrics,
-                TemplateStats {
-                    hits: lookups.0.load(Ordering::Relaxed),
-                    misses: lookups.1.load(Ordering::Relaxed),
-                },
-            );
-            return finish::<D>(run.result, 0, false, metrics);
+            // Cache traffic only: a last-key memo hit is not a lookup on
+            // this arm's `/metrics` counters.
+            record_tstats(metrics, tpls.lookups());
+            return finish::<D>(result, 0, false, metrics);
         }
     };
     record_tstats(metrics, out.tstats);
@@ -683,37 +646,31 @@ fn finish<D: Served>(
 mod tests {
     use super::*;
 
+    /// `memo`'s verdict for `idx`, where a check would answer `free`;
+    /// counts the checks it runs.
+    fn lookup(memo: &mut VerdictMemo, idx: usize, free: bool, checks: &mut u32) -> bool {
+        memo.get_or_check(idx, || {
+            *checks += 1;
+            free
+        })
+    }
+
     #[test]
-    fn check_pools_are_bounded_and_evicted_pools_are_joined() {
-        let metrics = ServerMetrics::new();
-        let mut dim = WarmDim::<D2>::with_pool_cap(2);
-        // 1 and 2 fill the cache; touching 1 makes 2 the least recently
-        // used, so 3 evicts 2, 4 evicts 1, 5 evicts 3 and the second 1
-        // evicts 4. Sixteen threads are started in all, at most nine at
-        // once.
-        let order = [1, 2, 1, 3, 4, 5, 1];
-        let census: Vec<_> = order
-            .iter()
-            .map(|&threads| {
-                let pool = dim.check_pool(threads, &metrics);
-                assert_eq!(pool.threads(), threads);
-                pool.census().clone()
-            })
-            .collect();
-
-        assert!(Arc::ptr_eq(&census[0], &census[2]), "a resident count reuses its pool");
-        assert!(!Arc::ptr_eq(&census[0], &census[6]), "an evicted count gets a new pool");
-        let resident: Vec<usize> = dim.check_pools.iter().map(|(n, _)| *n).collect();
-        assert_eq!(resident, [5, 1], "least recently used first");
-        for (i, c) in census.iter().enumerate() {
-            assert_eq!(c.spawned(), order[i], "pool {i} started its own threads only");
-            let live = if i >= 5 { order[i] } else { 0 };
-            assert_eq!(c.live(), live, "pool {i}: an evicted pool has joined its threads");
-        }
-        let started: usize = [1, 2, 3, 4, 5, 1].iter().sum();
-        assert_eq!(metrics.check_threads_spawned.load(Ordering::Relaxed), started as u64);
-
-        drop(dim);
-        assert!(census.iter().all(|c| c.live() == 0), "dropping the warm state joins the rest");
+    fn verdict_memo_checks_once_per_plan_and_forgets_between_plans() {
+        let (mut memo, mut checks) = (VerdictMemo::default(), 0);
+        memo.begin(4);
+        assert!(lookup(&mut memo, 1, true, &mut checks));
+        assert!(!lookup(&mut memo, 2, false, &mut checks));
+        assert!(lookup(&mut memo, 1, false, &mut checks), "a memoised verdict is not rechecked");
+        assert!(!lookup(&mut memo, 2, true, &mut checks));
+        assert_eq!(checks, 2);
+        // A new plan, perhaps on a new snapshot: every verdict is checked
+        // afresh, and a larger space grows the memo.
+        memo.begin(8);
+        assert_eq!(memo.entries.len(), 8);
+        assert!(!lookup(&mut memo, 1, false, &mut checks));
+        assert!(lookup(&mut memo, 2, true, &mut checks));
+        assert!(lookup(&mut memo, 7, true, &mut checks));
+        assert_eq!(checks, 5);
     }
 }

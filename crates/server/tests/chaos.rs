@@ -260,6 +260,43 @@ fn breaker_trips_to_software_fallback_and_recovers() {
 }
 
 #[test]
+fn threads_check_panic_answers_the_injected_message_and_counts_one_failure() {
+    let w = world();
+    // The Threads arm checks on the worker's thread, so a panicking check
+    // unwinds to the per-request boundary like a Racod one does.
+    let plan =
+        Arc::new(FaultPlan::builder(7).always(FaultSite::MidCheck, FaultAction::Panic).build());
+    let server = PlanServer::start(
+        ServerConfig {
+            workers: 1,
+            fault_plan: Some(plan),
+            breaker: BreakerConfig {
+                enabled: true,
+                threshold: 1,
+                cooldown: Duration::from_secs(60),
+            },
+            ..Default::default()
+        },
+        w.registry.clone(),
+    );
+    let req = PlanRequest::plan2("boston", w.start2, w.goal2)
+        .with_platform(Platform::Threads { threads: 2, runahead: 4 });
+    match server.submit(req).unwrap().wait_timeout(RESOLVE_BOUND).expect("resolved").outcome {
+        Outcome::Panicked { message } => {
+            assert!(FaultPlan::is_injected_panic(&message), "not the injected panic: {message}")
+        }
+        other => panic!("expected the injected panic, got {other:?}"),
+    }
+    let m = server.metrics();
+    assert_eq!(m.panicked.load(Ordering::Relaxed), 1);
+    assert_eq!(m.worker_respawns.load(Ordering::Relaxed), 0, "the worker survives");
+    // Threshold 1: the one native failure trips the Threads breaker alone.
+    assert_eq!(m.breaker_tripped.load(Ordering::Relaxed), 1);
+    assert!(server.breakers().threads.is_open());
+    assert!(!server.breakers().racod.is_open());
+}
+
+#[test]
 fn respawn_storm_is_capped_and_slot_abandoned() {
     let w = world();
     let server = PlanServer::start(

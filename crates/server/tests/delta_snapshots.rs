@@ -6,7 +6,8 @@
 //! the map's published versions, one no older than the map at submission
 //! and no newer than the map at the answer. One worker serves car plans on
 //! all three platforms while another thread lands a fixed sequence of
-//! delta batches, each one while a request is in the system.
+//! delta batches, each one while a request is in the system. The `Threads`
+//! arm's per-plan verdict memo must not carry a verdict across a delta.
 
 use racod_geom::Cell2;
 use racod_grid::gen::{city_map, CityName};
@@ -156,4 +157,38 @@ fn served_costs_match_a_direct_plan_on_some_published_version() {
             f64::from_bits(cost)
         );
     }
+}
+
+#[test]
+fn threads_verdicts_do_not_outlive_their_snapshot() {
+    let grid0 = city_map(CityName::Boston, SIDE, SIDE);
+    let sc = Scenario2::new(&grid0).with_free_endpoints((8, 8), (88, 80));
+    let reg = Arc::new(MapRegistry::new());
+    let entry = reg.insert_grid2("boston", grid0.clone());
+    let server = PlanServer::start(ServerConfig { workers: 1, ..Default::default() }, reg);
+    let serve = || {
+        let req = PlanRequest::plan2("boston", sc.start, sc.goal)
+            .with_footprint2(sc.footprint)
+            .with_astar(sc.astar.clone())
+            .with_platform(Platform::Threads { threads: 2, runahead: 2 });
+        match server.submit(req).expect("admitted").wait().outcome {
+            Outcome::Planned(p) => p.cost.to_bits(),
+            other => panic!("expected Planned, got {other:?}"),
+        }
+    };
+
+    let (cost0, path0) = direct_cost(&grid0, &sc);
+    assert_eq!(serve(), cost0, "version 0");
+    let block: Vec<GridDelta2> = block_of(&path0.expect("version 0 has a path"))
+        .into_iter()
+        .map(|cell| GridDelta2::Appear { cell })
+        .collect();
+    server.apply_map_deltas(&MapId::new("boston"), &block).expect("a 2D map");
+    let (grid1, version) = entry.snapshot2().unwrap();
+    assert_eq!(version, 1);
+    let (cost1, _) = direct_cost(&grid1, &sc);
+    assert_ne!(cost1, cost0, "the block must move the cost, or a leaked verdict would pass");
+    // The same worker, the same request: verdicts memoised on version 0
+    // would mark the blocked path free and repeat `cost0`.
+    assert_eq!(serve(), cost1, "version 1");
 }

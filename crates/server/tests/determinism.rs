@@ -141,6 +141,39 @@ fn plan3_path_bit_identical_to_direct_call_on_every_platform() {
 }
 
 #[test]
+fn threaded_3d_path_bit_identical_to_single_threaded_astar_on_a_warm_worker() {
+    let grid = campus_3d(5, 40, 40, 20);
+    let pairs = [((3, 3, 5), (36, 36, 14)), ((36, 4, 12), (4, 35, 6))];
+    let reg = MapRegistry::new();
+    reg.insert_grid3("campus", grid.clone());
+    let server =
+        PlanServer::start(ServerConfig { workers: 1, ..Default::default() }, Arc::new(reg));
+    // Each pair twice on one worker, so the later plans reuse the worker's
+    // arena and verdict memo after plans over the other pair.
+    for round in 0..2 {
+        for &(s, g) in &pairs {
+            let sc = Scenario3::new(&grid).with_free_endpoints(s, g);
+            let checker = racod_sim::TemplateChecker3::new(&grid, sc.footprint, sc.goal);
+            let mut oracle = FnOracle::new(|c| checker.is_free(c));
+            let reference = astar(&sc.space, sc.start, sc.goal, &sc.astar, &mut oracle);
+            assert!(reference.path.is_some(), "pair {s:?}");
+
+            let mut req = PlanRequest::plan3("campus", sc.start, sc.goal)
+                .with_astar(sc.astar.clone())
+                .with_platform(Platform::Threads { threads: 4, runahead: 2 });
+            if let Workload::Plan3 { footprint, .. } = &mut req.workload {
+                *footprint = sc.footprint;
+            }
+            let got = serve_one(&server, req);
+            let PlannedPath::P3(path) = got.path else { panic!("3d path") };
+            assert_eq!(path, reference.path, "round {round}, pair {s:?}");
+            assert_eq!(got.cost.to_bits(), reference.cost.to_bits(), "round {round}, pair {s:?}");
+            assert_eq!(got.expansions, reference.stats.expansions, "round {round}, pair {s:?}");
+        }
+    }
+}
+
+#[test]
 fn infeasible_request_agrees_with_direct_call() {
     // Two pockets split by a wall: the server's reachability prefilter
     // answers without searching; the direct call searches exhaustively.
