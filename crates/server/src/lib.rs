@@ -1,8 +1,7 @@
 //! racod-server: a multi-tenant planning service over the RACOD stack.
 //!
-//! The service turns the repository's planners ([`racod_sim::planner`] and
-//! [`racod_search::astar_in`] over the template kernel) into a
-//! long-running, shared facility:
+//! The service turns the repository's planner ([`racod_sim::plan_in`], on
+//! every [`Platform`]) into a long-running, shared facility:
 //!
 //! * **Admission control** — a bounded ingress queue; submissions beyond
 //!   capacity are rejected with [`Rejected::QueueFull`] instead of blocking

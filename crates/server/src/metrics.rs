@@ -208,9 +208,11 @@ pub struct ServerMetrics {
     pub affinity_hits: AtomicU64,
     /// Dispatches that had to switch the worker to a different map.
     pub affinity_misses: AtomicU64,
-    /// Collision-check template lookups served from the registry's cache.
+    /// Collision-check template requests served without compiling: by a
+    /// plan's last-key memo or by the registry's cache. Every platform
+    /// adds its plans' [`racod_sim::PlanOutcome::tstats`].
     pub template_hits: AtomicU64,
-    /// Collision-check template lookups that compiled a new template.
+    /// Collision-check template requests that compiled a new template.
     pub template_misses: AtomicU64,
     /// Gauge: `(footprint, orientation)` keys resident in the registry's
     /// template cache. Read from the cache by [`crate::PlanServer::metrics`].
@@ -383,8 +385,8 @@ impl ServerMetrics {
         }
     }
 
-    /// Footprint-template cache hit rate over all collision-check lookups
-    /// (0 when none).
+    /// Footprint-template hit rate over all collision-check template
+    /// requests (0 when none).
     pub fn template_hit_rate(&self) -> f64 {
         let h = self.template_hits.load(Ordering::Relaxed) as f64;
         let m = self.template_misses.load(Ordering::Relaxed) as f64;

@@ -90,11 +90,11 @@ pub enum Platform {
         /// CODAcc unit count.
         units: usize,
     },
-    /// Wall-clock execution of the template kernel, no simulated cycle
-    /// attribution. The serving worker checks on its own thread: a
-    /// hand-off to a pool thread costs more than the check it carries.
-    /// Both fields are validated, carried on the wire and in traces, and
-    /// otherwise unused.
+    /// The template kernel with no timing model
+    /// ([`racod_sim::Backend::Native`]): the serving worker plans and
+    /// checks on its own thread, because a hand-off to a pool thread costs
+    /// more than the check it carries. Both fields are validated, carried
+    /// on the wire and in traces, and otherwise unused.
     Threads {
         /// Requested check thread count (recorded, not used for serving).
         threads: usize,

@@ -25,17 +25,13 @@ use crate::metrics::ServerMetrics;
 use crate::request::{MapId, Outcome, Planned, PlannedPath, Platform, TimeoutStage, Workload};
 use crate::scheduler::Admitted;
 use crossbeam::channel::Receiver;
-use racod_codacc::{template_check, CodaccPool};
+use racod_codacc::CodaccPool;
 use racod_fault::{mix64, FaultPlan, FaultSite};
 use racod_geom::{Cell2, Cell3};
-use racod_search::{
-    astar_in, BatchFnOracle, Interrupt, InterruptReason, SearchResult, SearchScratch, SearchSpace,
-    SearchStats, Termination,
-};
+use racod_search::{Interrupt, InterruptReason, SearchScratch, Termination};
 use racod_sim::oracle::{CheckProbe, CheckProbeSlot};
 use racod_sim::{
-    plan_in, Backend, CostModel, Dim, Scenario, Scenario2, Scenario3, TemplateSource,
-    TemplateStats, D2, D3,
+    plan_in, Backend, CostModel, Dim, Scenario, Scenario2, Scenario3, VerdictMemo, D2, D3,
 };
 use std::collections::HashMap;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -91,7 +87,7 @@ pub struct WorkerContext {
 pub type Batch = Vec<Admitted>;
 
 /// What one worker keeps warm per planning dimension, reused across every
-/// request: the epoch-stamped search arena and the [`Platform::Threads`]
+/// request: the epoch-stamped search arena and the [`Backend::Native`]
 /// verdict memo. After the first plan on the largest map, the steady-state
 /// search allocates nothing.
 struct WarmDim<D: Dim> {
@@ -102,39 +98,6 @@ struct WarmDim<D: Dim> {
 impl<D: Dim> WarmDim<D> {
     fn new() -> Self {
         WarmDim { scratch: SearchScratch::new(), verdicts: VerdictMemo::default() }
-    }
-}
-
-/// The collision verdicts of one [`Platform::Threads`] plan, by dense state
-/// index. The engine demands a state again from every parent that reaches
-/// it before it closes; the memo checks it once per plan. An entry is
-/// `epoch << 1 | free` and is live only while `epoch` is the current plan's,
-/// so opening a plan is one increment and no verdict outlives the snapshot
-/// it was computed on. A 63-bit epoch does not wrap.
-#[derive(Default)]
-struct VerdictMemo {
-    epoch: u64,
-    entries: Vec<u64>,
-}
-
-impl VerdictMemo {
-    /// Opens a plan over `states` dense indices.
-    fn begin(&mut self, states: usize) {
-        self.epoch += 1;
-        if self.entries.len() < states {
-            self.entries.resize(states, 0);
-        }
-    }
-
-    /// This plan's verdict for `idx`, computed by `check` on first demand.
-    fn get_or_check(&mut self, idx: usize, check: impl FnOnce() -> bool) -> bool {
-        let entry = self.entries[idx];
-        if entry >> 1 == self.epoch {
-            return entry & 1 == 1;
-        }
-        let free = check();
-        self.entries[idx] = self.epoch << 1 | u64::from(free);
-        free
     }
 }
 
@@ -164,8 +127,8 @@ impl WarmState {
         }
     }
 
-    fn put_back(&mut self, map: &MapId, units: usize, pool: CodaccPool) {
-        self.pools.insert((map.clone(), units), pool);
+    fn put_back(&mut self, map: &MapId, pool: CodaccPool) {
+        self.pools.insert((map.clone(), pool.units()), pool);
     }
 }
 
@@ -529,8 +492,8 @@ fn execute(
     }
 }
 
-/// Plans `sc` on `platform`, once for both dimensions. `sc.check_probe`
-/// carries the mid-check fault site.
+/// Plans `sc` on `platform` with one [`plan_in`] call, once for both
+/// dimensions. `sc.check_probe` carries the mid-check fault site.
 fn run_platform<D: Served>(
     mut sc: Scenario<'_, D>,
     platform: Platform,
@@ -538,77 +501,55 @@ fn run_platform<D: Served>(
     warm: &mut WarmState,
     metrics: &Arc<ServerMetrics>,
 ) -> (Planned, Termination) {
-    let (out, was_warm) = match platform {
-        Platform::SimSoftware { threads, runahead } => {
-            // The mid-check fault site instruments the *accelerated*
-            // checker paths (RACOD's timed oracle, the Threads check
-            // closure); the plain software path stays trusted so breaker
-            // fallbacks demonstrably work while faults are armed.
-            sc.check_probe = CheckProbeSlot::default();
-            let backend = Backend::software(threads, runahead);
-            let scratch = &mut D::warm(warm).scratch;
-            (plan_in(&sc, backend, &CostModel::i3_software(), scratch), false)
-        }
-        Platform::Racod { units } => {
-            let (mut pool, was_warm) = warm.take(map, units);
-            let backend = Backend::RacodPooled(&mut pool);
-            let out = plan_in(&sc, backend, &CostModel::racod(), &mut D::warm(warm).scratch);
-            warm.put_back(map, units, pool);
-            (out, was_warm)
-        }
-        Platform::Threads { .. } => {
-            // Served on this thread: a kernel check costs a fraction of a
-            // microsecond and a hand-off to a pool thread several, so no
-            // pool pays (EXPERIMENTS.md). One template source serves the
-            // whole plan.
-            let cache = sc.tcache.clone().unwrap_or_default();
-            let mut tpls = TemplateSource::new(sc.footprint, sc.goal, &cache);
-            let space = D::guided(&sc.space, sc.alt.as_deref());
-            let WarmDim { scratch, verdicts } = D::warm(warm);
-            verdicts.begin(space.state_count());
-            let mut oracle = BatchFnOracle::new(|states: &[D::Cell], out: &mut Vec<bool>| {
-                for &s in states {
-                    let idx = space.index(s).expect("demand states are in-space");
-                    out.push(verdicts.get_or_check(idx, || {
-                        if let Some(p) = &sc.check_probe.0 {
-                            p();
-                        }
-                        template_check(sc.grid, s, tpls.template_at(s)).verdict.is_free()
-                    }));
-                }
-            });
-            let result = astar_in(&space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
-            metrics.alt_expansions_saved.fetch_add(D::tightened(&space), Ordering::Relaxed);
-            // Cache traffic only: a last-key memo hit is not a lookup on
-            // this arm's `/metrics` counters.
-            record_tstats(metrics, tpls.lookups());
-            return finish::<D>(result, 0, false, metrics);
-        }
+    let mut pooled = match platform {
+        Platform::Racod { units } => Some(warm.take(map, units)),
+        _ => None,
     };
-    record_tstats(metrics, out.tstats);
+    let WarmDim { scratch, verdicts } = D::warm(warm);
+    let (backend, cost) = match (platform, &mut pooled) {
+        (Platform::SimSoftware { threads, runahead }, _) => {
+            // The mid-check fault site instruments the *native* checker
+            // paths (RACOD's timed oracle, the `Threads` kernel checks);
+            // the plain software path stays trusted so breaker fallbacks
+            // demonstrably work while faults are armed.
+            sc.check_probe = CheckProbeSlot::default();
+            (Backend::software(threads, runahead), CostModel::i3_software())
+        }
+        (Platform::Racod { .. }, Some((pool, _))) => {
+            (Backend::RacodPooled(pool), CostModel::racod())
+        }
+        (Platform::Racod { .. }, None) => unreachable!("a Racod plan takes its pool above"),
+        // Served on this thread: a kernel check costs a fraction of a
+        // microsecond and a hand-off to a pool thread several, so no pool
+        // pays (EXPERIMENTS.md). `Native` reads no cost model.
+        (Platform::Threads { .. }, _) => (Backend::Native(verdicts), CostModel::default()),
+    };
+    let out = plan_in(&sc, backend, &cost, scratch);
+    let was_warm = match pooled {
+        Some((pool, was_warm)) => {
+            warm.put_back(map, pool);
+            was_warm
+        }
+        None => false,
+    };
+    metrics.template_hits.fetch_add(out.tstats.hits, Ordering::Relaxed);
+    metrics.template_misses.fetch_add(out.tstats.misses, Ordering::Relaxed);
     metrics.alt_expansions_saved.fetch_add(out.alt_tightened, Ordering::Relaxed);
-    finish::<D>(out.result, out.cycles, was_warm, metrics)
+    let r = out.result;
+    if r.stats.scratch_reused {
+        metrics.scratch_reuses.fetch_add(1, Ordering::Relaxed);
+    } else {
+        metrics.scratch_cold_starts.fetch_add(1, Ordering::Relaxed);
+    }
+    metrics.stale_pops.fetch_add(r.stats.stale_pops, Ordering::Relaxed);
+    metrics.peak_open.fetch_max(r.stats.peak_open, Ordering::Relaxed);
+    (planned(D::path(r.path), r.cost, r.stats.expansions, out.cycles, was_warm), r.termination)
 }
 
 /// Marker payload for the `PoisonWorker` chaos workload: the per-request
 /// catch re-raises it so the worker loop itself dies and the supervisor
 /// respawns the slot.
 pub struct WorkerPoison;
-
-fn record_tstats(metrics: &ServerMetrics, t: TemplateStats) {
-    metrics.template_hits.fetch_add(t.hits, Ordering::Relaxed);
-    metrics.template_misses.fetch_add(t.misses, Ordering::Relaxed);
-}
-
-fn record_sstats(metrics: &ServerMetrics, s: &SearchStats) {
-    if s.scratch_reused {
-        metrics.scratch_reuses.fetch_add(1, Ordering::Relaxed);
-    } else {
-        metrics.scratch_cold_starts.fetch_add(1, Ordering::Relaxed);
-    }
-    metrics.stale_pops.fetch_add(s.stale_pops, Ordering::Relaxed);
-    metrics.peak_open.fetch_max(s.peak_open, Ordering::Relaxed);
-}
 
 fn planned(
     path: PlannedPath,
@@ -625,52 +566,5 @@ fn planned(
         queue_wait: Default::default(),
         service_time: Default::default(),
         warm_start,
-    }
-}
-
-fn finish<D: Served>(
-    result: SearchResult<D::Cell>,
-    sim_cycles: u64,
-    warm_start: bool,
-    metrics: &ServerMetrics,
-) -> (Planned, Termination) {
-    record_sstats(metrics, &result.stats);
-    let expansions = result.stats.expansions;
-    (
-        planned(D::path(result.path), result.cost, expansions, sim_cycles, warm_start),
-        result.termination,
-    )
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    /// `memo`'s verdict for `idx`, where a check would answer `free`;
-    /// counts the checks it runs.
-    fn lookup(memo: &mut VerdictMemo, idx: usize, free: bool, checks: &mut u32) -> bool {
-        memo.get_or_check(idx, || {
-            *checks += 1;
-            free
-        })
-    }
-
-    #[test]
-    fn verdict_memo_checks_once_per_plan_and_forgets_between_plans() {
-        let (mut memo, mut checks) = (VerdictMemo::default(), 0);
-        memo.begin(4);
-        assert!(lookup(&mut memo, 1, true, &mut checks));
-        assert!(!lookup(&mut memo, 2, false, &mut checks));
-        assert!(lookup(&mut memo, 1, false, &mut checks), "a memoised verdict is not rechecked");
-        assert!(!lookup(&mut memo, 2, true, &mut checks));
-        assert_eq!(checks, 2);
-        // A new plan, perhaps on a new snapshot: every verdict is checked
-        // afresh, and a larger space grows the memo.
-        memo.begin(8);
-        assert_eq!(memo.entries.len(), 8);
-        assert!(!lookup(&mut memo, 1, false, &mut checks));
-        assert!(lookup(&mut memo, 2, true, &mut checks));
-        assert!(lookup(&mut memo, 7, true, &mut checks));
-        assert_eq!(checks, 5);
     }
 }

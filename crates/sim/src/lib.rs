@@ -21,7 +21,9 @@
 //! i3/Xeon, a GPU throughput model, and CODAcc pools. [`planner::plan`] is
 //! the one entry point — platform as a [`Backend`] value, dimension as a
 //! [`Dim`] parameter — and [`pase_model`] prices the PA*SE baseline from its
-//! functional profile.
+//! functional profile. [`Backend::Native`] runs the same search without the
+//! timed oracle: the template kernel behind a per-plan [`VerdictMemo`], 0
+//! cycles, the same path.
 //!
 //! # Example
 //!
@@ -51,7 +53,9 @@ pub use dim::{Dim, D2, D3};
 pub use engine::UnitPool;
 pub use footprint::{Footprint2, Footprint3, RotKey};
 pub use oracle::{PlanTiming, TimedChecker, TimedOracle, TimedOracleConfig};
-pub use planner::{plan, plan_in, Backend, PlanOutcome, Scenario, Scenario2, Scenario3};
+pub use planner::{
+    plan, plan_in, Backend, PlanOutcome, Scenario, Scenario2, Scenario3, VerdictMemo,
+};
 pub use tcache::{
     BatchScratch, TemplateCache, TemplateCache2, TemplateCache3, TemplateCensus, TemplateChecker,
     TemplateChecker2, TemplateChecker3, TemplateSource, TemplateStats, DEFAULT_TEMPLATE_CAPACITY,

@@ -4,8 +4,9 @@
 //! [`plan_in`] runs a *real* search over a real grid on the [`Backend`] it
 //! is given and returns both the functional result and the simulated
 //! timing, so experiment harnesses can compute speedups as ratios of cycle
-//! counts. It is written once over [`Dim`]; [`Scenario2`] and [`Scenario3`]
-//! are the two instantiations.
+//! counts; [`Backend::Native`] runs the same search untimed. It is written
+//! once over [`Dim`]; [`Scenario2`] and [`Scenario3`] are the two
+//! instantiations.
 
 use crate::cost::CostModel;
 use crate::dim::{Dim, D2, D3};
@@ -18,7 +19,7 @@ use racod_geom::{Cell2, Cell3};
 use racod_grid::BitGrid;
 use racod_mem::{CacheConfig, CacheStats, LatencyModel};
 use racod_rasexp::RasexpStats;
-use racod_search::{astar_in, AstarConfig, SearchResult, SearchScratch};
+use racod_search::{astar_in, AstarConfig, FnOracle, SearchResult, SearchScratch, SearchSpace};
 use std::borrow::BorrowMut;
 use std::sync::Arc;
 
@@ -185,14 +186,14 @@ pub fn free_near<D: Dim>(grid: &BitGrid<D::Cell>, at: D::Cell) -> D::Cell {
         .unwrap_or_else(|| panic!("grid has no free cell near {at:?}"))
 }
 
-/// The result of one timed planning run.
+/// The result of one planning run.
 #[derive(Debug, Clone)]
 pub struct PlanOutcome<S> {
     /// The functional search result.
     pub result: SearchResult<S>,
-    /// Total simulated cycles.
+    /// Total simulated cycles (0 on [`Backend::Native`], which is untimed).
     pub cycles: u64,
-    /// Detailed timing.
+    /// Detailed timing (all zero on [`Backend::Native`]).
     pub timing: PlanTiming,
     /// RASExp statistics (zeroed fields for non-runahead runs).
     pub stats: RasexpStats,
@@ -237,6 +238,11 @@ pub enum Backend<'p> {
     /// batches consecutive requests on the same map through one pool models
     /// exactly the paper's "shared environment state" amortization.
     RacodPooled(&'p mut CodaccPool),
+    /// The template kernel with no timing model, each state checked at
+    /// most once per plan through a caller-owned [`VerdictMemo`]. The
+    /// outcome has 0 cycles, no L0 statistics, and `stats.demand_computed`
+    /// equal to the checks run; the path is every timed backend's.
+    Native(&'p mut VerdictMemo),
 }
 
 impl Backend<'static> {
@@ -255,6 +261,39 @@ impl Backend<'static> {
             latency: LatencyModel::default(),
             l0: CacheConfig::l0_default(),
         }
+    }
+}
+
+/// The collision verdicts of one [`Backend::Native`] plan, by dense state
+/// index. The engine demands a state again from every parent that reaches
+/// it before it closes; the memo checks it once per plan. An entry is
+/// `epoch << 1 | free` and is live only while `epoch` is the current plan's,
+/// so opening a plan is one increment and no verdict outlives the snapshot
+/// it was computed on. A 63-bit epoch does not wrap.
+#[derive(Debug, Default)]
+pub struct VerdictMemo {
+    epoch: u64,
+    entries: Vec<u64>,
+}
+
+impl VerdictMemo {
+    /// Opens a plan over `states` dense indices.
+    pub fn begin(&mut self, states: usize) {
+        self.epoch += 1;
+        if self.entries.len() < states {
+            self.entries.resize(states, 0);
+        }
+    }
+
+    /// This plan's verdict for `idx`, computed by `check` on first demand.
+    pub fn get_or_check(&mut self, idx: usize, check: impl FnOnce() -> bool) -> bool {
+        let entry = self.entries[idx];
+        if entry >> 1 == self.epoch {
+            return entry & 1 == 1;
+        }
+        let free = check();
+        self.entries[idx] = self.epoch << 1 | u64::from(free);
+        free
     }
 }
 
@@ -336,7 +375,8 @@ pub fn plan<D: Dim>(
 /// [`SearchScratch`] (warm workers skip per-plan allocation; results are
 /// bit-identical to [`plan`]). With [`Backend::RacodPooled`] and a shared
 /// template cache this is the fully warm serving path: pool caches,
-/// templates, and search arrays all survive across requests.
+/// templates, and search arrays all survive across requests;
+/// [`Backend::Native`] keeps its verdict memo warm the same way.
 pub fn plan_in<D: Dim>(
     sc: &Scenario<'_, D>,
     backend: Backend<'_>,
@@ -391,6 +431,41 @@ pub fn plan_in<D: Dim>(
                 scratch,
             )
         }
+        Backend::Native(memo) => native(sc, tpls, memo, scratch),
+    }
+}
+
+/// The [`Backend::Native`] body: the search over the template kernel, each
+/// state checked once per plan, the check probe run before each check.
+fn native<D: Dim>(
+    sc: &Scenario<'_, D>,
+    mut tpls: TemplateSource<'_, D>,
+    memo: &mut VerdictMemo,
+    scratch: &mut SearchScratch<D::Cell>,
+) -> PlanOutcome<D::Cell> {
+    let space = D::guided(&sc.space, sc.alt.as_deref());
+    memo.begin(space.state_count());
+    let probe = sc.check_probe.0.as_deref();
+    let mut checks = 0;
+    let mut oracle = FnOracle::new(|s: D::Cell| {
+        let idx = space.index(s).expect("demand states are in-space");
+        memo.get_or_check(idx, || {
+            if let Some(p) = probe {
+                p();
+            }
+            checks += 1;
+            template_check(sc.grid, s, tpls.template_at(s)).verdict.is_free()
+        })
+    });
+    let result = astar_in(&space, sc.start, sc.goal, &sc.astar, &mut oracle, scratch);
+    PlanOutcome {
+        result,
+        cycles: 0,
+        timing: PlanTiming::default(),
+        stats: RasexpStats { demand_computed: checks, ..RasexpStats::default() },
+        l0_stats: None,
+        tstats: tpls.stats(),
+        alt_tightened: D::tightened(&space),
     }
 }
 
@@ -474,8 +549,9 @@ mod tests {
     }
 
     /// Every [`Backend`] shape with its cost model: software BM, software
-    /// RASExp, RACOD, one CODAcc without RASExp, and RACOD on `pool`.
-    fn backend(i: usize, pool: &mut CodaccPool) -> (Backend<'_>, CostModel) {
+    /// RASExp, RACOD, one CODAcc without RASExp, RACOD on `pool`, and the
+    /// untimed kernel on `memo`.
+    fn backend(i: usize, (pool, memo): &mut (CodaccPool, VerdictMemo)) -> (Backend<'_>, CostModel) {
         let (sw, hw) = (CostModel::i3_software(), CostModel::racod());
         match i {
             0 => (Backend::Software { threads: 2, runahead: None }, sw),
@@ -483,22 +559,34 @@ mod tests {
             2 => (Backend::racod(4), hw),
             3 => (one_codacc(), hw),
             4 => (Backend::RacodPooled(pool), hw),
-            _ => unreachable!("five backends"),
+            5 => (Backend::Native(memo), sw),
+            _ => unreachable!("six backends"),
         }
     }
 
     /// The surface contract, once for both dimensions and every backend.
     fn surface_contract<D: Dim>(sc: Scenario<'_, D>) {
         let mut arena = SearchScratch::new();
-        for i in 0..5 {
+        let mut warm = (CodaccPool::new(4), VerdictMemo::default());
+        let mut first = None;
+        for i in 0..6 {
             let run = |sc: &Scenario<'_, D>| {
-                let mut pool = CodaccPool::new(4);
-                let (b, cost) = backend(i, &mut pool);
+                let mut fresh = (CodaccPool::new(4), VerdictMemo::default());
+                let (b, cost) = backend(i, &mut fresh);
                 plan(sc, b, &cost)
             };
             let fresh = run(&sc);
             assert!(fresh.result.found(), "backend {i}");
-            assert_eq!(fresh.l0_stats.is_some(), i >= 2, "L0 statistics are CODAcc's");
+            assert_eq!(fresh.l0_stats.is_some(), (2..5).contains(&i), "L0 statistics are CODAcc's");
+
+            // Every backend finds backend 0's path, cost and expansions.
+            let base = first.get_or_insert_with(|| fresh.result.clone());
+            assert_eq!(fresh.result.path, base.path, "backend {i}");
+            assert_eq!(fresh.result.cost.to_bits(), base.cost.to_bits(), "backend {i}");
+            if i == 5 {
+                assert_eq!(fresh.result.stats.expansions, base.stats.expansions);
+                assert_eq!(fresh.cycles, 0, "the native backend is untimed");
+            }
 
             // An interrupt that never fires changes neither answer nor timing.
             let far = std::time::Instant::now() + std::time::Duration::from_secs(3600);
@@ -506,16 +594,17 @@ mod tests {
             assert_eq!(watched.result.path, fresh.result.path, "backend {i}");
             assert_eq!(watched.cycles, fresh.cycles, "backend {i}");
 
-            // `plan` is `plan_in` on a fresh arena, and a reused arena
-            // changes nothing.
+            // `plan` is `plan_in` on a fresh arena, and a reused arena (and,
+            // on the native backend, a reused memo) changes nothing.
             for _ in 0..2 {
-                let mut pool = CodaccPool::new(4);
-                let (b, cost) = backend(i, &mut pool);
+                warm.0 = CodaccPool::new(4);
+                let (b, cost) = backend(i, &mut warm);
                 let again = plan_in(&sc, b, &cost, &mut arena);
                 assert_eq!(again.result.path, fresh.result.path, "backend {i}");
                 assert_eq!(again.result.cost.to_bits(), fresh.result.cost.to_bits());
                 assert_eq!(again.result.stats.expansions, fresh.result.stats.expansions);
                 assert_eq!(again.cycles, fresh.cycles, "backend {i}");
+                assert_eq!(again.stats.demand_computed, fresh.stats.demand_computed);
                 assert_eq!(again.tstats, fresh.tstats, "backend {i}");
             }
 
@@ -532,6 +621,10 @@ mod tests {
                 "backend {i}"
             );
             assert_eq!(probed.cycles, fresh.cycles, "backend {i}");
+            assert!(
+                i < 5 || probed.stats.spec_issued == 0,
+                "the native backend does not speculate"
+            );
 
             // An already-expired deadline with a tight poll interval stops
             // the search within one poll batch instead of finishing.
@@ -548,6 +641,34 @@ mod tests {
             assert!(!out.result.found());
             assert!(out.result.stats.expansions <= 32);
         }
+    }
+
+    /// `memo`'s verdict for `idx`, where a check would answer `free`;
+    /// counts the checks it runs.
+    fn lookup(memo: &mut VerdictMemo, idx: usize, free: bool, checks: &mut u32) -> bool {
+        memo.get_or_check(idx, || {
+            *checks += 1;
+            free
+        })
+    }
+
+    #[test]
+    fn verdict_memo_checks_once_per_plan_and_forgets_between_plans() {
+        let (mut memo, mut checks) = (VerdictMemo::default(), 0);
+        memo.begin(4);
+        assert!(lookup(&mut memo, 1, true, &mut checks));
+        assert!(!lookup(&mut memo, 2, false, &mut checks));
+        assert!(lookup(&mut memo, 1, false, &mut checks), "a memoised verdict is not rechecked");
+        assert!(!lookup(&mut memo, 2, true, &mut checks));
+        assert_eq!(checks, 2);
+        // A new plan, perhaps on a new snapshot: every verdict is checked
+        // afresh, and a larger space grows the memo.
+        memo.begin(8);
+        assert_eq!(memo.entries.len(), 8);
+        assert!(!lookup(&mut memo, 1, false, &mut checks));
+        assert!(lookup(&mut memo, 2, true, &mut checks));
+        assert!(lookup(&mut memo, 7, true, &mut checks));
+        assert_eq!(checks, 5);
     }
 
     #[test]

@@ -336,61 +336,37 @@ impl TemplateStats {
 
 /// Per-run template supplier: a shared cache behind a last-key memo, so
 /// the common case (consecutive states on the same heading ray) never
-/// touches the cache lock.
-///
-/// Memo hits and cache lookups are counted apart because callers report
-/// them differently: a simulated plan's [`TemplateStats`] counts a memo hit
-/// as a hit ([`TemplateSource::stats`]), the serving layer's real-threads
-/// arm records cache traffic only ([`TemplateSource::lookups`]).
+/// touches the cache lock. Its [`TemplateStats`] count a memo hit as a hit.
 pub struct TemplateSource<'c, D: Dim> {
     footprint: D::Footprint,
     goal: D::Cell,
     cache: &'c TemplateCache<D>,
     last: Option<(RotKey, Arc<FootprintTemplate<D::Cell>>)>,
-    memo_hits: u64,
-    lookups: TemplateStats,
+    stats: TemplateStats,
 }
 
 impl<'c, D: Dim> TemplateSource<'c, D> {
     /// A supplier of `footprint`'s templates for states heading to `goal`.
     pub fn new(footprint: D::Footprint, goal: D::Cell, cache: &'c TemplateCache<D>) -> Self {
-        TemplateSource {
-            footprint,
-            goal,
-            cache,
-            last: None,
-            memo_hits: 0,
-            lookups: TemplateStats::default(),
-        }
+        TemplateSource { footprint, goal, cache, last: None, stats: TemplateStats::default() }
     }
 
     /// The template of the body at `state`.
     pub fn template_at(&mut self, state: D::Cell) -> &FootprintTemplate<D::Cell> {
         let key = D::rot_key(&self.footprint, state, self.goal);
-        self.template_for(key)
-    }
-
-    /// The template for orientation `key`, which MUST be this footprint's
-    /// key at the state being checked.
-    pub fn template_for(&mut self, key: RotKey) -> &FootprintTemplate<D::Cell> {
         if matches!(&self.last, Some((k, _)) if *k == key) {
-            self.memo_hits += 1;
+            self.stats.count(true);
         } else {
             let (tpl, hit) = self.cache.get(&self.footprint, key);
-            self.lookups.count(hit);
+            self.stats.count(hit);
             self.last = Some((key, tpl));
         }
         &self.last.as_ref().expect("memo filled above").1
     }
 
-    /// Cache lookups only: what got past the memo.
-    pub fn lookups(&self) -> TemplateStats {
-        self.lookups
-    }
-
-    /// Every request: memo hits count as hits.
+    /// Every request so far: memo hits count as hits.
     pub fn stats(&self) -> TemplateStats {
-        TemplateStats { hits: self.lookups.hits + self.memo_hits, misses: self.lookups.misses }
+        self.stats
     }
 }
 

@@ -1,18 +1,20 @@
 //! The check hot path allocates nothing once warm: a modelled CODAcc check
 //! (`CodaccPool::check_cells`) and a template-cache hit
 //! (`TemplateCache::get`) run every demand and speculative check of a
-//! simulated plan, so one allocation there is paid hundreds of times per
+//! simulated plan, and a `Backend::Native` check (`VerdictMemo::get_or_check`
+//! → `TemplateSource::template_at` → `template_check`) every demand check of
+//! an untimed one, so one allocation there is paid hundreds of times per
 //! plan.
 //!
 //! A counting global allocator records allocations per thread, so the
 //! harness's own threads never leak into a count. Deterministic and
 //! timing-free.
 
-use racod_codacc::CodaccPool;
+use racod_codacc::{template_check, CodaccPool};
 use racod_geom::{Cell2, Cell3};
 use racod_grid::gen::{campus_3d, city_map, CityName};
 use racod_grid::BitGrid;
-use racod_sim::{Dim, Footprint2, Footprint3, TemplateCache, D2, D3};
+use racod_sim::{Dim, Footprint2, Footprint3, TemplateCache, TemplateSource, VerdictMemo, D2, D3};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -61,14 +63,15 @@ fn allocations_in(f: impl FnOnce()) -> u64 {
     ALLOCATIONS.with(Cell::get) - before
 }
 
-/// Warms a pool and a cache on `states`, then counts the allocations of
-/// 1 000 model checks and 1 000 cache hits cycling over them.
+/// Warms a pool, a cache and a verdict memo on `states`, then counts the
+/// allocations of 1 000 model checks, 1 000 cache hits and 1 000 native
+/// checks cycling over them.
 fn hot_path_allocations<D: Dim>(
     grid: &BitGrid<D::Cell>,
     footprint: D::Footprint,
     goal: D::Cell,
     states: &[D::Cell],
-) -> (u64, u64) {
+) -> (u64, u64, u64) {
     let cache = TemplateCache::<D>::default();
     let keys: Vec<_> = states.iter().map(|&s| D::rot_key(&footprint, s, goal)).collect();
     let cells: Vec<Vec<D::Cell>> =
@@ -86,7 +89,20 @@ fn hot_path_allocations<D: Dim>(
             assert!(hit);
         }
     });
-    (model, hits)
+    // Every pass over `states` opens a new plan, so each call misses the
+    // memo and runs the kernel.
+    let mut tpls = TemplateSource::new(footprint, goal, &cache);
+    let mut memo = VerdictMemo::default();
+    let mut native_check = |i: usize| {
+        let (idx, s) = (i % states.len(), states[i % states.len()]);
+        if idx == 0 {
+            memo.begin(states.len());
+        }
+        memo.get_or_check(idx, || template_check(grid, s, tpls.template_at(s)).verdict.is_free());
+    };
+    (0..states.len()).for_each(&mut native_check);
+    let native = allocations_in(|| (0..1_000).for_each(&mut native_check));
+    (model, hits, native)
 }
 
 #[test]
@@ -95,7 +111,7 @@ fn car_checks_allocate_nothing_once_warm() {
     let states: Vec<_> = (0..40).map(|i| Cell2::new(10 + 2 * i, 12 + i)).collect();
     let counts =
         hot_path_allocations::<D2>(&grid, Footprint2::car(), Cell2::new(120, 120), &states);
-    assert_eq!(counts, (0, 0), "(model checks, cache hits)");
+    assert_eq!(counts, (0, 0, 0), "(model checks, cache hits, native checks)");
 }
 
 #[test]
@@ -104,7 +120,7 @@ fn point_checks_allocate_nothing_once_warm() {
     let states: Vec<_> = (0..40).map(|i| Cell2::new(3 * i, 100 - 2 * i)).collect();
     let counts =
         hot_path_allocations::<D2>(&grid, Footprint2::point(), Cell2::new(120, 4), &states);
-    assert_eq!(counts, (0, 0), "(model checks, cache hits)");
+    assert_eq!(counts, (0, 0, 0), "(model checks, cache hits, native checks)");
 }
 
 #[test]
@@ -113,5 +129,5 @@ fn drone_checks_allocate_nothing_once_warm() {
     let states: Vec<_> = (0..30).map(|i| Cell3::new(4 + i, 6 + 2 * i / 3, 3 + i % 8)).collect();
     let counts =
         hot_path_allocations::<D3>(&grid, Footprint3::drone(), Cell3::new(60, 60, 8), &states);
-    assert_eq!(counts, (0, 0), "(model checks, cache hits)");
+    assert_eq!(counts, (0, 0, 0), "(model checks, cache hits, native checks)");
 }
